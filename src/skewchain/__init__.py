@@ -56,7 +56,6 @@ from .chainmaps import (
     iota_s,
     pi,
     pi_s,
-    verify_chainmap,
 )
 from .cochains import Cochain, bracket, circle, coboundary, cup
 from .pbw import (
@@ -71,6 +70,7 @@ from .pbw import (
     oracle_pbw,
 )
 from .serialize import ConfigParseError, RunConfig, canonical_json
+from .verify import verify_chainmap
 
 __version__ = "0.1.0"
 

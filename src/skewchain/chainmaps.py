@@ -37,23 +37,17 @@ All maps accept a ChainElement or ChainVector and return a ChainVector.
 from __future__ import annotations
 
 import itertools
-import random
 
 from .complexes import (
     ChainElement,
     ChainVector,
     ShapeMismatch,
-    as_vector,
     bimodule_act,
-    diff,
     free_decompose,
-    barskew_free_basis,
-    random_barskew_slots,
-    random_twisted_slots,
-    twisted_free_basis,
 )
 from .linalg import FactoredSolver
 from .polynomials import (
+    monomial_mul,
     monomials_of_degree,
     poly_mul,
     total_degree,
@@ -86,6 +80,8 @@ def awg(x) -> ChainVector:
         b = None if slots[-1] == unit else {slots[-1]: 1}
         if a is not None or b is not None:
             part = bimodule_act(a, part, b)
+        if c == 1 and len(x.terms) == 1:
+            return part  # a fresh vector: no need to copy it into out
         out.add_vector(part, c)
     return out
 
@@ -109,35 +105,38 @@ def _awg_free(alg: SkewAlgebra, inner) -> ChainVector:
     twisted = [
         alg.action.act_monomial(inv(tails[k]), mlist[k]) for k in range(n)
     ]
-    # outer_sfx[k] = product of the twisted s_k ... s_{n-1}
+    # the ell-th summand survives iff g_ell..g_{n-1} and s_0..s_{ell-1} are
+    # all non-units; each term of a summand is a distinct basis term
+    lo = max((k + 1 for k in range(n) if glist[k] == 0), default=0)
+    hi = next((k for k in range(n) if mlist[k] == zero), n)
+    # outer_sfx[k] = product of the twisted s_k ... s_{n-1}, for k >= lo
     outer_sfx = [{zero: 1}] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        outer_sfx[k] = poly_mul(field, twisted[k], outer_sfx[k + 1])
-    prefix = 0
-    for ell in range(n + 1):
-        if ell > 0:
+    for k in range(n - 1, lo - 1, -1):
+        outer_sfx[k] = twisted[k] if k == n - 1 else \
+            poly_mul(field, twisted[k], outer_sfx[k + 1])
+    prefix = alg.group.prod(glist[:lo])
+    combos = [((), 1)]
+    for ell in range(hi + 1):
+        if ell > lo:
             prefix = mul(prefix, glist[ell - 1])
-        if all(glist[k] != 0 for k in range(ell, n)) and all(
-            mlist[k] != zero for k in range(ell)
-        ):
+        if ell >= lo:
             sign_neg = (ell * (n - ell)) % 2 == 1
-            tag = ("twisted", n - ell, ell, "bar")
-            cpart = (prefix,) + tuple(glist[ell:]) + (0,)
-            combos = [((), 1)]
-            for k in range(ell):
-                combos = [
-                    (mids + (m,), field.mul(cc, cm))
-                    for mids, cc in combos
-                    for m, cm in twisted[k].items()
-                ]
+            cpart = (prefix,) + tuple(glist[ell:]) + (0, zero)
+            terms = {}
             for mids, cc in combos:
                 for mo, co in outer_sfx[ell].items():
                     v = field.mul(cc, co)
-                    out.add_term(
-                        tag,
-                        cpart + (zero,) + mids + (mo,),
-                        field.neg(v) if sign_neg else v,
-                    )
+                    terms[cpart + mids + (mo,)] = field.neg(v) if sign_neg \
+                        else v
+            if terms:
+                tag = ("twisted", n - ell, ell, "bar")
+                out.parts[tag] = ChainElement(alg, tag, terms)
+        if ell < hi:
+            combos = [
+                (mids + (m,), field.mul(cc, cm))
+                for mids, cc in combos
+                for m, cm in twisted[ell].items()
+            ]
     return out
 
 
@@ -278,7 +277,7 @@ class PiSolver:
       d ∘ pi_j = pi_{j-1} ∘ d inside the polynomial grade of the input
       tuple, with free variables pinned to zero (deterministic).  The
       right-hand side lies in the image by Koszul exactness, and the grade's
-      differential matrix is RREF-factored once and shared by all tuples.
+      differential matrix is factored once and shared by all tuples.
     * j > N (the number of variables): zero, which still satisfies the
       chain-map equation because the degree-N Koszul differential is
       injective.
@@ -370,13 +369,7 @@ class PiSolver:
 
         rhs: dict = {}
         for slots2, c in bar_diff(free).terms.items():
-            m0, mids, m1 = slots2[0], slots2[1:-1], slots2[-1]
-            for (a, w, b), v in self.pi_free(mids).items():
-                key = (
-                    tuple(p + q for p, q in zip(m0, a)),
-                    w,
-                    tuple(p + q for p, q in zip(b, m1)),
-                )
+            for key, v in self.pi_term(slots2[0], slots2[1:-1], slots2[-1]):
                 s = f.add(rhs.get(key, 0), f.mul(c, v))
                 if s == 0:
                     rhs.pop(key, None)
@@ -390,6 +383,15 @@ class PiSolver:
         out = {cols[c]: v for c, v in enumerate(xvec) if v != 0}
         self._values[mbar] = out
         return out
+
+    def pi_term(self, m0: tuple, mids: tuple, m1: tuple):
+        """pi_s of m0 ⊗ mids ⊗ m1, as ((m0 a, w, b m1), scalar) pairs."""
+        value = self.pi_free(mids)
+        zero = self.alg.zero_exp
+        if m0 == zero and m1 == zero:
+            return value.items()
+        return [((monomial_mul(m0, a), w, monomial_mul(b, m1)), v)
+                for (a, w, b), v in value.items()]
 
 
 def _koszul_diff_term(alg: SkewAlgebra, slots) -> dict:
@@ -438,17 +440,8 @@ def pi_s(x, solver: PiSolver | None = None) -> ChainVector:
     out = ChainVector(alg)
     tag = ("koszul", j)
     for slots, c in x.terms.items():
-        m0, mids, m1 = slots[0], slots[1:-1], slots[-1]
-        for (a, w, b), v in solver.pi_free(mids).items():
-            out.add_term(
-                tag,
-                (
-                    tuple(p + q for p, q in zip(m0, a)),
-                    w,
-                    tuple(p + q for p, q in zip(b, m1)),
-                ),
-                f.mul(c, v),
-            )
+        for key, v in solver.pi_term(slots[0], slots[1:-1], slots[-1]):
+            out.add_term(tag, key, f.mul(c, v))
     return out
 
 
@@ -501,18 +494,10 @@ def id_tensor_pi_s(x, solver: PiSolver | None = None) -> ChainVector:
     tag = ("twisted", i, j, "koszul")
     base = i + 2
     for slots, c in x.terms.items():
-        m0, mids, m1 = slots[base], slots[base + 1: -1], slots[-1]
-        for (a, w, b), v in solver.pi_free(mids).items():
-            out.add_term(
-                tag,
-                slots[:base]
-                + (
-                    tuple(p + q for p, q in zip(m0, a)),
-                    w,
-                    tuple(p + q for p, q in zip(b, m1)),
-                ),
-                field.mul(c, v),
-            )
+        head = slots[:base]
+        for key, v in solver.pi_term(slots[base], slots[base + 1:-1],
+                                     slots[-1]):
+            out.add_term(tag, head + key, field.mul(c, v))
     return out
 
 
@@ -526,69 +511,15 @@ def pi(x, solver: PiSolver | None = None) -> ChainVector:
     return id_tensor_pi_s(awg(x), solver)
 
 
-# -- verification driver ---------------------------------------------------
-
-def _domain_bases(alg, name, n, max_poly_deg):
-    """Free-basis slot tuples of the domain of a named map in degree n."""
-    if name in ("awg", "pi"):
-        yield ("barskew", n), barskew_free_basis(alg, n, max_poly_deg)
-    elif name == "ezg":
-        for i in range(n + 1):
-            yield (
-                ("twisted", i, n - i, "bar"),
-                twisted_free_basis(alg, i, n - i, "bar", max_poly_deg),
-            )
-    elif name == "iota":
-        for i in range(n + 1):
-            if n - i <= alg.nvars:
-                yield (
-                    ("twisted", i, n - i, "koszul"),
-                    twisted_free_basis(alg, i, n - i, "koszul", max_poly_deg),
-                )
-    elif name == "iota_s":
-        if n <= alg.nvars:
-            z = alg.zero_exp
-            yield ("koszul", n), [
-                (z, w, z) for w in itertools.combinations(range(alg.nvars), n)
-            ]
-    elif name == "pi_s":
-        z = alg.zero_exp
-        mids = alg.monomials_up_to(max_poly_deg, include_unit=False)
-        yield ("bars", n), [
-            (z,) + combo + (z,)
-            for combo in itertools.product(mids, repeat=n)
-        ]
-    else:
-        raise ValueError(f"unknown map {name!r}")
-
-
-def _random_domain_slots(alg, name, n, max_poly_deg, rng):
-    if name in ("awg", "pi"):
-        return ("barskew", n), random_barskew_slots(alg, n, max_poly_deg, rng)
-    if name in ("ezg", "iota"):
-        dkind = "bar" if name == "ezg" else "koszul"
-        jmax = n if dkind == "bar" else min(n, alg.nvars)
-        j = rng.randrange(0, jmax + 1)
-        return (
-            ("twisted", n - j, j, dkind),
-            random_twisted_slots(alg, n - j, j, dkind, max_poly_deg, rng),
-        )
-    if name == "iota_s":
-        j = min(n, alg.nvars)
-        wedges = list(itertools.combinations(range(alg.nvars), j))
-        outer = alg.monomials_up_to(max_poly_deg)
-        return ("koszul", j), (
-            rng.choice(outer), rng.choice(wedges), rng.choice(outer)
-        )
-    if name == "pi_s":
-        mids = alg.monomials_up_to(max_poly_deg, include_unit=False)
-        outer = alg.monomials_up_to(max_poly_deg)
-        return ("bars", n), (
-            (rng.choice(outer),)
-            + tuple(rng.choice(mids) for _ in range(n))
-            + (rng.choice(outer),)
-        )
-    raise ValueError(f"unknown map {name!r}")
+#: The domain complex family of each named map, in report order.
+MAP_DOMAINS = {
+    "awg": "barskew",
+    "ezg": "twisted_bar",
+    "iota_s": "koszul",
+    "pi_s": "bars",
+    "iota": "twisted_koszul",
+    "pi": "barskew",
+}
 
 
 def map_by_name(name: str, solver: PiSolver | None = None):
@@ -603,84 +534,3 @@ def map_by_name(name: str, solver: PiSolver | None = None):
     if name not in fns:
         raise ValueError(f"unknown map {name!r}")
     return fns[name]
-
-
-def verify_chainmap(
-    alg: SkewAlgebra,
-    name: str,
-    degrees=(0, 1, 2, 3),
-    max_poly_deg: int = 2,
-    samples: int = 0,
-    sample_degree: int = 4,
-    seed: int = 0,
-    j_max: int = 4,
-    map_fn=None,
-    max_failures: int = 5,
-):
-    """Check d ∘ f = f ∘ d on enumerated free bases plus random samples.
-
-    Returns a report dict with the number of inputs checked and up to
-    ``max_failures`` recorded counterexamples.
-    """
-    solver = get_pi_solver(alg, max(j_max, sample_degree if samples else 0,
-                                    *degrees) if degrees else j_max)
-    fn = map_fn if map_fn is not None else map_by_name(name, solver)
-    checked = 0
-    failures = []
-
-    def run_one(tag, slots):
-        nonlocal checked
-        x = ChainElement.basis(alg, tag, slots)
-        lhs = diff(fn(x))
-        rhs = fn(diff(x))
-        checked += 1
-        if lhs != rhs:
-            if len(failures) < max_failures:
-                defect = ChainVector(alg)
-                defect.add_vector(lhs)
-                defect.add_vector(rhs, alg.field.from_int(-1))
-                failures.append(
-                    {
-                        "degree": homological_degree_of(tag),
-                        "tag": list(tag),
-                        "input": _slots_jsonable(slots),
-                        "defect_terms": sum(
-                            len(el.terms) for el in defect.parts.values()
-                        ),
-                    }
-                )
-            return False
-        return True
-
-    for n in degrees:
-        for tag, basis in _domain_bases(alg, name, n, max_poly_deg):
-            for slots in basis:
-                run_one(tag, slots)
-    if samples:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            tag, slots = _random_domain_slots(
-                alg, name, sample_degree, max_poly_deg, rng
-            )
-            run_one(tag, slots)
-    return {
-        "map": name,
-        "degrees": list(degrees),
-        "checked": checked,
-        "failures": failures,
-    }
-
-
-def homological_degree_of(tag) -> int:
-    from .complexes import homological_degree
-
-    return homological_degree(tag)
-
-
-def _slots_jsonable(slots):
-    def conv(v):
-        if isinstance(v, tuple):
-            return [conv(a) for a in v]
-        return v
-
-    return [conv(s) for s in slots]

@@ -14,38 +14,18 @@ identical (config, seed) pairs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import itertools
-import random
 import sys
 
 from .fields import NonPrimeModulus
 from .groups import NoIdentity, NotAssociative, NotLatinSquare
-from .polynomials import DimensionMismatch, var_exp
+from .polynomials import DimensionMismatch
 from .skew import ContextMismatch
-from .complexes import (
-    ChainElement,
-    ChainVector,
-    ShapeMismatch,
-    as_vector,
-    barskew_free_basis,
-    bimodule_act,
-    diff,
-    random_barskew_slots,
-    random_twisted_slots,
-    term_s_degree,
-    twisted_free_basis,
-)
+from .complexes import ShapeMismatch, as_vector, diff
 from .chainmaps import (
+    MAP_DOMAINS,
     DegreeOutOfRange,
-    awg,
-    ezg,
     get_pi_solver,
-    iota,
-    iota_s,
     map_by_name,
-    pi,
-    pi_s,
-    verify_chainmap,
 )
 from .pbw import (
     MissingParams,
@@ -63,9 +43,11 @@ from .serialize import (
     canonical_json,
     element_from_json,
     element_to_json,
+    is_json_int,
     params_to_config,
     vector_to_json,
 )
+from .verify import SUITES, run_suites
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -88,303 +70,16 @@ CONFIG_ERRORS = (
     OSError,
 )
 
-VERIFY_SUITES = ("complexes", "chainmaps", "splitting", "all")
+VERIFY_SUITES = (*SUITES, "all")
 PBW_METHODS = ("five", "cohomological", "oracle", "all")
-MAP_NAMES = ("awg", "ezg", "iota_s", "pi_s", "iota", "pi", "diff")
+MAP_NAMES = (*MAP_DOMAINS, "diff")
 
 
 # -- verify ----------------------------------------------------------------
 
-class _Check:
-    """One named pass/fail check accumulating a count and counterexamples."""
-
-    def __init__(self, name: str, max_failures: int = 5):
-        self.name = name
-        self.checked = 0
-        self.failures = []
-        self.max_failures = max_failures
-
-    def record(self, ok: bool, witness=None):
-        self.checked += 1
-        if not ok and len(self.failures) < self.max_failures:
-            self.failures.append(witness if witness is not None else {})
-
-    def report(self) -> dict:
-        return {
-            "name": self.name,
-            "checked": self.checked,
-            "passed": not self.failures,
-            "failures": self.failures,
-        }
-
-
-def _jsonable_slots(slots):
-    def conv(v):
-        if isinstance(v, tuple):
-            return [conv(x) for x in v]
-        return v
-
-    return [conv(v) for v in slots]
-
-
-def _random_skew_pair(alg, rng, dmax=1):
-    """A random basis element (monomial, group) of S x| G, degree <= dmax."""
-    mono = rng.choice(alg.monomials_up_to(dmax))
-    return {(mono, rng.randrange(alg.group.order)): 1}
-
-
-def _free_slot_iter(alg, kind, budgets):
-    """(tag, slots) pairs for exhaustive d^2 checks on one complex family."""
-    max_bar = budgets["max_bar_degree"]
-    dmax = budgets["max_poly_degree"]
-    order = alg.group.order
-    if kind == "barskew":
-        for n in range(2, max_bar + 1):
-            for slots in barskew_free_basis(alg, n, dmax):
-                yield ("barskew", n), slots
-    elif kind == "barg":
-        nonid = [g for g in range(order) if g != 0]
-        for i in range(2, max_bar + 1):
-            for slots in itertools.product(
-                range(order), *([nonid] * i), range(order)
-            ):
-                yield ("barg", i), tuple(slots)
-    elif kind == "bars":
-        mids = alg.monomials_up_to(dmax, include_unit=False)
-        z = alg.zero_exp
-        for j in range(2, max_bar + 1):
-            for combo in itertools.product(mids, repeat=j):
-                yield ("bars", j), (z,) + combo + (z,)
-    elif kind == "koszul":
-        outer = alg.monomials_up_to(dmax)
-        for j in range(2, min(alg.nvars, max_bar) + 1):
-            for w in itertools.combinations(range(alg.nvars), j):
-                for m0 in outer:
-                    for m1 in outer:
-                        yield ("koszul", j), (m0, w, m1)
-    else:  # twisted families
-        dkind = kind.split("_")[1]
-        for n in range(2, max_bar + 1):
-            for i in range(n + 1):
-                j = n - i
-                if dkind == "koszul" and j > alg.nvars:
-                    continue
-                tag = ("twisted", i, j, dkind)
-                for slots in twisted_free_basis(alg, i, j, dkind, dmax):
-                    yield tag, slots
-
-
-def _suite_complexes(cfg: RunConfig) -> list:
-    alg = cfg.algebra
-    budgets = cfg.budgets
-    rng = random.Random(budgets["seed"])
-    checks = []
-
-    for kind in ("barskew", "barg", "bars", "koszul",
-                 "twisted_bar", "twisted_koszul"):
-        chk = _Check(f"d2_{kind}")
-        for tag, slots in _free_slot_iter(alg, kind, budgets):
-            x = ChainElement.basis(alg, tag, slots)
-            ok = diff(diff(x)).is_zero()
-            chk.record(ok, {"tag": list(tag),
-                            "input": _jsonable_slots(slots)})
-        checks.append(chk)
-
-    # randomized degree-4 terms with nontrivial outer slots
-    chk = _Check("d2_random_degree4")
-    dmax = budgets["max_poly_degree"]
-    for _ in range(budgets["degree4_samples"]):
-        which = rng.randrange(3)
-        if which == 0:
-            tag = ("barskew", 4)
-            slots = random_barskew_slots(alg, 4, dmax, rng)
-        else:
-            dkind = "bar" if which == 1 else "koszul"
-            jtop = 4 if dkind == "bar" else min(4, alg.nvars)
-            j = rng.randrange(0, jtop + 1)
-            tag = ("twisted", 4 - j, j, dkind)
-            slots = random_twisted_slots(alg, 4 - j, j, dkind, dmax, rng)
-        x = ChainElement.basis(alg, tag, slots)
-        chk.record(diff(diff(x)).is_zero(),
-                   {"tag": list(tag), "input": _jsonable_slots(slots)})
-    checks.append(chk)
-
-    def random_twisted_element(max_total=2):
-        n = rng.randrange(0, max_total + 1)
-        dkind = rng.choice(("bar", "koszul"))
-        jtop = n if dkind == "bar" else min(n, alg.nvars)
-        j = rng.randrange(0, jtop + 1)
-        slots = random_twisted_slots(alg, n - j, j, dkind, dmax, rng)
-        return ChainElement.basis(alg, ("twisted", n - j, j, dkind), slots)
-
-    chk = _Check("bimodule_axioms")
-    for _ in range(budgets["samples"]):
-        x = random_twisted_element()
-        a1, a2 = _random_skew_pair(alg, rng), _random_skew_pair(alg, rng)
-        b1, b2 = _random_skew_pair(alg, rng), _random_skew_pair(alg, rng)
-        left_ok = bimodule_act(alg.mul(a1, a2), x, None) == \
-            bimodule_act(a1, bimodule_act(a2, x, None), None)
-        right_ok = bimodule_act(None, x, alg.mul(b1, b2)) == \
-            bimodule_act(None, bimodule_act(None, x, b1), b2)
-        two_ok = bimodule_act(None, bimodule_act(a1, x, None), b1) == \
-            bimodule_act(a1, bimodule_act(None, x, b1), None)
-        chk.record(left_ok and right_ok and two_ok,
-                   {"tag": list(x.tag),
-                    "input": _jsonable_slots(next(iter(x.terms)))})
-    checks.append(chk)
-
-    chk = _Check("diff_commutes_with_action")
-    for _ in range(budgets["samples"]):
-        x = random_twisted_element(max_total=3)
-        a, b = _random_skew_pair(alg, rng), _random_skew_pair(alg, rng)
-        lhs = diff(bimodule_act(a, x, b))
-        rhs = bimodule_act(a, diff(x), b)
-        chk.record(lhs == rhs,
-                   {"tag": list(x.tag),
-                    "input": _jsonable_slots(next(iter(x.terms)))})
-    checks.append(chk)
-
-    chk = _Check("group_scalar_compat")
-    for _ in range(budgets["samples"]):
-        x = random_twisted_element()
-        g = rng.randrange(alg.group.order)
-        mono = rng.choice(alg.monomials_up_to(dmax))
-        s = {(mono, 0): 1}
-        ge = {(alg.zero_exp, g): 1}
-        lhs = bimodule_act(ge, bimodule_act(s, x, None), None)
-        gs = {(m, 0): c
-              for (m, _h), c in alg.mul(ge, s).items()}  # ^g s as an S elt
-        rhs = bimodule_act(gs, bimodule_act(ge, x, None), None)
-        chk.record(lhs == rhs,
-                   {"tag": list(x.tag), "g": g,
-                    "input": _jsonable_slots(next(iter(x.terms)))})
-    checks.append(chk)
-
-    return [c.report() for c in checks]
-
-
-def _suite_chainmaps(cfg: RunConfig) -> list:
-    alg = cfg.algebra
-    budgets = cfg.budgets
-    degrees = tuple(range(0, budgets["max_bar_degree"] + 1))
-    out = []
-    for name in ("awg", "ezg", "iota_s", "pi_s", "iota", "pi"):
-        rep = verify_chainmap(
-            alg,
-            name,
-            degrees=degrees,
-            max_poly_deg=budgets["max_poly_degree"],
-            samples=budgets["degree4_samples"],
-            sample_degree=4,
-            seed=budgets["seed"],
-            j_max=budgets["j_max"],
-        )
-        out.append({
-            "name": f"chainmap_{name}",
-            "checked": rep["checked"],
-            "passed": not rep["failures"],
-            "failures": rep["failures"],
-        })
-    return out
-
-
-def _suite_splitting(cfg: RunConfig) -> list:
-    alg = cfg.algebra
-    budgets = cfg.budgets
-    dmax = budgets["max_poly_degree"]
-    solver = get_pi_solver(alg, max(budgets["j_max"], 4))
-    checks = []
-
-    chk = _Check("awg_ezg_identity")
-    for n in range(0, 5):
-        for i in range(n + 1):
-            tag = ("twisted", i, n - i, "bar")
-            for slots in twisted_free_basis(alg, i, n - i, "bar", dmax):
-                x = ChainElement.basis(alg, tag, slots)
-                ok = awg(ezg(x)) == as_vector(x)
-                chk.record(ok, {"tag": list(tag),
-                                "input": _jsonable_slots(slots)})
-    checks.append(chk)
-
-    chk = _Check("splitting_worked_degree2")
-    if alg.group.order > 1 and alg.nvars > 0:
-        # awg(ezg((1 (x) g (x) 1) (x) (1 (x) x_0 (x) 1))) reproduces the input
-        tag = ("twisted", 1, 1, "bar")
-        slots = (0, 1, 0, alg.zero_exp, var_exp(alg.nvars, 0), alg.zero_exp)
-        x = ChainElement.basis(alg, tag, slots)
-        chk.record(awg(ezg(x)) == as_vector(x),
-                   {"tag": list(tag), "input": _jsonable_slots(slots)})
-    checks.append(chk)
-
-    chk = _Check("pi_iota_identity")
-    for n in range(0, min(3, budgets["max_bar_degree"]) + 1):
-        for i in range(n + 1):
-            j = n - i
-            if j > alg.nvars:
-                continue
-            tag = ("twisted", i, j, "koszul")
-            for slots in twisted_free_basis(alg, i, j, "koszul", dmax):
-                x = ChainElement.basis(alg, tag, slots)
-                ok = pi(iota(x, solver), solver) == as_vector(x)
-                chk.record(ok, {"tag": list(tag),
-                                "input": _jsonable_slots(slots)})
-    checks.append(chk)
-
-    chk = _Check("pi_s_iota_s_identity")
-    z = alg.zero_exp
-    for j in range(0, min(alg.nvars, budgets["max_bar_degree"]) + 1):
-        for w in itertools.combinations(range(alg.nvars), j):
-            x = ChainElement.basis(alg, ("koszul", j), (z, w, z))
-            ok = pi_s(iota_s(x), solver) == as_vector(x)
-            chk.record(ok, {"tag": ["koszul", j], "wedge": list(w)})
-    checks.append(chk)
-
-    chk = _Check("iota_graded")
-    for n in range(0, min(3, budgets["max_bar_degree"]) + 1):
-        for i in range(n + 1):
-            j = n - i
-            if j > alg.nvars:
-                continue
-            tag = ("twisted", i, j, "koszul")
-            for slots in twisted_free_basis(alg, i, j, "koszul", dmax):
-                want = term_s_degree(alg, tag, slots)
-                image = iota(ChainElement.basis(alg, tag, slots), solver)
-                ok = all(
-                    term_s_degree(alg, el.tag, s) == want
-                    for el in image.parts.values()
-                    for s in el.terms
-                )
-                chk.record(ok, {"tag": list(tag),
-                                "input": _jsonable_slots(slots)})
-    checks.append(chk)
-
-    chk = _Check("pi_graded")
-    for n in range(0, budgets["max_bar_degree"] + 1):
-        for slots in barskew_free_basis(alg, n, dmax):
-            tag = ("barskew", n)
-            want = term_s_degree(alg, tag, slots)
-            image = pi(ChainElement.basis(alg, tag, slots), solver)
-            ok = all(
-                term_s_degree(alg, el.tag, s) == want
-                for el in image.parts.values()
-                for s in el.terms
-            )
-            chk.record(ok, {"tag": list(tag),
-                            "input": _jsonable_slots(slots)})
-    checks.append(chk)
-
-    return [c.report() for c in checks]
-
-
 def run_verify(cfg: RunConfig, suite: str):
     """Run one (or all) verification suites; returns (report, exit code)."""
-    checks = []
-    if suite in ("complexes", "all"):
-        checks += _suite_complexes(cfg)
-    if suite in ("chainmaps", "all"):
-        checks += _suite_chainmaps(cfg)
-    if suite in ("splitting", "all"):
-        checks += _suite_splitting(cfg)
+    checks = run_suites(cfg.algebra, cfg.budgets, suite)
     passed = all(c["passed"] for c in checks)
     report = {
         "command": "verify",
@@ -439,34 +134,15 @@ def run_pbw(cfg: RunConfig, method: str):
 
 # -- apply -----------------------------------------------------------------
 
-_MAP_DOMAINS = {
-    "awg": ("barskew",),
-    "ezg": ("twisted:bar",),
-    "iota_s": ("koszul",),
-    "pi_s": ("bars",),
-    "iota": ("twisted:koszul",),
-    "pi": ("barskew",),
-    "diff": ("barskew", "barg", "bars", "koszul",
-             "twisted:bar", "twisted:koszul"),
-}
-
-
-def _domain_key(tag):
-    if tag[0] == "twisted":
-        return f"twisted:{tag[3]}"
-    return tag[0]
-
-
 def run_apply(cfg: RunConfig, map_name: str, input_doc: dict):
     alg = cfg.algebra
     x = element_from_json(alg, input_doc)
-    if _domain_key(x.tag) not in _MAP_DOMAINS[map_name]:
-        raise ShapeMismatch(
-            f"{map_name} is not defined on {x.tag}; "
-            f"expected one of {_MAP_DOMAINS[map_name]}"
-        )
+    family = f"twisted_{x.tag[3]}" if x.tag[0] == "twisted" else x.tag[0]
     if map_name == "diff":
         image = diff(x)
+    elif family != MAP_DOMAINS[map_name]:
+        raise ShapeMismatch(f"{map_name} is not defined on {x.tag}; "
+                            f"expected a {MAP_DOMAINS[map_name]} element")
     else:
         solver = get_pi_solver(alg, max(cfg.budgets["j_max"], 4))
         image = as_vector(map_by_name(map_name, solver)(x))
@@ -500,7 +176,9 @@ def run_enumerate(cfg: RunConfig):
     ]
     kwargs = {}
     if "cap" in spec:
-        kwargs["cap"] = int(spec["cap"])
+        if not is_json_int(spec["cap"]):
+            raise ConfigParseError("enumerate cap must be an integer")
+        kwargs["cap"] = spec["cap"]
     found = enumerate_pbw(alg, kcands, lcands, **kwargs)
     report = {
         "command": "enumerate",

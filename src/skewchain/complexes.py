@@ -198,22 +198,39 @@ class ChainVector:
             vec.add_element(el)
         return vec
 
-    def add_term(self, tag, slots, coeff):
-        if coeff == 0:
-            return
+    def _terms(self, tag) -> dict:
+        """The terms dict of one part, created empty if absent."""
         el = self.parts.get(tag)
         if el is None:
             el = self.parts[tag] = ChainElement(self.alg, tag)
-        el.add_term(slots, coeff)
-        if el.is_zero():
-            del self.parts[tag]
+        return el.terms
+
+    def add_term(self, tag, slots, coeff):
+        if coeff == 0:
+            return
+        terms = self._terms(tag)
+        s = self.alg.field.add(terms.get(slots, 0), coeff)
+        if s == 0:
+            terms.pop(slots, None)
+            if not terms:
+                del self.parts[tag]
+        else:
+            terms[slots] = s
 
     def add_element(self, el: ChainElement, scale=1):
-        if scale == 0:
+        if scale == 0 or not el.terms:
             return
         f = self.alg.field
-        for s, v in el.terms.items():
-            self.add_term(el.tag, s, v if scale == 1 else f.mul(scale, v))
+        add, mul = f.add, f.mul
+        terms = self._terms(el.tag)
+        for slots, v in el.terms.items():
+            s = add(terms.get(slots, 0), v if scale == 1 else mul(scale, v))
+            if s == 0:
+                terms.pop(slots, None)
+            else:
+                terms[slots] = s
+        if not terms:
+            del self.parts[el.tag]
 
     def add_vector(self, other: "ChainVector", scale=1):
         for el in other.parts.values():
@@ -621,19 +638,6 @@ def bimodule_act(a, x, b):
 
 
 # -- free-basis bookkeeping ------------------------------------------------
-
-def free_key(tag, slots):
-    """The free-basis coordinates of a term: inner C slots + D middle."""
-    kind = tag[0]
-    if kind == "barskew":
-        return slots[1:-1]
-    if kind == "twisted":
-        i = tag[1]
-        if tag[3] == "bar":
-            return (slots[1: i + 1], slots[i + 3: -1])
-        return (slots[1: i + 1], (slots[i + 3],))
-    raise ShapeMismatch(f"no free basis bookkeeping for {tag}")
-
 
 def free_slots_barskew(alg: SkewAlgebra, inner) -> tuple:
     return (alg.unit_pair,) + tuple(inner) + (alg.unit_pair,)

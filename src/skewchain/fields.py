@@ -22,6 +22,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+#: Miller-Rabin with the first 13 primes as bases decides primality exactly
+#: below this bound (Sorenson and Webster, Math. Comp. 2017).
+MAX_MODULUS = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
 
 class NonPrimeModulus(ValueError):
     """Raised when a prime field is requested for a composite modulus."""
@@ -33,6 +38,25 @@ class FieldMismatch(ValueError):
 
 class DivisionByZero(ZeroDivisionError):
     """Raised on exact division by the zero scalar."""
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases _MR_BASES, exact for n < MAX_MODULUS."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
+def _scalar_text(text) -> str:
+    if not isinstance(text, str):
+        raise TypeError(f"a scalar must be a string, got {text!r}")
+    return text.strip()
 
 
 class Field:
@@ -99,14 +123,18 @@ class RationalField(Field):
             return int(a)
         return a
 
+    # add/sub/mul inline _canon: they are the innermost calls of every map
     def add(self, a, b):
-        return self._canon(a + b)
+        s = a + b
+        return int(s) if type(s) is Fraction and s.denominator == 1 else s
 
     def sub(self, a, b):
-        return self._canon(a - b)
+        s = a - b
+        return int(s) if type(s) is Fraction and s.denominator == 1 else s
 
     def mul(self, a, b):
-        return self._canon(a * b)
+        s = a * b
+        return int(s) if type(s) is Fraction and s.denominator == 1 else s
 
     def neg(self, a):
         return -a
@@ -125,9 +153,12 @@ class RationalField(Field):
         return n
 
     def parse(self, text):
-        text = text.strip()
+        text = _scalar_text(text)
         if "/" in text:
-            return self._canon(Fraction(text))
+            try:
+                return self._canon(Fraction(text))
+            except ZeroDivisionError as e:
+                raise ValueError(f"zero denominator in {text!r}") from e
         return int(text)
 
     def __eq__(self, other):
@@ -141,7 +172,11 @@ class PrimeField(Field):
     """GF(p) for a prime p, with canonical values in range(p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= MAX_MODULUS:
+            raise ValueError(
+                f"modulus {p} is too large: primality is decided exactly "
+                f"only below {MAX_MODULUS}")
+        if not is_prime(p):
             raise NonPrimeModulus(f"modulus {p} is not prime")
         self.p = p
         self.char = p
@@ -172,7 +207,7 @@ class PrimeField(Field):
         return n % self.p
 
     def parse(self, text):
-        return int(text.strip()) % self.p
+        return int(_scalar_text(text)) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

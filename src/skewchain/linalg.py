@@ -6,6 +6,8 @@ small (a few hundred rows/columns), so no fraction-free tricks are needed.
 
 from __future__ import annotations
 
+import itertools
+
 from .fields import Field
 
 
@@ -42,13 +44,26 @@ class InconsistentSystem(ValueError):
     """Raised when solve() is asked for a solution that does not exist."""
 
 
-class FactoredSolver:
-    """RREF factorization of a matrix M, reusable for many right-hand sides.
+def _sub_scaled(field: Field, dst: dict, src: dict, coef) -> None:
+    """dst -= coef * src on sparse vectors, in place, dropping zeros."""
+    for c, x in src.items():
+        s = field.sub(dst.get(c, 0), field.mul(coef, x))
+        if s == 0:
+            dst.pop(c, None)
+        else:
+            dst[c] = s
 
-    Stores a row transform T with T*M in reduced row echelon form, so that
-    each solve of M x = b costs one matrix-vector product plus a
-    back-substitution.  The particular solution sets all free variables to
-    zero, which makes repeated runs deterministic.
+
+class FactoredSolver:
+    """Gauss-Jordan factorization of M, reusable for many right-hand sides.
+
+    Elimination runs on sparse rows, pivot columns in increasing order, and
+    keeps for each pivot the combination of rows of M that reduces to it,
+    so each solve of M x = b costs one sparse product with b.  The
+    particular solution sets all free variables to zero, which makes it
+    unique (the pivot columns are independent), so it does not depend on
+    the elimination order.  Each solution is checked against M; a b
+    outside the column space raises :class:`InconsistentSystem`.
     """
 
     def __init__(self, field: Field, rows):
@@ -56,29 +71,54 @@ class FactoredSolver:
         m = len(rows)
         self.m = m
         self.n = len(rows[0]) if m else 0
-        aug = [list(r) + [1 if i == j else 0 for j in range(m)]
-               for i, r in enumerate(rows)]
-        R, pivots = rref(field, aug) if m else ([], [])
-        # Pivots inside the identity block are possible when a row of M is
-        # zero; only pivots in the first n columns correspond to unknowns.
-        self.pivots = [c for c in pivots if c < self.n]
-        self.R = [row[: self.n] for row in R]
-        self.T = [row[self.n:] for row in R]
+        #: column c of M as {row: scalar}
+        self._cols = [{} for _ in range(self.n)]
+        # each live row is [M-part, row combination], both sparse
+        live = []
+        for i, r in enumerate(rows):
+            row = {c: v for c, v in enumerate(r) if v != 0}
+            for c, v in row.items():
+                self._cols[c][i] = v
+            live.append([row, {i: 1}])
+        done = []  # (pivot column, M-part, row combination)
+        for c in range(self.n):
+            k = next((k for k, (row, _) in enumerate(live) if c in row), None)
+            if k is None:
+                continue
+            row, comb = live.pop(k)
+            inv = field.inv(row[c])
+            row = {a: field.mul(inv, v) for a, v in row.items()}
+            comb = {a: field.mul(inv, v) for a, v in comb.items()}
+            for other_row, other_comb in itertools.chain(
+                    ((r, t) for _, r, t in done), live):
+                coef = other_row.get(c)
+                if coef is not None:
+                    _sub_scaled(field, other_row, row, coef)
+                    _sub_scaled(field, other_comb, comb, coef)
+            done.append((c, row, comb))
+        self.pivots = [c for c, _, _ in done]
+        #: row j of M -> [(pivot column, weight of row j in its combination)]
+        self._uses = [[] for _ in range(m)]
+        for c, _, comb in done:
+            for j, v in comb.items():
+                self._uses[j].append((c, v))
 
     def solve(self, b):
         """A solution x of M x = b with free variables set to zero."""
         f = self.field
         x = [0] * self.n
-        for r in range(self.m):
-            acc = 0
-            Tr = self.T[r]
-            for j, bv in enumerate(b):
-                if bv != 0 and Tr[j] != 0:
-                    acc = f.add(acc, f.mul(Tr[j], bv))
-            if r < len(self.pivots):
-                x[self.pivots[r]] = acc
-            elif acc != 0:
-                raise InconsistentSystem("no solution for this right-hand side")
+        for j, bv in enumerate(b):
+            if bv != 0:
+                for c, v in self._uses[j]:
+                    x[c] = f.add(x[c], f.mul(v, bv))
+        image = [0] * self.m
+        for c, xc in enumerate(x):
+            if xc != 0:
+                for i, v in self._cols[c].items():
+                    image[i] = f.add(image[i], f.mul(v, xc))
+        if image != list(b) and any(
+                f.sub(a, bv) != 0 for a, bv in zip(image, b)):
+            raise InconsistentSystem("no solution for this right-hand side")
         return x
 
 

@@ -73,7 +73,6 @@ class PBWParams:
 
     def __init__(self, alg: SkewAlgebra, kappa=None, lam=None):
         self.alg = alg
-        f = alg.field
         nv = alg.nvars
         order = alg.group.order
         self.kappa = {}
@@ -98,7 +97,6 @@ class PBWParams:
                     raise ValueError(f"lambda value index {h} out of range")
             if val:
                 self.lam[(g, i)] = val
-        _ = f
 
     @classmethod
     def zero(cls, alg) -> "PBWParams":
@@ -106,9 +104,6 @@ class PBWParams:
 
     def is_zero(self) -> bool:
         return not self.kappa and not self.lam
-
-    def lambda_is_zero(self) -> bool:
-        return not self.lam
 
     def kappa_wedge(self, i: int, j: int) -> dict:
         """kappa on the ordered wedge (i, j), i < j."""
@@ -632,14 +627,6 @@ class _Rewriter:
         return [
             ((() if g == 0 else (nv + g,)), c) for g, c in sorted(a.items())
         ]
-
-    def is_normal(self, w: tuple) -> bool:
-        nv = self.nv
-        for p in range(len(w) - 1):
-            a, b = w[p], w[p + 1]
-            if a >= nv or (b < nv and a > b):
-                return False
-        return True
 
     def reduce(self, w: tuple) -> dict:
         """The normal form of a word, as {normal word: scalar}."""

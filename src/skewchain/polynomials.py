@@ -167,8 +167,7 @@ class LinearAction:
     """An action of a finite group on V = k^N by invertible matrices.
 
     ``matrices`` maps group-element indices to N x N row-major matrices over
-    the field; column j of the matrix of g is the image of e_j, so
-    ``act_vector`` computes the usual matrix-vector product.  The identity
+    the field; column j of the matrix of g is the image of e_j.  The identity
     element may be omitted (it gets the identity matrix).  Construction
     verifies that the assignment is a group homomorphism, which for a finite
     group also forces every matrix to be invertible (the matrix of g^-1 is a
@@ -258,14 +257,6 @@ class LinearAction:
 
     def matrix(self, g: int):
         return self.matrices[g]
-
-    def act_vector(self, g: int, vec):
-        """Image of a coefficient vector (length N) under g."""
-        if len(vec) != self.dim:
-            raise DimensionMismatch("vector has wrong length")
-        M = self.matrices[g]
-        f = self.field
-        return tuple(_dot(f, M[i], vec) for i in range(self.dim))
 
     def column_poly(self, g: int, j: int) -> dict:
         """The image of the variable x_j as a linear polynomial."""

@@ -58,6 +58,18 @@ class ConfigParseError(ValueError):
     """The run configuration document is structurally invalid."""
 
 
+def is_json_int(val) -> bool:
+    """An integer in a JSON document (``true`` and ``1.0`` are not)."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _index(entry: dict, key: str) -> int:
+    val = entry[key]
+    if not is_json_int(val):
+        raise TypeError(f"index {key!r} must be an integer, got {val!r}")
+    return val
+
+
 DEFAULT_BUDGETS = {
     "max_bar_degree": 3,
     "max_poly_degree": 2,
@@ -125,7 +137,7 @@ class RunConfig:
         if unknown:
             raise ConfigParseError(f"unknown budget keys {sorted(unknown)}")
         for k, v in extra.items():
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not is_json_int(v):
                 raise ConfigParseError(f"budget {k!r} must be an integer")
             budgets[k] = v
         if any(budgets[k] <= 0 for k in
@@ -156,11 +168,13 @@ def _ga_from_wire(field, pairs, what):
         if (not isinstance(entry, list)) or len(entry) != 2:
             raise ConfigParseError(f"{what}: bad value entry {entry!r}")
         g, coeff = entry
+        if not is_json_int(g):
+            raise ConfigParseError(f"{what}: bad group index {g!r}")
         try:
             c = field.parse(coeff)
         except (TypeError, ValueError) as e:
             raise ConfigParseError(f"{what}: bad coefficient {coeff!r}: {e}")
-        out[int(g)] = field.add(out.get(int(g), 0), c)
+        out[g] = field.add(out.get(g, 0), c)
     return {g: c for g, c in out.items() if c != 0}
 
 
@@ -174,7 +188,7 @@ def params_from_config(alg: SkewAlgebra, cfg: dict) -> PBWParams:
     kappa = {}
     for entry in cfg.get("kappa", []):
         try:
-            i, j = int(entry["i"]), int(entry["j"])
+            i, j = _index(entry, "i"), _index(entry, "j")
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigParseError(f"bad kappa entry {entry!r}: {e}") from e
         value = _ga_from_wire(alg.field, entry.get("value", []),
@@ -184,7 +198,7 @@ def params_from_config(alg: SkewAlgebra, cfg: dict) -> PBWParams:
     lam = {}
     for entry in cfg.get("lambda", []):
         try:
-            g, i = int(entry["g"]), int(entry["i"])
+            g, i = _index(entry, "g"), _index(entry, "i")
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigParseError(f"bad lambda entry {entry!r}: {e}") from e
         value = _ga_from_wire(alg.field, entry.get("value", []),
@@ -256,7 +270,7 @@ def tag_from_json(doc: dict):
 
 def _exps(alg, val, what):
     if (not isinstance(val, list)) or len(val) != alg.nvars or \
-            any((not isinstance(e, int)) or e < 0 for e in val):
+            any(not is_json_int(e) or e < 0 for e in val):
         raise ShapeMismatch(
             f"{what}: expected {alg.nvars} nonnegative exponents, got {val!r}"
         )
@@ -264,14 +278,14 @@ def _exps(alg, val, what):
 
 
 def _gidx(alg, val, what):
-    if not isinstance(val, int) or not (0 <= val < alg.group.order):
+    if not is_json_int(val) or not (0 <= val < alg.group.order):
         raise ShapeMismatch(f"{what}: bad group index {val!r}")
     return val
 
 
 def _wedge(alg, val, j, what):
     if (not isinstance(val, list)) or len(val) != j or \
-            any(not isinstance(w, int) for w in val) or \
+            any(not is_json_int(w) for w in val) or \
             any(not (0 <= w < alg.nvars) for w in val) or \
             any(val[k] >= val[k + 1] for k in range(len(val) - 1)):
         raise ShapeMismatch(

@@ -115,9 +115,6 @@ class SkewAlgebra:
     def unit(self) -> dict:
         return {self.unit_pair: 1}
 
-    def of_scalar(self, c) -> dict:
-        return {} if c == 0 else {self.unit_pair: c}
-
     def of_poly(self, f: dict) -> dict:
         return {(m, 0): c for m, c in f.items()}
 
@@ -126,11 +123,6 @@ class SkewAlgebra:
 
     def of_group_algebra(self, a: dict) -> dict:
         return {(self.zero_exp, g): c for g, c in a.items()}
-
-    def of_var(self, i: int) -> dict:
-        e = [0] * self.nvars
-        e[i] = 1
-        return {(tuple(e), 0): 1}
 
     def reduce(self, a: dict) -> dict:
         """Drop the unit-pair component (projection to non-unit pairs)."""

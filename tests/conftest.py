@@ -3,7 +3,8 @@
 Tests in test_acceptance.py are named ``test_criterion_<k>_...``.  This
 plugin aggregates their outcomes and appends one PASS/FAIL line per
 criterion to the terminal summary, so a full run ends with an at-a-glance
-verdict for each advertised guarantee.
+verdict for each advertised guarantee and the wall time it took (setup,
+call and teardown of its tests, summed).
 """
 
 import re
@@ -24,6 +25,8 @@ _TITLES = {
 
 #: criterion number -> [passed, failed, skipped] test counts
 _OUTCOMES = defaultdict(lambda: [0, 0, 0])
+#: criterion number -> summed duration of its test phases, in seconds
+_SECONDS = defaultdict(float)
 
 
 def pytest_runtest_logreport(report):
@@ -32,7 +35,9 @@ def pytest_runtest_logreport(report):
     m = _CRITERION.search(report.nodeid)
     if not m:
         return
-    rec = _OUTCOMES[int(m.group(1))]
+    k = int(m.group(1))
+    _SECONDS[k] += report.duration
+    rec = _OUTCOMES[k]
     if report.when == "call":
         if report.passed:
             rec[0] += 1
@@ -59,6 +64,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                 counts += f", {failed} failed"
             if skipped:
                 counts += f", {skipped} skipped"
+            counts += f", {_SECONDS[k]:.1f} s"
         else:
             verdict, counts = "NOT RUN", "no tests collected"
         terminalreporter.write_line(

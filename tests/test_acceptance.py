@@ -19,16 +19,13 @@ from math import comb
 
 import pytest
 
-from skewchain.chainmaps import awg, ezg, get_pi_solver, iota, pi, \
-    verify_chainmap
-from skewchain.cli import _free_slot_iter, _random_skew_pair
+from skewchain import verify
+from skewchain.chainmaps import awg, ezg, get_pi_solver, iota, pi
 from skewchain.cochains import Cochain, transport_up
 from skewchain.complexes import (
     ChainElement,
     as_vector,
     barskew_free_basis,
-    bimodule_act,
-    diff,
     expand_term,
     random_barskew_slots,
     random_twisted_slots,
@@ -37,6 +34,7 @@ from skewchain.complexes import (
 )
 from skewchain.pbw import PBWParams, check_all, oracle_pbw
 from skewchain.polynomials import var_exp
+from skewchain.verify import verify_chainmap
 
 from helpers import (
     CHAINMAP_CONFIGS,
@@ -64,6 +62,12 @@ def total_degree(tag):
     return tag[1] + tag[2] if tag[0] == "twisted" else tag[1]
 
 
+def assert_check_passes(A, check, seed=0):
+    """Run one check of skewchain.verify at the acceptance budgets."""
+    rep = check(A, BUDGETS, random.Random(seed))
+    assert rep["passed"] and rep["checked"] > 0, rep
+
+
 # -- criterion 1: the four resolution-level chain maps ---------------------
 
 @pytest.mark.parametrize("name", CHAINMAP_NAMES)
@@ -84,13 +88,7 @@ def test_criterion_1_chain_maps(name):
 
 @pytest.mark.parametrize("name", CHAINMAP_NAMES)
 def test_criterion_2_awg_ezg_identity(name):
-    A = CHAINMAP_CONFIGS[name]()
-    for n in range(5):
-        for i in range(n + 1):
-            tag = ("twisted", i, n - i, "bar")
-            for slots in twisted_free_basis(A, i, n - i, "bar", POLY_DEG):
-                x = ChainElement.basis(A, tag, slots)
-                assert awg(ezg(x)) == as_vector(x), (name, tag, slots)
+    assert_check_passes(CHAINMAP_CONFIGS[name](), verify.awg_ezg_identity)
 
 
 def test_criterion_2_worked_degree2_instance():
@@ -125,16 +123,7 @@ def test_criterion_3_koszul_splitting(name):
                               seed=19)
         assert rep["failures"] == [], (name, map_name, rep["failures"][:2])
 
-    for n in range(4):
-        for i in range(n + 1):
-            if n - i > A.nvars:
-                continue
-            tag = ("twisted", i, n - i, "koszul")
-            for slots in twisted_free_basis(A, i, n - i, "koszul",
-                                            POLY_DEG):
-                x = ChainElement.basis(A, tag, slots)
-                assert pi(iota(x, solver), solver) == as_vector(x), \
-                    (name, tag, slots)
+    assert_check_passes(A, verify.pi_iota_identity)
 
     # graded-map property on random terms with nontrivial outer slots:
     # both maps preserve the total homological degree and the S-degree.
@@ -320,42 +309,13 @@ def test_criterion_7_parameter_cochain_identities(name):
 @pytest.mark.parametrize("name", CHAINMAP_NAMES)
 def test_criterion_8_d_squared_zero(name):
     A = CHAINMAP_CONFIGS[name]()
-    for kind in ("barskew", "barg", "bars", "koszul",
-                 "twisted_bar", "twisted_koszul"):
-        for tag, slots in _free_slot_iter(A, kind, BUDGETS):
-            x = ChainElement.basis(A, tag, slots)
-            assert diff(diff(x)).is_zero(), (name, tag, slots)
+    for check in verify.D2_CHECKS:
+        assert_check_passes(A, check)
     # degree-4 terms with nontrivial outer slots
-    rng = random.Random(41)
-    for _ in range(DEGREE4_SAMPLES):
-        which = rng.randrange(3)
-        if which == 0:
-            tag = ("barskew", 4)
-            slots = random_barskew_slots(A, 4, POLY_DEG, rng, free=False)
-        else:
-            dkind = "bar" if which == 1 else "koszul"
-            jtop = 4 if dkind == "bar" else min(4, A.nvars)
-            j = rng.randrange(0, jtop + 1)
-            tag = ("twisted", 4 - j, j, dkind)
-            slots = random_twisted_slots(A, 4 - j, j, dkind, POLY_DEG,
-                                         rng, free=False)
-        x = ChainElement.basis(A, tag, slots)
-        assert diff(diff(x)).is_zero(), (name, tag, slots)
+    assert_check_passes(A, verify.d2_random_degree4, seed=41)
 
 
 @pytest.mark.parametrize("name", CHAINMAP_NAMES)
 def test_criterion_8_diff_commutes_with_action(name):
-    A = CHAINMAP_CONFIGS[name]()
-    rng = random.Random(43)
-    for _ in range(BUDGETS["samples"]):
-        n = rng.randrange(4)
-        dkind = rng.choice(("bar", "koszul"))
-        jtop = n if dkind == "bar" else min(n, A.nvars)
-        j = rng.randrange(0, jtop + 1)
-        tag = ("twisted", n - j, j, dkind)
-        slots = random_twisted_slots(A, n - j, j, dkind, POLY_DEG, rng,
-                                     free=False)
-        x = ChainElement.basis(A, tag, slots)
-        a, b = _random_skew_pair(A, rng), _random_skew_pair(A, rng)
-        assert diff(bimodule_act(a, x, b)) == bimodule_act(a, diff(x), b), \
-            (name, tag, slots)
+    assert_check_passes(CHAINMAP_CONFIGS[name](),
+                        verify.diff_commutes_with_action, seed=43)

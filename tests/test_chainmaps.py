@@ -33,7 +33,6 @@ from skewchain.chainmaps import (
     iota_s,
     pi,
     pi_s,
-    verify_chainmap,
 )
 from skewchain.complexes import (
     ChainElement,
@@ -49,6 +48,7 @@ from skewchain.complexes import (
     twisted_free_basis,
 )
 from skewchain.polynomials import var_exp
+from skewchain.verify import verify_chainmap
 
 from helpers import (
     classical_aw,

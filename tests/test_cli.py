@@ -104,7 +104,7 @@ class TestVerify:
             return {"map": name, "degrees": (0,), "checked": 1,
                     "failures": [{"injected": True}]}
 
-        monkeypatch.setattr("skewchain.cli.verify_chainmap", broken)
+        monkeypatch.setattr("skewchain.verify.verify_chainmap", broken)
         cfg = write_json(tmp_path / "c.json",
                          swap_q_config_doc(budgets=SMALL_BUDGETS))
         code, rep, _ = run_cli(capsys, ["verify", "chainmaps",
@@ -369,6 +369,56 @@ class TestConfigErrors:
             main(["apply", "bogus", "--config", cfg])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+#: Hostile config values that once escaped as uncaught exceptions (exit 1)
+#: or were silently truncated; each must be a setup error.
+HOSTILE_CONFIGS = {
+    "params_zero_denominator": {"params": {"kappa": [
+        {"i": 0, "j": 1, "value": [[0, "1/0"]]}]}},
+    "matrix_zero_denominator": {"params": {}, "action": {
+        "dim": 2, "matrices": {"1": [["0", "1/0"], ["1", "0"]]}}},
+    "group_index_string": {"params": {"kappa": [
+        {"i": 0, "j": 1, "value": [["a", "1"]]}]}},
+    "group_index_float": {"params": {"kappa": [
+        {"i": 0, "j": 1, "value": [[1.7, "1"]]}]}},
+    "group_index_bool": {"params": {"lambda": [
+        {"g": True, "i": 0, "value": [[1, "1"]]}]}},
+    "variable_index_float": {"params": {"kappa": [
+        {"i": 0.0, "j": 1, "value": [[1, "1"]]}]}},
+    "coefficient_not_a_string": {"params": {"kappa": [
+        {"i": 0, "j": 1, "value": [[0, 1]]}]}},
+    "matrix_entry_not_a_string": {"params": {}, "action": {
+        "dim": 2, "matrices": {"1": [[0, 1], [1, 0]]}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_CONFIGS))
+def test_hostile_config_value_is_a_setup_error(name, tmp_path, capsys):
+    cfg = write_json(tmp_path / "c.json",
+                     swap_q_config_doc(**HOSTILE_CONFIGS[name]))
+    code, rep, _ = run_cli(capsys, ["pbw", "five", "--config", cfg])
+    assert code == 2
+    assert rep["error"]["type"] == "ConfigParseError"
+
+
+@pytest.mark.parametrize("cap", ["abc", 1.7, True])
+def test_enumerate_cap_must_be_an_integer(cap, tmp_path, capsys):
+    cfg = write_json(tmp_path / "c.json", swap_q_config_doc(
+        enumerate={"kappa_candidates": [[], [[0, "1"]]], "cap": cap}))
+    code, rep, _ = run_cli(capsys, ["enumerate", "--config", cfg])
+    assert code == 2
+    assert rep["error"] == {"type": "ConfigParseError",
+                            "detail": "enumerate cap must be an integer"}
+
+
+def test_oversized_modulus_is_a_setup_error(tmp_path, capsys):
+    cfg = write_json(tmp_path / "c.json", swap_q_config_doc(
+        field="GF(3317044064679887385961981)"))
+    code, rep, _ = run_cli(capsys, ["verify", "--config", cfg])
+    assert code == 2
+    assert rep["error"]["type"] == "ConfigParseError"
+    assert "too large" in rep["error"]["detail"]
 
 
 class TestReportOutput:

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from skewchain.fields import (
     GF,
     QQ,
+    MAX_MODULUS,
     DivisionByZero,
     NonPrimeModulus,
     field_from_descriptor,
@@ -44,6 +45,22 @@ class TestConstruction:
             GF(6)
         with pytest.raises(NonPrimeModulus):
             GF(1)
+
+    def test_large_prime_modulus(self):
+        # Trial division up to sqrt(p) did not finish in 10 s on the first.
+        assert GF(1000000000000000003).p == 1000000000000000003
+        assert GF(2**61 - 1).char == 2**61 - 1
+
+    def test_strong_pseudoprimes_rejected(self):
+        # composites that pass Miller-Rabin for the first 7 and 12 prime
+        # bases respectively
+        for n in (341550071728321, 318665857834031151167461):
+            with pytest.raises(NonPrimeModulus):
+                GF(n)
+
+    def test_modulus_beyond_exact_primality_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            GF(MAX_MODULUS)
 
     def test_bad_descriptor(self):
         with pytest.raises(ValueError):

@@ -122,3 +122,22 @@ class TestFactoredSolver:
             b = mat_vec(QQ, rows, x0)
             x = solver.solve(b)
             assert mat_vec(QQ, rows, x) == b
+
+    @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+    def test_matches_rref_of_augmented_system(self, field):
+        # With the free variables at zero the solution is unique, so the
+        # sparse elimination must return the one read off rref([M | b]).
+        rng = random.Random(31)
+        for _ in range(20):
+            rows = [[field.from_int(rng.choice((0, 0, 0, 1, -1, 2)))
+                     for _ in range(7)] for _ in range(9)]
+            rows[5] = [field.add(a, b) for a, b in zip(rows[0], rows[1])]
+            for row in rows:
+                row[4] = row[2]
+            x0 = [field.from_int(rng.randrange(-2, 3)) for _ in range(7)]
+            b = mat_vec(field, rows, x0)
+            R, pivots = rref(field, [row + [bv] for row, bv in zip(rows, b)])
+            want = [0] * 7
+            for r, c in enumerate(pivots):
+                want[c] = R[r][-1]
+            assert FactoredSolver(field, rows).solve(b) == want

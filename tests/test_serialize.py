@@ -278,6 +278,11 @@ class TestElements:
                 "complex": "barg", "i": 1,
                 "terms": [{"slots": [0, 5, 0]}],
             })
+        with pytest.raises(ShapeMismatch, match="group index"):
+            element_from_json(A, {
+                "complex": "barg", "i": 1,
+                "terms": [{"slots": [0, True, 0]}],
+            })
         with pytest.raises(ShapeMismatch, match="strictly increasing"):
             element_from_json(A, {
                 "complex": "koszul", "j": 2,
