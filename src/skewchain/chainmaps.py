@@ -42,9 +42,14 @@ from .complexes import (
     ChainElement,
     ChainVector,
     ShapeMismatch,
+    bar_diff,
     bimodule_act,
     free_decompose,
+    koszul_faces,
+    linear_map,
+    tensor_expand,
 )
+from .fields import scaled_pairs
 from .linalg import FactoredSolver
 from .polynomials import (
     monomial_mul,
@@ -62,13 +67,9 @@ class DegreeOutOfRange(ValueError):
 
 # -- the twisted Alexander-Whitney map -------------------------------------
 
+@linear_map
 def awg(x) -> ChainVector:
     """Twisted Alexander-Whitney map on bar-resolution elements."""
-    if isinstance(x, ChainVector):
-        out = ChainVector(x.alg)
-        for el in x.parts.values():
-            out.add_vector(awg(el))
-        return out
     alg = x.alg
     if x.tag[0] != "barskew":
         raise ShapeMismatch(f"awg expects barskew elements, got {x.tag}")
@@ -92,16 +93,17 @@ def _awg_free(alg: SkewAlgebra, inner) -> ChainVector:
     zero = alg.zero_exp
     out = ChainVector(alg)
     if n == 0:
-        out.add_term(("twisted", 0, 0, "bar"), (0, 0, zero, zero), 1)
+        out.add_terms(("twisted", 0, 0, "bar"), [((0, 0, zero, zero), 1)])
         return out
     mlist = [p[0] for p in inner]
     glist = [p[1] for p in inner]
-    mul = alg.group.mul
+    gmul = alg.group.mul
+    mul = field.mul
     inv = alg.group.inv
     # tails[k] = g_k g_{k+1} ... g_{n-1}; each s_k is twisted by its inverse
     tails = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
-        tails[k] = mul(glist[k], tails[k + 1])
+        tails[k] = gmul(glist[k], tails[k + 1])
     twisted = [
         alg.action.act_monomial(inv(tails[k]), mlist[k]) for k in range(n)
     ]
@@ -115,28 +117,21 @@ def _awg_free(alg: SkewAlgebra, inner) -> ChainVector:
         outer_sfx[k] = twisted[k] if k == n - 1 else \
             poly_mul(field, twisted[k], outer_sfx[k + 1])
     prefix = alg.group.prod(glist[:lo])
-    combos = [((), 1)]
+    combos = [((), 1)]  # the twisted s_0 ... s_{ell-1} in the S bar slots
     for ell in range(hi + 1):
         if ell > lo:
-            prefix = mul(prefix, glist[ell - 1])
+            prefix = gmul(prefix, glist[ell - 1])
         if ell >= lo:
-            sign_neg = (ell * (n - ell)) % 2 == 1
+            outer = outer_sfx[ell].items()
+            if (ell * (n - ell)) % 2:
+                outer = [(mo, field.neg(co)) for mo, co in outer]
             cpart = (prefix,) + tuple(glist[ell:]) + (0, zero)
-            terms = {}
-            for mids, cc in combos:
-                for mo, co in outer_sfx[ell].items():
-                    v = field.mul(cc, co)
-                    terms[cpart + mids + (mo,)] = field.neg(v) if sign_neg \
-                        else v
-            if terms:
-                tag = ("twisted", n - ell, ell, "bar")
-                out.parts[tag] = ChainElement(alg, tag, terms)
+            tag = ("twisted", n - ell, ell, "bar")
+            out.parts[tag] = ChainElement(alg, tag, {
+                cpart + mids + (mo,): mul(cc, co)
+                for mids, cc in combos for mo, co in outer})
         if ell < hi:
-            combos = [
-                (mids + (m,), field.mul(cc, cm))
-                for mids, cc in combos
-                for m, cm in twisted[ell].items()
-            ]
+            combos = tensor_expand(field, combos, [twisted[ell].items()])
     return out
 
 
@@ -174,13 +169,9 @@ def _shuffles(i: int, j: int):
     return table
 
 
+@linear_map
 def ezg(x) -> ChainVector:
     """Twisted Eilenberg-Zilber map on twisted-product elements (D = bar)."""
-    if isinstance(x, ChainVector):
-        out = ChainVector(x.alg)
-        for el in x.parts.values():
-            out.add_vector(ezg(el))
-        return out
     alg = x.alg
     if x.tag[0] != "twisted" or x.tag[3] != "bar":
         raise ShapeMismatch(f"ezg expects twisted(bar) elements, got {x.tag}")
@@ -201,29 +192,27 @@ def ezg(x) -> ChainVector:
 
 def _ezg_free(alg: SkewAlgebra, cbars, dmid) -> ChainElement:
     i, j = len(cbars), len(dmid)
-    n = i + j
     field = alg.field
     unit = alg.unit_pair
     zero = alg.zero_exp
-    out = ChainElement(alg, ("barskew", n))
-    for sign, word, twists in _shuffles(i, j):
-        acted = []
-        for t in range(j):
-            h = alg.group.prod(cbars[r] for r in twists[t])
-            acted.append(alg.action.act_monomial(h, dmid[t]))
-        combos = [((), 1 if sign == 1 else field.from_int(-1))]
-        for poly in acted:
-            combos = [
-                (ms + (m,), field.mul(cc, cm))
-                for ms, cc in combos
-                for m, cm in poly.items()
+
+    def terms():
+        for sign, word, twists in _shuffles(i, j):
+            acted = [
+                alg.action.act_monomial(
+                    alg.group.prod(cbars[r] for r in twists[t]),
+                    dmid[t]).items()
+                for t in range(j)
             ]
-        for ms, cc in combos:
-            bar = tuple(
-                (zero, cbars[rt]) if kind == "g" else (ms[rt], 0)
-                for kind, rt in word
-            )
-            out.add_term((unit,) + bar + (unit,), cc)
+            for ms, cc in tensor_expand(field, [((), field.from_int(sign))],
+                                        acted):
+                yield ((unit,)
+                       + tuple((zero, cbars[r]) if kind == "g" else (ms[r], 0)
+                               for kind, r in word)
+                       + (unit,), cc)
+
+    out = ChainElement(alg, ("barskew", i + j))
+    field.accumulate(out.terms, terms())
     return out
 
 
@@ -238,30 +227,46 @@ def _perm_sign(perm) -> int:
     return -1 if inv % 2 else 1
 
 
+def _antisymmetrize(nvars: int, dslots):
+    """iota_s on one Koszul term (m0, w, m1), as (bars slots, sign) pairs.
+
+    The signs are the ints 1 and -1; accumulating them makes them
+    canonical scalars of the field.
+    """
+    m0, w, m1 = dslots
+    for perm in itertools.permutations(w):
+        yield ((m0,) + tuple(var_exp(nvars, v) for v in perm) + (m1,),
+               _perm_sign(perm))
+
+
+def _termwise(x: ChainElement, tag, base, kernel) -> ChainVector:
+    """Apply a per-term kernel to the slots from ``base`` on of each term.
+
+    ``kernel`` maps those slots to ``(slots, scalar)`` pairs; the slots
+    before ``base`` (none for a map of S, the C-part for id ⊗ f on the
+    twisted product) are kept as they are.
+    """
+    field = x.alg.field
+
+    def pairs():
+        for slots, c in x.terms.items():
+            head = slots[:base]
+            for key, v in scaled_pairs(field, c, kernel(slots[base:])):
+                yield head + key, v
+
+    out = ChainVector(x.alg)
+    out.add_terms(tag, pairs())
+    return out
+
+
+@linear_map
 def iota_s(x) -> ChainVector:
     """Antisymmetrizer Koszul_j -> BarS_j (an S-bimodule chain map)."""
-    if isinstance(x, ChainVector):
-        out = ChainVector(x.alg)
-        for el in x.parts.values():
-            out.add_vector(iota_s(el))
-        return out
-    alg = x.alg
     if x.tag[0] != "koszul":
         raise ShapeMismatch(f"iota_s expects koszul elements, got {x.tag}")
-    j = x.tag[1]
-    field = alg.field
-    out = ChainVector(alg)
-    tag = ("bars", j)
-    for (m0, w, m1), c in x.terms.items():
-        for perm in itertools.permutations(w):
-            sign = _perm_sign(perm)
-            cc = c if sign == 1 else field.neg(c)
-            out.add_term(
-                tag,
-                (m0,) + tuple(var_exp(alg.nvars, v) for v in perm) + (m1,),
-                cc,
-            )
-    return out
+    nv = x.alg.nvars
+    return _termwise(x, ("bars", x.tag[1]), 0,
+                     lambda d: _antisymmetrize(nv, d))
 
 
 class PiSolver:
@@ -316,8 +321,8 @@ class PiSolver:
             row_index = {s: r for r, s in enumerate(rows)}
             matrix = [[0] * len(cols) for _ in rows]
             for cidx, slots in enumerate(cols):
-                img = _koszul_diff_term(alg, slots)
-                for s2, v in img.items():
+                # the terms of one basis term's differential are distinct
+                for s2, v in koszul_faces(alg, [(slots, 1)], 0):
                     matrix[row_index[s2]][cidx] = v
             hit = FactoredSolver(alg.field, matrix)
             self._solvers[key] = hit
@@ -339,42 +344,31 @@ class PiSolver:
         hit = self._values.get(mbar)
         if hit is not None:
             return hit
+        f = alg.field
         if j == 1:
             word = [
                 i for i, e in enumerate(mbar[0]) for _ in range(e)
             ]
-            out: dict = {}
-            f = alg.field
-            for t in range(len(word)):
-                left = [0] * alg.nvars
-                for v in word[:t]:
-                    left[v] += 1
-                right = [0] * alg.nvars
-                for v in word[t + 1:]:
-                    right[v] += 1
-                key = (tuple(left), (word[t],), tuple(right))
-                s = f.add(out.get(key, 0), 1)
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+
+            def monomial(letters):
+                e = [0] * alg.nvars
+                for v in letters:
+                    e[v] += 1
+                return tuple(e)
+
+            out = f.accumulate({}, (
+                ((monomial(word[:t]), (word[t],), monomial(word[t + 1:])), 1)
+                for t in range(len(word))))
             self._values[mbar] = out
             return out
         # j >= 2: solve within the grade of the input tuple
-        f = alg.field
         free = ChainElement.basis(
             alg, ("bars", j), (zero,) + mbar + (zero,)
         )
-        from .complexes import bar_diff
-
-        rhs: dict = {}
-        for slots2, c in bar_diff(free).terms.items():
-            for key, v in self.pi_term(slots2[0], slots2[1:-1], slots2[-1]):
-                s = f.add(rhs.get(key, 0), f.mul(c, v))
-                if s == 0:
-                    rhs.pop(key, None)
-                else:
-                    rhs[key] = s
+        rhs = f.accumulate({}, (
+            (key, f.mul(c, v))
+            for slots2, c in bar_diff(free).terms.items()
+            for key, v in self.pi_term(slots2)))
         grade = sum(total_degree(m) for m in mbar)
         rows = self.koszul_basis(j - 1, grade)
         bvec = [rhs.get(s, 0) for s in rows]
@@ -384,9 +378,11 @@ class PiSolver:
         self._values[mbar] = out
         return out
 
-    def pi_term(self, m0: tuple, mids: tuple, m1: tuple):
-        """pi_s of m0 ⊗ mids ⊗ m1, as ((m0 a, w, b m1), scalar) pairs."""
-        value = self.pi_free(mids)
+    def pi_term(self, slots: tuple):
+        """pi_s of a bar term (m0, *mids, m1) as ((m0 a, w, b m1), scalar)."""
+        m0 = slots[0]
+        m1 = slots[-1]
+        value = self.pi_free(slots[1:-1])
         zero = self.alg.zero_exp
         if m0 == zero and m1 == zero:
             return value.items()
@@ -394,111 +390,50 @@ class PiSolver:
                 for (a, w, b), v in value.items()]
 
 
-def _koszul_diff_term(alg: SkewAlgebra, slots) -> dict:
-    """Koszul differential of one basis term, as a terms dict."""
-    m0, w, m1 = slots
-    f = alg.field
-    out: dict = {}
-    for t, idx in enumerate(w):
-        sign = 1 if t % 2 == 0 else -1
-        e = var_exp(alg.nvars, idx)
-        rest = w[:t] + w[t + 1:]
-        for key, v in (
-            ((tuple(a + b for a, b in zip(m0, e)), rest, m1), sign),
-            ((m0, rest, tuple(a + b for a, b in zip(m1, e))), -sign),
-        ):
-            s = f.add(out.get(key, 0), f.from_int(v))
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
-
-
 def get_pi_solver(alg: SkewAlgebra, j_max: int = 4) -> PiSolver:
-    """The per-context PiSolver (created lazily, grown if j_max increases)."""
+    """The per-context PiSolver, created lazily.
+
+    A larger ``j_max`` raises the bound of the existing solver, which keeps
+    its memoized values: they do not depend on the bound.
+    """
     solver = getattr(alg, "_pi_solver", None)
-    if solver is None or solver.j_max < j_max:
+    if solver is None:
         solver = PiSolver(alg, j_max)
         alg._pi_solver = solver
+    solver.j_max = max(solver.j_max, j_max)
     return solver
 
 
+@linear_map
 def pi_s(x, solver: PiSolver | None = None) -> ChainVector:
     """The splitting BarS_j -> Koszul_j (an S-bimodule chain map)."""
-    if isinstance(x, ChainVector):
-        out = ChainVector(x.alg)
-        for el in x.parts.values():
-            out.add_vector(pi_s(el, solver))
-        return out
-    alg = x.alg
     if x.tag[0] != "bars":
         raise ShapeMismatch(f"pi_s expects bars elements, got {x.tag}")
-    solver = solver or get_pi_solver(alg)
-    j = x.tag[1]
-    f = alg.field
-    out = ChainVector(alg)
-    tag = ("koszul", j)
-    for slots, c in x.terms.items():
-        for key, v in solver.pi_term(slots[0], slots[1:-1], slots[-1]):
-            out.add_term(tag, key, f.mul(c, v))
-    return out
+    solver = solver or get_pi_solver(x.alg)
+    return _termwise(x, ("koszul", x.tag[1]), 0, solver.pi_term)
 
 
 # -- the induced maps on the twisted product -------------------------------
 
+@linear_map
 def id_tensor_iota_s(x) -> ChainVector:
     """Apply the antisymmetrizer to the D-part of twisted(koszul) terms."""
-    if isinstance(x, ChainVector):
-        out = ChainVector(x.alg)
-        for el in x.parts.values():
-            out.add_vector(id_tensor_iota_s(el))
-        return out
-    alg = x.alg
     kind, i, j, dkind = x.tag
     if kind != "twisted" or dkind != "koszul":
         raise ShapeMismatch(f"expected twisted(koszul), got {x.tag}")
-    field = alg.field
-    out = ChainVector(alg)
-    tag = ("twisted", i, j, "bar")
-    base = i + 2
-    for slots, c in x.terms.items():
-        m0, w, m1 = slots[base], slots[base + 1], slots[base + 2]
-        for perm in itertools.permutations(w):
-            sign = _perm_sign(perm)
-            out.add_term(
-                tag,
-                slots[:base]
-                + (m0,)
-                + tuple(var_exp(alg.nvars, v) for v in perm)
-                + (m1,),
-                c if sign == 1 else field.neg(c),
-            )
-    return out
+    nv = x.alg.nvars
+    return _termwise(x, ("twisted", i, j, "bar"), i + 2,
+                     lambda d: _antisymmetrize(nv, d))
 
 
+@linear_map
 def id_tensor_pi_s(x, solver: PiSolver | None = None) -> ChainVector:
     """Apply pi_s to the D-part of twisted(bar) terms."""
-    if isinstance(x, ChainVector):
-        out = ChainVector(x.alg)
-        for el in x.parts.values():
-            out.add_vector(id_tensor_pi_s(el, solver))
-        return out
-    alg = x.alg
     kind, i, j, dkind = x.tag
     if kind != "twisted" or dkind != "bar":
         raise ShapeMismatch(f"expected twisted(bar), got {x.tag}")
-    solver = solver or get_pi_solver(alg)
-    field = alg.field
-    out = ChainVector(alg)
-    tag = ("twisted", i, j, "koszul")
-    base = i + 2
-    for slots, c in x.terms.items():
-        head = slots[:base]
-        for key, v in solver.pi_term(slots[base], slots[base + 1:-1],
-                                     slots[-1]):
-            out.add_term(tag, head + key, field.mul(c, v))
-    return out
+    solver = solver or get_pi_solver(x.alg)
+    return _termwise(x, ("twisted", i, j, "koszul"), i + 2, solver.pi_term)
 
 
 def iota(x, solver: PiSolver | None = None) -> ChainVector:

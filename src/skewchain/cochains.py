@@ -38,6 +38,7 @@ from .complexes import (
     free_slots_barskew,
     free_slots_twisted,
 )
+from .fields import scaled_pairs, vec_add, vec_scale, vec_sub
 from .skew import SkewAlgebra
 
 
@@ -70,66 +71,61 @@ class Cochain:
 
     def eval_element(self, x) -> dict:
         """Value on a chain element or vector, extended by zero off-tag."""
-        alg = self.alg
         if isinstance(x, ChainVector):
-            out: dict = {}
-            for tag, el in x.parts.items():
-                if tag == self.tag:
-                    out = alg.add(out, self.eval_element(el))
-            return out
+            x = x.parts.get(self.tag)
+            if x is None:
+                return {}
         if x.tag != self.tag:
             return {}
-        f = alg.field
-        unit = alg.unit_pair
-        out = {}
+        if self.tag[0] not in ("barskew", "twisted"):
+            raise ShapeMismatch(f"cannot evaluate cochains on {self.tag}")
+        f = self.alg.field
+        out: dict = {}
+        for slots, c in x.terms.items():
+            value = self._term_value(slots)
+            f.accumulate(out, scaled_pairs(f, c, value.items()))
+        return out
+
+    def _term_value(self, slots) -> dict:
+        """a * f(E) * b on one basis term a . E . b of the domain."""
+        alg = self.alg
         if self.tag[0] == "barskew":
-            for slots, c in x.terms.items():
-                v = self.value(slots[1:-1])
-                if not v:
-                    continue
-                if slots[0] != unit:
-                    v = alg.mul({slots[0]: 1}, v)
-                if slots[-1] != unit:
-                    v = alg.mul(v, {slots[-1]: 1})
-                out = alg.add(out, alg.scale(c, v))
-            return out
-        if self.tag[0] == "twisted":
-            for slots, c in x.terms.items():
-                a, items, b = free_decompose(alg, self.tag, slots)
-                acc: dict = {}
-                for c2, key in items:
-                    v = self.value(key)
-                    if v:
-                        acc = alg.add(acc, alg.scale(c2, v))
-                if acc:
-                    out = alg.add(
-                        out, alg.scale(c, alg.mul(alg.mul(a, acc), b))
-                    )
-            return out
-        raise ShapeMismatch(f"cannot evaluate cochains on {self.tag}")
+            v = self.value(slots[1:-1])
+            if v and slots[0] != alg.unit_pair:
+                v = alg.mul({slots[0]: 1}, v)
+            if v and slots[-1] != alg.unit_pair:
+                v = alg.mul(v, {slots[-1]: 1})
+            return v
+        f = alg.field
+        a, items, b = free_decompose(alg, self.tag, slots)
+        acc: dict = {}
+        for c2, key in items:
+            f.accumulate(acc, scaled_pairs(f, c2, self.value(key).items()))
+        return alg.mul(alg.mul(a, acc), b) if acc else {}
 
     # pointwise vector-space structure (same domain required)
     def __add__(self, other: "Cochain") -> "Cochain":
         if self.tag != other.tag:
             raise ShapeMismatch("cochain degree mismatch in +")
-        alg = self.alg
+        f = self.alg.field
         return Cochain(
-            alg, self.tag,
-            lambda key: alg.add(self.value(key), other.value(key)),
+            self.alg, self.tag,
+            lambda key: vec_add(f, self.value(key), other.value(key)),
         )
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         if self.tag != other.tag:
             raise ShapeMismatch("cochain degree mismatch in -")
-        alg = self.alg
+        f = self.alg.field
         return Cochain(
-            alg, self.tag,
-            lambda key: alg.sub(self.value(key), other.value(key)),
+            self.alg, self.tag,
+            lambda key: vec_sub(f, self.value(key), other.value(key)),
         )
 
     def scaled(self, c) -> "Cochain":
-        alg = self.alg
-        return Cochain(alg, self.tag, lambda key: alg.scale(c, self.value(key)))
+        f = self.alg.field
+        return Cochain(self.alg, self.tag,
+                       lambda key: vec_scale(f, c, self.value(key)))
 
 
 def coboundary(f: Cochain) -> Cochain:
@@ -160,15 +156,13 @@ def circle(f: Cochain, g: Cochain) -> Cochain:
     def fn(inner):
         out: dict = {}
         for i in range(m):
-            v = alg.reduce(g.value(inner[i: i + n]))
             sign_neg = ((n - 1) * i) % 2 == 1
-            for pair, c in v.items():
+            for pair, c in g.value(inner[i: i + n]).items():
                 if pair == unit:
                     continue
+                cc = fld.neg(c) if sign_neg else c
                 w = f.value(inner[:i] + (pair,) + inner[i + n:])
-                if w:
-                    cc = fld.neg(c) if sign_neg else c
-                    out = alg.add(out, alg.scale(cc, w))
+                fld.accumulate(out, scaled_pairs(fld, cc, w.items()))
         return out
 
     return Cochain(alg, ("barskew", m + n - 1), fn)

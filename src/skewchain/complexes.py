@@ -26,13 +26,19 @@ named by a tag tuple and a term is a tuple of slots:
 A :class:`ChainElement` is a dict of terms over a single tag; maps whose
 output spans several tags (the twisted differential, the AW/EZ family)
 return a :class:`ChainVector`, a tag-indexed sum of chain elements.
+:func:`linear_map` extends a map on chain elements to vectors, part by
+part.  The differentials share two kernels: :func:`bar_faces` for the bar
+complexes and the bar D-part, :func:`koszul_faces` for the Koszul complex
+and the Koszul D-part.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
-from .polynomials import total_degree, var_exp
+from .fields import scaled_pairs, vec_add, vec_scale
+from .polynomials import monomial_mul, total_degree, var_exp
 from .skew import SkewAlgebra
 
 
@@ -133,23 +139,9 @@ class ChainElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def add_term(self, slots, coeff):
-        """Accumulate coeff on a basis term (assumed already normalized)."""
-        if coeff == 0:
-            return
-        s = self.alg.field.add(self.terms.get(slots, 0), coeff)
-        if s == 0:
-            self.terms.pop(slots, None)
-        else:
-            self.terms[slots] = s
-
     def scaled(self, c) -> "ChainElement":
-        if c == 0:
-            return ChainElement(self.alg, self.tag)
-        f = self.alg.field
-        return ChainElement(
-            self.alg, self.tag, {s: f.mul(c, v) for s, v in self.terms.items()}
-        )
+        return ChainElement(self.alg, self.tag,
+                            vec_scale(self.alg.field, c, self.terms))
 
     def __add__(self, other: "ChainElement") -> "ChainElement":
         self.alg.require_same(other.alg)
@@ -157,10 +149,8 @@ class ChainElement:
             raise ShapeMismatch(
                 f"cannot add elements of {self.tag} and {other.tag}"
             )
-        out = ChainElement(self.alg, self.tag, dict(self.terms))
-        for s, v in other.terms.items():
-            out.add_term(s, v)
-        return out
+        return ChainElement(self.alg, self.tag,
+                            vec_add(self.alg.field, self.terms, other.terms))
 
     def __sub__(self, other: "ChainElement") -> "ChainElement":
         return self + other.scaled(self.alg.field.from_int(-1))
@@ -183,7 +173,11 @@ class ChainElement:
 
 
 class ChainVector:
-    """A tag-indexed sum of chain elements (inhomogeneous map output)."""
+    """A tag-indexed sum of chain elements (inhomogeneous map output).
+
+    A part is present only while it has terms, so a vector whose terms
+    cancel equals the empty vector.
+    """
 
     __slots__ = ("alg", "parts")
 
@@ -191,46 +185,19 @@ class ChainVector:
         self.alg = alg
         self.parts: dict = {} if parts is None else parts
 
-    @classmethod
-    def of(cls, *elements):
-        vec = cls(elements[0].alg)
-        for el in elements:
-            vec.add_element(el)
-        return vec
-
-    def _terms(self, tag) -> dict:
-        """The terms dict of one part, created empty if absent."""
+    def add_terms(self, tag, pairs):
+        """Accumulate the ``(slots, coeff)`` pairs into the part of a tag."""
         el = self.parts.get(tag)
-        if el is None:
-            el = self.parts[tag] = ChainElement(self.alg, tag)
-        return el.terms
-
-    def add_term(self, tag, slots, coeff):
-        if coeff == 0:
-            return
-        terms = self._terms(tag)
-        s = self.alg.field.add(terms.get(slots, 0), coeff)
-        if s == 0:
-            terms.pop(slots, None)
-            if not terms:
-                del self.parts[tag]
-        else:
-            terms[slots] = s
+        terms = self.alg.field.accumulate({} if el is None else el.terms,
+                                          pairs)
+        if not terms:
+            self.parts.pop(tag, None)
+        elif el is None:
+            self.parts[tag] = ChainElement(self.alg, tag, terms)
 
     def add_element(self, el: ChainElement, scale=1):
-        if scale == 0 or not el.terms:
-            return
-        f = self.alg.field
-        add, mul = f.add, f.mul
-        terms = self._terms(el.tag)
-        for slots, v in el.terms.items():
-            s = add(terms.get(slots, 0), v if scale == 1 else mul(scale, v))
-            if s == 0:
-                terms.pop(slots, None)
-            else:
-                terms[slots] = s
-        if not terms:
-            del self.parts[el.tag]
+        self.add_terms(el.tag, scaled_pairs(self.alg.field, scale,
+                                            el.terms.items()))
 
     def add_vector(self, other: "ChainVector", scale=1):
         for el in other.parts.values():
@@ -256,12 +223,52 @@ class ChainVector:
 
 
 def as_vector(x) -> ChainVector:
+    """x as a ChainVector; a chain element becomes its only part, uncopied."""
     if isinstance(x, ChainVector):
         return x
-    return ChainVector.of(x)
+    return ChainVector(x.alg, {x.tag: x} if x.terms else {})
+
+
+def linear_map(fn):
+    """Extend a map on chain elements linearly to ChainVector inputs.
+
+    The map's first argument is the chain.  On a ChainVector the map is
+    applied part by part and its values, chain elements or vectors, are
+    summed into one ChainVector; other arguments pass through unchanged.
+    """
+    @functools.wraps(fn)
+    def lifted(x, *args):
+        if not isinstance(x, ChainVector):
+            return fn(x, *args)
+        values = [fn(el, *args) for el in x.parts.values()]
+        if len(values) == 1 and isinstance(values[0], ChainVector):
+            return values[0]  # a fresh vector: no need to copy it
+        out = ChainVector(x.alg)
+        for value in values:
+            if isinstance(value, ChainVector):
+                out.add_vector(value)
+            else:
+                out.add_element(value)
+        return out
+
+    return lifted
 
 
 # -- construction with normalization ---------------------------------------
+
+def tensor_expand(field, combos, factors):
+    """Expand prefixed terms by a tensor product of linear combinations.
+
+    ``combos`` holds ``(prefix, coeff)`` pairs and each factor is an
+    iterable of ``(item, scalar)`` pairs; the result lists every
+    ``(prefix + (item_1, ..., item_k), coeff * scalar_1 * ... * scalar_k)``.
+    """
+    mul = field.mul
+    for factor in factors:
+        combos = [(prefix + (item,), c if ci == 1 else mul(c, ci))
+                  for prefix, c in combos for item, ci in factor]
+    return combos
+
 
 def expand_term(alg: SkewAlgebra, tag, slot_values, coeff=1) -> ChainElement:
     """Multilinear expansion of a term whose slots hold algebra elements.
@@ -300,171 +307,133 @@ def expand_term(alg: SkewAlgebra, tag, slot_values, coeff=1) -> ChainElement:
         return [(item, c) for item, c in items if item != strike]
 
     out = ChainElement(alg, tag)
-    f = alg.field
-    stack = [((), coeff)]
-    for pos, val in enumerate(slot_values):
-        items = slot_items(pos, val)
-        stack = [
-            (prefix + (item,), f.mul(c, ci))
-            for prefix, c in stack
-            for item, ci in items
-            if f.mul(c, ci) != 0
-        ]
-    for slots, c in stack:
-        out.add_term(slots, c)
+    alg.field.accumulate(out.terms, tensor_expand(
+        alg.field, [((), coeff)],
+        [slot_items(pos, val) for pos, val in enumerate(slot_values)]))
     return out
 
 
 # -- differentials ---------------------------------------------------------
 
+def _bar_merge(alg: SkewAlgebra, kind):
+    """(merge, strike) of the bar complex of A, kG or S ("bars").
+
+    ``merge`` multiplies two adjacent slots into ``(item, scalar)`` pairs;
+    ``strike`` is the unit that an inner bar slot may not hold.
+    """
+    if kind == "barskew":
+        return alg.mul_pairs, alg.unit_pair
+    if kind == "barg":
+        mul = alg.group.mul
+        return (lambda g, h: ((mul(g, h), 1),)), 0
+    return (lambda m1, m2: ((monomial_mul(m1, m2), 1),)), alg.zero_exp
+
+
+def bar_faces(alg: SkewAlgebra, kind, pairs, lo, n):
+    """The bar differential on slots lo..lo+n+1 of each ``(slots, coeff)``.
+
+    Face t merges slots lo+t and lo+t+1 with sign (-1)^t and is dropped
+    when an inner face (0 < t < n) merges to the unit.
+    """
+    merge, strike = _bar_merge(alg, kind)
+    mul = alg.field.mul
+    neg = alg.field.neg
+    for slots, c in pairs:
+        signed = (c, neg(c))
+        for t in range(n + 1):
+            p = lo + t
+            head = slots[:p]
+            tail = slots[p + 2:]
+            cc = signed[t % 2]
+            for item, v in merge(slots[p], slots[p + 1]):
+                if 0 < t < n and item == strike:
+                    continue
+                yield head + (item,) + tail, cc if v == 1 else mul(cc, v)
+
+
+def koszul_faces(alg: SkewAlgebra, pairs, lo):
+    """The Koszul differential on the slots (m0, w, m1) at lo of each term.
+
+    Each wedge factor x_{w_t} contracts into the left outer monomial with
+    sign (-1)^t and into the right one with the opposite sign.
+    """
+    nv = alg.nvars
+    neg = alg.field.neg
+    for slots, c in pairs:
+        head = slots[:lo]
+        m0, w, m1 = slots[lo:]
+        signed = (c, neg(c))
+        for t, idx in enumerate(w):
+            e = var_exp(nv, idx)
+            rest = w[:t] + w[t + 1:]
+            yield head + (monomial_mul(m0, e), rest, m1), signed[t % 2]
+            yield head + (m0, rest, monomial_mul(m1, e)), signed[1 - t % 2]
+
+
 def bar_diff(x: ChainElement) -> ChainElement:
     """Reduced bar differential (alternating sum of slot merges)."""
-    alg = x.alg
     kind = x.tag[0]
     n = x.tag[1]
     if n == 0:
         raise ShapeMismatch("bar_diff needs homological degree >= 1")
-    out = ChainElement(alg, (kind, n - 1))
-    f = alg.field
-    if kind == "barskew":
-        unit = alg.unit_pair
-        for slots, c in x.terms.items():
-            for t in range(n + 1):
-                cc = c if t % 2 == 0 else f.neg(c)
-                for pair, pc in alg.mul_pairs(slots[t], slots[t + 1]):
-                    if 0 < t < n and pair == unit:
-                        continue
-                    out.add_term(
-                        slots[:t] + (pair,) + slots[t + 2:], f.mul(cc, pc)
-                    )
-    elif kind == "barg":
-        mul = alg.group.mul
-        for slots, c in x.terms.items():
-            for t in range(n + 1):
-                cc = c if t % 2 == 0 else f.neg(c)
-                g = mul(slots[t], slots[t + 1])
-                if 0 < t < n and g == 0:
-                    continue
-                out.add_term(slots[:t] + (g,) + slots[t + 2:], cc)
-    elif kind == "bars":
-        zero = alg.zero_exp
-        for slots, c in x.terms.items():
-            for t in range(n + 1):
-                cc = c if t % 2 == 0 else f.neg(c)
-                m = tuple(a + b for a, b in zip(slots[t], slots[t + 1]))
-                if 0 < t < n and m == zero:
-                    continue
-                out.add_term(slots[:t] + (m,) + slots[t + 2:], cc)
-    else:
+    if kind not in ("barskew", "barg", "bars"):
         raise ShapeMismatch(f"bar_diff does not apply to {x.tag}")
+    out = ChainElement(x.alg, (kind, n - 1))
+    x.alg.field.accumulate(out.terms,
+                           bar_faces(x.alg, kind, x.terms.items(), 0, n))
     return out
 
 
 def koszul_diff(x: ChainElement) -> ChainElement:
     """Koszul differential: contract each wedge factor into either side."""
-    alg = x.alg
     j = x.tag[1]
-    out = ChainElement(alg, ("koszul", j - 1))
     if j == 0:
         raise ShapeMismatch("koszul_diff needs wedge degree >= 1")
-    f = alg.field
-    for (m0, w, m1), c in x.terms.items():
-        for t, idx in enumerate(w):
-            sign = c if t % 2 == 0 else f.neg(c)
-            e = var_exp(alg.nvars, idx)
-            rest = w[:t] + w[t + 1:]
-            out.add_term(
-                (tuple(a + b for a, b in zip(m0, e)), rest, m1), sign
-            )
-            out.add_term(
-                (m0, rest, tuple(a + b for a, b in zip(m1, e))), f.neg(sign)
-            )
+    out = ChainElement(x.alg, ("koszul", j - 1))
+    x.alg.field.accumulate(out.terms,
+                           koszul_faces(x.alg, x.terms.items(), 0))
     return out
 
 
 def twisted_diff(x: ChainElement) -> ChainVector:
-    """Total differential d_C ⊗ 1 + (-1)^i 1 ⊗ d_D of the twisted product."""
+    """Total differential d_C ⊗ 1 + (-1)^i 1 ⊗ d_D of the twisted product.
+
+    d_C is the kG bar differential on the group slots and d_D the S bar or
+    Koszul differential on the D slots, the same kernels as
+    :func:`bar_diff` and :func:`koszul_diff`.
+    """
     alg = x.alg
     kind, i, j, dkind = x.tag
     if kind != "twisted":
         raise ShapeMismatch(f"twisted_diff does not apply to {x.tag}")
-    f = alg.field
     out = ChainVector(alg)
-    mul = alg.group.mul
     # horizontal part: bar faces on the group slots
     if i > 0:
-        htag = ("twisted", i - 1, j, dkind)
-        for slots, c in x.terms.items():
-            for t in range(i + 1):
-                cc = c if t % 2 == 0 else f.neg(c)
-                g = mul(slots[t], slots[t + 1])
-                if 0 < t < i and g == 0:
-                    continue
-                out.add_term(htag, slots[:t] + (g,) + slots[t + 2:], cc)
+        out.add_terms(("twisted", i - 1, j, dkind),
+                      bar_faces(alg, "barg", x.terms.items(), 0, i))
     # vertical part: (-1)^i times the D-differential on the D slots
-    vsign = 1 if i % 2 == 0 else -1
-    if dkind == "bar" and j > 0:
-        vtag = ("twisted", i, j - 1, dkind)
-        zero = alg.zero_exp
-        base = i + 2
-        for slots, c in x.terms.items():
-            c0 = c if vsign == 1 else f.neg(c)
-            for t in range(j + 1):
-                cc = c0 if t % 2 == 0 else f.neg(c0)
-                m = tuple(
-                    a + b for a, b in zip(slots[base + t], slots[base + t + 1])
-                )
-                if 0 < t < j and m == zero:
-                    continue
-                out.add_term(
-                    vtag,
-                    slots[: base + t] + (m,) + slots[base + t + 2:],
-                    cc,
-                )
-    elif dkind == "koszul" and j > 0:
-        vtag = ("twisted", i, j - 1, dkind)
-        base = i + 2
-        for slots, c in x.terms.items():
-            c0 = c if vsign == 1 else f.neg(c)
-            m0, w, m1 = slots[base], slots[base + 1], slots[base + 2]
-            for t, idx in enumerate(w):
-                cc = c0 if t % 2 == 0 else f.neg(c0)
-                e = var_exp(alg.nvars, idx)
-                rest = w[:t] + w[t + 1:]
-                out.add_term(
-                    vtag,
-                    slots[:base]
-                    + (tuple(a + b for a, b in zip(m0, e)), rest, m1),
-                    cc,
-                )
-                out.add_term(
-                    vtag,
-                    slots[:base]
-                    + (m0, rest, tuple(a + b for a, b in zip(m1, e))),
-                    f.neg(cc),
-                )
+    if j > 0:
+        terms = x.terms.items()
+        if i % 2:
+            neg = alg.field.neg
+            terms = [(slots, neg(c)) for slots, c in terms]
+        out.add_terms(("twisted", i, j - 1, dkind),
+                      bar_faces(alg, "bars", terms, i + 2, j)
+                      if dkind == "bar" else koszul_faces(alg, terms, i + 2))
     return out
 
 
+@linear_map
 def diff(x) -> ChainVector:
     """Uniform differential: ChainElement or ChainVector -> ChainVector."""
-    if isinstance(x, ChainVector):
-        out = ChainVector(x.alg)
-        for el in x.parts.values():
-            out.add_vector(diff(el))
-        return out
     kind = x.tag[0]
     if kind == "twisted":
         return twisted_diff(x)
-    if kind in ("barskew", "barg", "bars"):
-        if x.tag[1] == 0:
-            return ChainVector(x.alg)
-        return as_vector(bar_diff(x))
-    if kind == "koszul":
-        if x.tag[1] == 0:
-            return ChainVector(x.alg)
-        return as_vector(koszul_diff(x))
-    raise ShapeMismatch(f"unknown complex tag {x.tag}")
+    if kind not in ("barskew", "barg", "bars", "koszul"):
+        raise ShapeMismatch(f"unknown complex tag {x.tag}")
+    if x.tag[1] == 0:
+        return ChainVector(x.alg)
+    return as_vector(koszul_diff(x) if kind == "koszul" else bar_diff(x))
 
 
 # -- the bimodule structure ------------------------------------------------
@@ -476,165 +445,114 @@ def group_degree(alg: SkewAlgebra, tag, slots) -> int:
     return alg.group.prod(slots[: tag[1] + 2])
 
 
-def act_left_group(x: ChainElement, g: int) -> ChainElement:
-    """Left action of a group element on a twisted element."""
-    alg = x.alg
-    if g == 0:
-        return x
-    mul = alg.group.mul
-    out = ChainElement(alg, x.tag)
-    for slots, c in x.terms.items():
-        out.add_term((mul(g, slots[0]),) + slots[1:], c)
-    return out
-
-
-def act_left_monomial(x: ChainElement, mono: tuple) -> ChainElement:
-    """Left action of a monomial of S on a twisted element.
-
-    The monomial passes through the C-part twisted by the inverse of the
-    C-part's group degree and multiplies into the left outer D slot.
-    """
-    alg = x.alg
-    if total_degree(mono) == 0:
-        return x
-    kind, i, j, dkind = x.tag
-    f = alg.field
-    inv = alg.group.inv
-    out = ChainElement(alg, x.tag)
-    base = i + 2
-    for slots, c in x.terms.items():
-        gamma = group_degree(alg, x.tag, slots)
-        for m, cm in alg.action.act_monomial(inv(gamma), mono).items():
-            new_m0 = tuple(a + b for a, b in zip(m, slots[base]))
-            out.add_term(
-                slots[:base] + (new_m0,) + slots[base + 1:], f.mul(c, cm)
-            )
-    return out
-
-
-def act_right_monomial(x: ChainElement, mono: tuple) -> ChainElement:
-    """Right action of a monomial of S: multiply the right outer D slot."""
-    alg = x.alg
-    if total_degree(mono) == 0:
-        return x
-    out = ChainElement(alg, x.tag)
-    for slots, c in x.terms.items():
-        new_m1 = tuple(a + b for a, b in zip(slots[-1], mono))
-        out.add_term(slots[:-1] + (new_m1,), c)
-    return out
-
-
-def act_right_group(x: ChainElement, h: int) -> ChainElement:
-    """Right action of a group element on a twisted element.
-
-    h multiplies into the right outer group slot while h^-1 acts diagonally
-    on every D slot (this is what makes the product "twisted").
-    """
-    alg = x.alg
-    if h == 0:
-        return x
-    kind, i, j, dkind = x.tag
-    f = alg.field
-    hinv = alg.group.inv(h)
-    act = alg.action.act_monomial
-    base = i + 2
-    out = ChainElement(alg, x.tag)
-    for slots, c in x.terms.items():
-        cpart = slots[:base - 1] + (alg.group.mul(slots[base - 1], h),)
-        dslots = slots[base:]
-        if dkind == "bar":
-            expanded = [((), c)]
-            for m in dslots:
-                acted = act(hinv, m)
-                expanded = [
-                    (pre + (m2,), f.mul(cc, c2))
-                    for pre, cc in expanded
-                    for m2, c2 in acted.items()
-                ]
-            for dnew, cc in expanded:
-                out.add_term(cpart + dnew, cc)
-        else:
-            m0, w, m1 = dslots
-            acted0 = act(hinv, m0)
-            actedw = alg.action.act_wedge(hinv, w)
-            acted1 = act(hinv, m1)
-            for ma, ca in acted0.items():
-                for wb, cb in actedw.items():
-                    for mc, cc2 in acted1.items():
-                        out.add_term(
-                            cpart + (ma, wb, mc),
-                            f.mul(f.mul(c, ca), f.mul(cb, cc2)),
-                        )
-    return out
-
-
 def act_skew_left(x: ChainElement, a: dict) -> ChainElement:
-    """Left action of a skew-algebra element on a twisted element."""
+    """Left action of a skew-algebra element on a twisted element.
+
+    A pair (m, g) multiplies g into the left outer group slot; then m
+    passes through the C-part, twisted by the inverse of the C-part's new
+    group degree, and multiplies into the left outer D slot.
+    """
     alg = x.alg
+    f = alg.field
+    gmul = alg.group.mul
+    base = x.tag[1] + 2
+
+    def terms():
+        for (m, g), c in a.items():
+            for slots, v in x.terms.items():
+                cpart = (gmul(g, slots[0]),) + slots[1:base]
+                cv = f.mul(c, v)
+                if total_degree(m) == 0:
+                    yield cpart + slots[base:], cv
+                    continue
+                gamma = alg.group.inv(alg.group.prod(cpart))
+                for m2, cm in alg.action.act_monomial(gamma, m).items():
+                    yield (cpart + (monomial_mul(m2, slots[base]),)
+                           + slots[base + 1:], f.mul(cv, cm))
+
     out = ChainElement(alg, x.tag)
-    for (m, g), c in a.items():
-        part = act_left_monomial(act_left_group(x, g), m)
-        for slots, v in part.terms.items():
-            out.add_term(slots, alg.field.mul(c, v))
+    f.accumulate(out.terms, terms())
     return out
 
 
 def act_skew_right(x: ChainElement, b: dict) -> ChainElement:
-    """Right action of a skew-algebra element on a twisted element."""
+    """Right action of a skew-algebra element on a twisted element.
+
+    A pair (m, h) multiplies m into the right outer D slot; then h
+    multiplies into the right outer group slot while h^-1 acts diagonally
+    on every D slot (this is what makes the product "twisted").
+    """
     alg = x.alg
+    f = alg.field
+    act = alg.action.act_monomial
+    base = x.tag[1] + 2
+    koszul = x.tag[3] == "koszul"
+
+    def terms():
+        for (m, h), c in b.items():
+            hinv = alg.group.inv(h)
+            for slots, v in x.terms.items():
+                cpart = slots[:base - 1] + (alg.group.mul(slots[base - 1], h),)
+                dslots = slots[base:-1] + (monomial_mul(slots[-1], m),)
+                cv = f.mul(c, v)
+                if h == 0:
+                    yield cpart + dslots, cv
+                    continue
+                if koszul:
+                    m0, w, m1 = dslots
+                    images = [act(hinv, m0).items(),
+                              alg.action.act_wedge(hinv, w).items(),
+                              act(hinv, m1).items()]
+                else:
+                    images = [act(hinv, d).items() for d in dslots]
+                yield from tensor_expand(f, [(cpart, cv)], images)
+
     out = ChainElement(alg, x.tag)
-    for (m, g), c in b.items():
-        part = act_right_group(act_right_monomial(x, m), g)
-        for slots, v in part.terms.items():
-            out.add_term(slots, alg.field.mul(c, v))
+    f.accumulate(out.terms, terms())
     return out
 
 
 def act_barskew_left(x: ChainElement, a: dict) -> ChainElement:
     """Left multiplication into the outer slot of a bar-resolution element."""
     alg = x.alg
-    f = alg.field
+    mul = alg.field.mul
     out = ChainElement(alg, x.tag)
-    for p, c in a.items():
-        for slots, v in x.terms.items():
-            cv = f.mul(c, v)
-            for pair, pc in alg.mul_pairs(p, slots[0]):
-                out.add_term((pair,) + slots[1:], f.mul(cv, pc))
+    alg.field.accumulate(out.terms, (
+        ((pair,) + slots[1:], mul(mul(c, v), pc))
+        for p, c in a.items() for slots, v in x.terms.items()
+        for pair, pc in alg.mul_pairs(p, slots[0])))
     return out
 
 
 def act_barskew_right(x: ChainElement, b: dict) -> ChainElement:
     alg = x.alg
-    f = alg.field
+    mul = alg.field.mul
     out = ChainElement(alg, x.tag)
-    for p, c in b.items():
-        for slots, v in x.terms.items():
-            cv = f.mul(c, v)
-            for pair, pc in alg.mul_pairs(slots[-1], p):
-                out.add_term(slots[:-1] + (pair,), f.mul(cv, pc))
+    alg.field.accumulate(out.terms, (
+        (slots[:-1] + (pair,), mul(mul(c, v), pc))
+        for p, c in b.items() for slots, v in x.terms.items()
+        for pair, pc in alg.mul_pairs(slots[-1], p)))
     return out
+
+
+@linear_map
+def _act(x, a, b):
+    """:func:`bimodule_act` with the chain as the first argument."""
+    kind = x.tag[0]
+    if kind not in ("twisted", "barskew"):
+        raise ShapeMismatch(f"no A-bimodule structure on {x.tag}")
+    left, right = ((act_skew_left, act_skew_right) if kind == "twisted"
+                   else (act_barskew_left, act_barskew_right))
+    if a is not None:
+        x = left(x, a)
+    if b is not None:
+        x = right(x, b)
+    return x
 
 
 def bimodule_act(a, x, b):
     """a . x . b for a skew elements (or None) and x a chain element/vector."""
-    if isinstance(x, ChainVector):
-        out = ChainVector(x.alg)
-        for el in x.parts.values():
-            out.add_element(bimodule_act(a, el, b))
-        return out
-    if x.tag[0] == "twisted":
-        if a is not None:
-            x = act_skew_left(x, a)
-        if b is not None:
-            x = act_skew_right(x, b)
-        return x
-    if x.tag[0] == "barskew":
-        if a is not None:
-            x = act_barskew_left(x, a)
-        if b is not None:
-            x = act_barskew_right(x, b)
-        return x
-    raise ShapeMismatch(f"no A-bimodule structure on {x.tag}")
+    return _act(x, a, b)
 
 
 # -- free-basis bookkeeping ------------------------------------------------
@@ -669,29 +587,18 @@ def free_decompose(alg: SkewAlgebra, tag, slots):
     cbars = slots[1: i + 1]
     gamma = alg.group.prod(slots[: i + 2])
     base = i + 2
-    f = alg.field
+    # the middle D slots: the bar letters, or the one wedge
+    s0, mids, s1 = slots[base], slots[base + 1: -1], slots[-1]
+    act = alg.action.act_monomial
+    a = {(m, g0): c for m, c in act(gamma, s0).items()}
+    b = {(m, gR): c for m, c in act(gR, s1).items()}
     if dkind == "bar":
-        s0, mids, s1 = slots[base], slots[base + 1: -1], slots[-1]
+        combos = tensor_expand(alg.field, [((), 1)],
+                               [act(gR, m).items() for m in mids])
     else:
-        s0, wedge, s1 = slots[base], slots[base + 1], slots[base + 2]
-    a = {(m, g0): c for m, c in alg.action.act_monomial(gamma, s0).items()}
-    b = {(m, gR): c for m, c in alg.action.act_monomial(gR, s1).items()}
-    items = []
-    if dkind == "bar":
-        combos = [((), 1)]
-        for m in mids:
-            acted = alg.action.act_monomial(gR, m)
-            combos = [
-                (pre + (m2,), f.mul(c, c2))
-                for pre, c in combos
-                for m2, c2 in acted.items()
-            ]
-        for dmid, c in combos:
-            items.append((c, (cbars, dmid)))
-    else:
-        for w2, c in alg.action.act_wedge(gR, wedge).items():
-            items.append((c, (cbars, (w2,))))
-    return a, items, b
+        combos = [((w2,), c)
+                  for w2, c in alg.action.act_wedge(gR, mids[0]).items()]
+    return a, [(c, (cbars, dmid)) for dmid, c in combos], b
 
 
 # -- deterministic basis enumeration ---------------------------------------

@@ -14,6 +14,13 @@ used by the JSON formats.  Values themselves carry no field tag; containers
 that hold a field reference (contexts, chain elements, cochains) are the
 place where mixing two different fields is detected.
 
+Sparse vectors over a field are dicts mapping keys to nonzero scalars: the
+elements of kG, of S and of S(V) ⋊ G, the terms of a chain element, and
+the rows of the linear algebra.  They all accumulate through one primitive,
+:meth:`Field.accumulate`, and share one set of arithmetic functions
+(:func:`vec_add`, :func:`vec_neg`, :func:`vec_sub`, :func:`vec_scale`, and
+:func:`scaled_pairs` for an in-place ``out += c * v``).
+
 No floating point is used anywhere.  Equality of scalars is exact equality
 of canonical representations.
 """
@@ -51,6 +58,11 @@ def is_prime(n: int) -> bool:
         if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
     return True
+
+
+def is_json_int(val) -> bool:
+    """An integer in a JSON document (``true`` and ``1.0`` are not)."""
+    return isinstance(val, int) and not isinstance(val, bool)
 
 
 def _scalar_text(text) -> str:
@@ -92,6 +104,29 @@ class Field:
 
     def from_int(self, n: int):
         raise NotImplementedError
+
+    def accumulate(self, out: dict, pairs) -> dict:
+        """Add each ``(key, coeff)`` of ``pairs`` into ``out`` in place.
+
+        A key whose sum is zero is dropped, so ``out`` stays a sparse vector
+        of nonzero canonical scalars.  Returns ``out``.
+        """
+        # Every map accumulates its output here, so the sum is made
+        # canonical inline, as RationalField.add and PrimeField.add do,
+        # instead of through a method call per term.
+        p = self.char
+        get = out.get
+        for key, c in pairs:
+            s = get(key, 0) + c
+            if p:
+                s %= p
+            elif type(s) is Fraction and s.denominator == 1:
+                s = int(s)
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return out
 
     def parse(self, text: str):
         """Parse a scalar from its string form (used by configs/JSON)."""
@@ -214,6 +249,34 @@ class PrimeField(Field):
 
     def __hash__(self):
         return hash(("GF", self.p))
+
+
+# -- sparse vectors (dicts {key: nonzero scalar}) ---------------------------
+
+def vec_add(field: Field, a: dict, b: dict) -> dict:
+    return field.accumulate(dict(a), b.items())
+
+
+def vec_neg(field: Field, a: dict) -> dict:
+    return {k: field.neg(c) for k, c in a.items()}
+
+
+def vec_sub(field: Field, a: dict, b: dict) -> dict:
+    return field.accumulate(dict(a), vec_neg(field, b).items())
+
+
+def vec_scale(field: Field, c, a: dict) -> dict:
+    if c == 0:
+        return {}
+    return {k: field.mul(c, v) for k, v in a.items()}
+
+
+def scaled_pairs(field: Field, c, pairs):
+    """The pairs ``(key, c * coeff)``, or ``pairs`` itself when c is 1."""
+    if c == 1:
+        return pairs
+    mul = field.mul
+    return [(key, mul(c, v)) for key, v in pairs]
 
 
 #: Shared instance of the rational field.

@@ -3,14 +3,16 @@
 A group element is its index into the element list; index 0 is always the
 identity.  A group-algebra element over a field k is a dict mapping element
 indices to nonzero scalars (the zero element is the empty dict), so
-equality of dicts is equality in kG.
+equality of dicts is equality in kG.  Addition, negation and scaling are
+the sparse-vector functions of :mod:`skewchain.fields`; this module adds
+the convolution product :func:`ga_mul`.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .fields import Field
+from .fields import Field, is_json_int
 
 
 class NotAssociative(ValueError):
@@ -146,7 +148,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 def product_of_cyclic_groups(orders) -> FiniteGroup:
     """Direct product Z/n1 x ... x Z/nk with componentwise addition."""
     orders = list(orders)
-    if not orders or any(n < 1 for n in orders):
+    if not orders or any(not is_json_int(n) or n < 1 for n in orders):
         raise ValueError("orders must be a nonempty list of positive ints")
     elems = list(itertools.product(*[range(n) for n in orders]))
     index = {e: i for i, e in enumerate(elems)}
@@ -177,56 +179,25 @@ def group_from_config(cfg: dict) -> FiniteGroup:
     if "table" in cfg:
         return FiniteGroup(cfg["table"], cfg.get("labels"))
     family = cfg.get("family")
-    if family == "cyclic":
-        return cyclic_group(int(cfg["n"]))
-    if family == "symmetric":
-        return symmetric_group(int(cfg["n"]))
+    if family in ("cyclic", "symmetric"):
+        n = cfg["n"]
+        if not is_json_int(n):
+            raise TypeError(f"group size n must be an integer, got {n!r}")
+        return cyclic_group(n) if family == "cyclic" else symmetric_group(n)
     if family == "product_of_cyclics":
         return product_of_cyclic_groups(cfg["orders"])
     raise ValueError(f"unknown group config {cfg!r}")
 
 
-# -- group-algebra arithmetic (dicts {element: scalar}) --------------------
-
-def ga_add(field: Field, a: dict, b: dict) -> dict:
-    out = dict(a)
-    for g, c in b.items():
-        s = field.add(out.get(g, 0), c)
-        if s == 0:
-            out.pop(g, None)
-        else:
-            out[g] = s
-    return out
-
-
-def ga_neg(field: Field, a: dict) -> dict:
-    return {g: field.neg(c) for g, c in a.items()}
-
-
-def ga_sub(field: Field, a: dict, b: dict) -> dict:
-    return ga_add(field, a, ga_neg(field, b))
-
-
-def ga_scale(field: Field, c, a: dict) -> dict:
-    if c == 0:
-        return {}
-    return {g: field.mul(c, v) for g, v in a.items()}
-
+# -- group-algebra product (dicts {element: scalar}) ------------------------
 
 def ga_mul(field: Field, group: FiniteGroup, a: dict, b: dict) -> dict:
     """Convolution product in kG."""
-    out: dict = {}
     table = group.table
-    for g, cg in a.items():
-        row = table[g]
-        for h, ch in b.items():
-            k = row[h]
-            s = field.add(out.get(k, 0), field.mul(cg, ch))
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-    return out
+    mul = field.mul
+    return field.accumulate({}, ((table[g][h], mul(cg, ch))
+                                 for g, cg in a.items()
+                                 for h, ch in b.items()))
 
 
 def reduce_identity(a: dict) -> dict:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from .fields import Field
+from .fields import Field, scaled_pairs
 
 
 def rref(field: Field, rows):
@@ -46,12 +46,7 @@ class InconsistentSystem(ValueError):
 
 def _sub_scaled(field: Field, dst: dict, src: dict, coef) -> None:
     """dst -= coef * src on sparse vectors, in place, dropping zeros."""
-    for c, x in src.items():
-        s = field.sub(dst.get(c, 0), field.mul(coef, x))
-        if s == 0:
-            dst.pop(c, None)
-        else:
-            dst[c] = s
+    field.accumulate(dst, scaled_pairs(field, field.neg(coef), src.items()))
 
 
 class FactoredSolver:
@@ -150,11 +145,5 @@ class IncrementalRank:
                 v = {c: f.mul(inv, x) for c, x in v.items()}
                 self.rows[lead] = v
                 return v
-            coef = v[lead]
-            for c, x in row.items():
-                s = f.sub(v.get(c, 0), f.mul(coef, x))
-                if s == 0:
-                    v.pop(c, None)
-                else:
-                    v[c] = s
+            _sub_scaled(f, v, row, v[lead])
         return v

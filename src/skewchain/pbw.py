@@ -42,14 +42,10 @@ from math import comb
 from .chainmaps import DegreeOutOfRange, get_pi_solver, iota, pi
 from .cochains import Cochain, circle, coboundary, transport_up
 from .complexes import ChainElement, twisted_free_basis
-from .groups import ga_add, ga_mul, ga_neg, ga_scale, ga_sub
+from .fields import scaled_pairs, vec_add, vec_neg, vec_scale, vec_sub
+from .groups import ga_mul
 from .linalg import IncrementalRank
-from .polynomials import (
-    poly_add,
-    poly_scale,
-    poly_sub,
-    var_exp,
-)
+from .polynomials import var_exp, var_names
 from .skew import SkewAlgebra
 
 
@@ -115,18 +111,14 @@ class PBWParams:
             return {}
         if i < j:
             return self.kappa.get((i, j), {})
-        return ga_neg(self.alg.field, self.kappa.get((j, i), {}))
+        return vec_neg(self.alg.field, self.kappa.get((j, i), {}))
 
     def kappa_bilinear(self, u: dict, v: dict) -> dict:
         """kappa on a pair of linear forms (dicts {var index: scalar})."""
         f = self.alg.field
-        out: dict = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                val = self.kappa_eval(i, j)
-                if val:
-                    out = ga_add(f, out, ga_scale(f, f.mul(a, b), val))
-        return out
+        return f.accumulate({}, ((g, f.mul(f.mul(a, b), c))
+                                 for i, a in u.items() for j, b in v.items()
+                                 for g, c in self.kappa_eval(i, j).items()))
 
     def lam_of(self, g: int, i: int) -> dict:
         return self.lam.get((g, i), {})
@@ -134,22 +126,14 @@ class PBWParams:
     def lam_linear(self, g: int, v: dict) -> dict:
         """lambda(g, -) on a linear form v = {var index: scalar}."""
         f = self.alg.field
-        out: dict = {}
-        for i, c in v.items():
-            val = self.lam_of(g, i)
-            if val:
-                out = ga_add(f, out, ga_scale(f, c, val))
-        return out
+        return f.accumulate({}, ((h, f.mul(c, ch)) for i, c in v.items()
+                                 for h, ch in self.lam_of(g, i).items()))
 
     def lam_ga(self, a: dict, i: int) -> dict:
         """lambda extended linearly over kG in its first argument."""
         f = self.alg.field
-        out: dict = {}
-        for g, c in a.items():
-            val = self.lam_of(g, i)
-            if val:
-                out = ga_add(f, out, ga_scale(f, c, val))
-        return out
+        return f.accumulate({}, ((h, f.mul(c, ch)) for g, c in a.items()
+                                 for h, ch in self.lam_of(g, i).items()))
 
     def identity_lambda_rows(self):
         """Variable indices i with lambda(1, x_i) nonzero."""
@@ -264,13 +248,13 @@ def check_five(alg: SkewAlgebra, params: PBWParams) -> PBWReport:
             gh = group.mul(g, h)
             for i in range(nv):
                 lhs = params.lam_of(gh, i)
-                rhs = ga_add(
+                rhs = vec_add(
                     f,
                     ga_mul(f, group, params.lam_linear(g, act_basis(h, i)),
                            {h: 1}),
                     ga_mul(f, group, {g: 1}, params.lam_of(h, i)),
                 )
-                defect = ga_sub(f, lhs, rhs)
+                defect = vec_sub(f, lhs, rhs)
                 if defect:
                     witness = {
                         "g": g, "h": h, "v": i,
@@ -290,7 +274,7 @@ def check_five(alg: SkewAlgebra, params: PBWParams) -> PBWReport:
     for g in range(order):
         for i in range(nv):
             for j in range(i + 1, nv):
-                lhs = ga_sub(
+                lhs = vec_sub(
                     f,
                     ga_mul(f, group,
                            params.kappa_bilinear(act_basis(g, i),
@@ -298,12 +282,12 @@ def check_five(alg: SkewAlgebra, params: PBWParams) -> PBWReport:
                            {g: 1}),
                     ga_mul(f, group, {g: 1}, params.kappa_wedge(i, j)),
                 )
-                rhs = ga_sub(
+                rhs = vec_sub(
                     f,
                     params.lam_ga(params.lam_of(g, j), i),
                     params.lam_ga(params.lam_of(g, i), j),
                 )
-                defect = ga_sub(f, lhs, rhs)
+                defect = vec_sub(f, lhs, rhs)
                 if defect:
                     witness = {
                         "g": g, "u": i, "v": j,
@@ -327,28 +311,10 @@ def check_five(alg: SkewAlgebra, params: PBWParams) -> PBWReport:
                     cv = params.lam_of(g, j).get(h, 0)
                     if cu == 0 and cv == 0:
                         continue
-                    du = {
-                        k: c for k, c in (
-                            (k, f.sub(act_basis(h, i).get(k, 0),
-                                      act_basis(g, i).get(k, 0)))
-                            for k in range(nv)
-                        ) if c != 0
-                    }
-                    dv = {
-                        k: c for k, c in (
-                            (k, f.sub(act_basis(h, j).get(k, 0),
-                                      act_basis(g, j).get(k, 0)))
-                            for k in range(nv)
-                        ) if c != 0
-                    }
-                    lhs = {k: f.mul(cv, c) for k, c in du.items()}
-                    rhs = {k: f.mul(cu, c) for k, c in dv.items()}
-                    defect = {
-                        k: c for k, c in (
-                            (k, f.sub(lhs.get(k, 0), rhs.get(k, 0)))
-                            for k in set(lhs) | set(rhs)
-                        ) if c != 0
-                    }
+                    du = vec_sub(f, act_basis(h, i), act_basis(g, i))
+                    dv = vec_sub(f, act_basis(h, j), act_basis(g, j))
+                    defect = vec_sub(f, vec_scale(f, cv, du),
+                                     vec_scale(f, cu, dv))
                     if defect:
                         mono = {var_exp(nv, k): c for k, c in defect.items()}
                         witness = {
@@ -375,13 +341,13 @@ def check_five(alg: SkewAlgebra, params: PBWParams) -> PBWReport:
                 coeff = params.kappa_eval(a, b).get(g, 0)
                 if coeff == 0:
                     continue
-                diff_c = poly_sub(
+                diff_c = vec_sub(
                     f,
                     {var_exp(nv, t): s
                      for t, s in act_basis(g, c).items()},
                     {var_exp(nv, c): 1},
                 )
-                total = poly_add(f, total, poly_scale(f, coeff, diff_c))
+                f.accumulate(total, vec_scale(f, coeff, diff_c).items())
             if total:
                 witness = {
                     "g": g, "u": i, "v": j, "w": k,
@@ -399,8 +365,8 @@ def check_five(alg: SkewAlgebra, params: PBWParams) -> PBWReport:
     for i, j, k in itertools.combinations(range(nv), 3):
         total: dict = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            total = ga_add(f, total,
-                           params.lam_ga(params.kappa_eval(a, b), c))
+            f.accumulate(total,
+                         params.lam_ga(params.kappa_eval(a, b), c).items())
         if total:
             witness = {
                 "u": i, "v": j, "w": k,
@@ -610,6 +576,8 @@ class _Rewriter:
     def cat(self, w1: tuple, w2: tuple) -> tuple:
         """Concatenate legal words, merging boundary group letters."""
         nv = self.nv
+        if not (w1 and w2 and w1[-1] >= nv and w2[0] >= nv):
+            return w1 + w2
         group = self.alg.group
         w1 = list(w1)
         w2 = list(w2)
@@ -664,12 +632,7 @@ class _Rewriter:
         out: dict = {}
         for mid, c in expansion:
             sub = self.reduce(self.cat(self.cat(head, mid), tail))
-            for w2, c2 in sub.items():
-                s = f.add(out.get(w2, 0), f.mul(c, c2))
-                if s == 0:
-                    out.pop(w2, None)
-                else:
-                    out[w2] = s
+            f.accumulate(out, scaled_pairs(f, c, sub.items()))
         self._memo[w] = out
         return out
 
@@ -730,32 +693,17 @@ def _relations(alg: SkewAlgebra, params: PBWParams, rw: _Rewriter):
     rels = []
     for i in range(nv):
         for j in range(i + 1, nv):
-            el: dict = {(j, i): 1, (i, j): f.from_int(-1)}
-            for word, c in rw.ga_word(params.kappa_wedge(i, j)):
-                s = f.add(el.get(word, 0), c)
-                if s == 0:
-                    el.pop(word, None)
-                else:
-                    el[word] = s
+            el = f.accumulate({(j, i): 1, (i, j): f.from_int(-1)},
+                              rw.ga_word(params.kappa_wedge(i, j)))
             rels.append(({"kind": "commutator", "i": i, "j": j}, 2, el))
     for g in range(alg.group.order):
         for i in range(nv):
-            el = {}
-            lhs = rw.cat((nv + g,) if g else (), (i,))
-            el[lhs] = f.add(el.get(lhs, 0), 1)
-            for k, c in rw._act_rows[g][i].items():
-                w = rw.cat((k,), (nv + g,) if g else ())
-                s = f.sub(el.get(w, 0), c)
-                if s == 0:
-                    el.pop(w, None)
-                else:
-                    el[w] = s
-            for word, c in rw.ga_word(params.lam_of(g, i)):
-                s = f.sub(el.get(word, 0), c)
-                if s == 0:
-                    el.pop(word, None)
-                else:
-                    el[word] = s
+            gw = (nv + g,) if g else ()
+            el = f.accumulate({rw.cat(gw, (i,)): 1}, itertools.chain(
+                ((rw.cat((k,), gw), f.neg(c))
+                 for k, c in rw._act_rows[g][i].items()),
+                ((word, f.neg(c))
+                 for word, c in rw.ga_word(params.lam_of(g, i)))))
             if el:
                 rels.append(
                     ({"kind": "straightening", "g": g, "i": i}, 1, el)
@@ -802,6 +750,8 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams, max_degree: int = 3,
 
     rank = IncrementalRank(f)
     witness = None
+    reduce = rw.reduce
+    cat = rw.cat
     for tag, top, el in _relations(alg, params, rw):
         budget = max_degree - top
         if budget < 0:
@@ -812,16 +762,11 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams, max_degree: int = 3,
                     for b in by_degree.get(db, ()):
                         vec: dict = {}
                         for w, c in el.items():
-                            red = rw.reduce(rw.cat(rw.cat(a, w), b))
-                            for w2, c2 in red.items():
-                                col = index[w2]
-                                s = f.add(vec.get(col, 0), f.mul(c, c2))
-                                if s == 0:
-                                    vec.pop(col, None)
-                                else:
-                                    vec[col] = s
+                            red = reduce(cat(cat(a, w), b))
+                            f.accumulate(vec, scaled_pairs(f, c, red.items()))
                         if not vec:
                             continue
+                        vec = {index[w2]: c for w2, c in vec.items()}
                         if witness is None:
                             witness = {
                                 "left": list(a),
@@ -858,8 +803,6 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams, max_degree: int = 3,
 
 def _format_words(alg, vec: dict, nwords) -> str:
     nv = alg.nvars
-    from .polynomials import var_names
-
     names = var_names(nv)
     parts = []
     for col in sorted(vec):

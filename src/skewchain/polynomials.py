@@ -2,7 +2,9 @@
 
 A monomial in N variables is an exponent tuple of length N; a polynomial is
 a dict mapping exponent tuples to nonzero scalars (the zero polynomial is
-the empty dict).  Iteration-sensitive code orders monomials by the graded
+the empty dict).  Addition, negation and scaling are the sparse-vector
+functions of :mod:`skewchain.fields`; this module adds the product
+:func:`poly_mul`.  Iteration-sensitive code orders monomials by the graded
 lexicographic key :func:`grlex_key` so runs are deterministic.
 
 A :class:`LinearAction` stores one invertible matrix per group element,
@@ -14,8 +16,9 @@ distinct variables with the usual alternating signs.
 from __future__ import annotations
 
 import itertools
+import operator
 
-from .fields import Field
+from .fields import Field, is_json_int
 from .groups import FiniteGroup
 
 
@@ -25,33 +28,8 @@ class DimensionMismatch(ValueError):
 
 # -- polynomial arithmetic -------------------------------------------------
 
-def poly_add(field: Field, f: dict, g: dict) -> dict:
-    out = dict(f)
-    for m, c in g.items():
-        s = field.add(out.get(m, 0), c)
-        if s == 0:
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return out
-
-
-def poly_neg(field: Field, f: dict) -> dict:
-    return {m: field.neg(c) for m, c in f.items()}
-
-
-def poly_sub(field: Field, f: dict, g: dict) -> dict:
-    return poly_add(field, f, poly_neg(field, g))
-
-
-def poly_scale(field: Field, c, f: dict) -> dict:
-    if c == 0:
-        return {}
-    return {m: field.mul(c, v) for m, v in f.items()}
-
-
 def monomial_mul(m1: tuple, m2: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(operator.add, m1, m2))
 
 
 def poly_mul(field: Field, f: dict, g: dict) -> dict:
@@ -61,16 +39,10 @@ def poly_mul(field: Field, f: dict, g: dict) -> dict:
             raise DimensionMismatch(
                 f"cannot multiply polynomials in {n1} and {n2} variables"
             )
-    out: dict = {}
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            m = monomial_mul(m1, m2)
-            s = field.add(out.get(m, 0), field.mul(c1, c2))
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return out
+    mul = field.mul
+    return field.accumulate({}, ((monomial_mul(m1, m2), mul(c1, c2))
+                                 for m1, c1 in f.items()
+                                 for m2, c2 in g.items()))
 
 
 def total_degree(m: tuple) -> int:
@@ -244,7 +216,9 @@ class LinearAction:
         non-identity group element the assignment is used directly; a partial
         table is treated as matrices on a generating set and extended.
         """
-        dim = int(cfg["dim"])
+        dim = cfg["dim"]
+        if not is_json_int(dim):
+            raise TypeError(f"action dim must be an integer, got {dim!r}")
         mats = {
             int(g): [[field.parse(v) for v in row] for row in rows]
             for g, rows in cfg.get("matrices", {}).items()
@@ -289,10 +263,10 @@ class LinearAction:
         return out
 
     def act_poly(self, g: int, f: dict) -> dict:
-        out: dict = {}
-        for m, c in f.items():
-            out = poly_add(self.field, out, poly_scale(self.field, c, self.act_monomial(g, m)))
-        return out
+        mul = self.field.mul
+        return self.field.accumulate({}, (
+            (m2, mul(c, c2)) for m, c in f.items()
+            for m2, c2 in self.act_monomial(g, m).items()))
 
     def act_wedge(self, g: int, wedge: tuple) -> dict:
         """Image of e_{i1} ^ ... ^ e_{ij} as {sorted wedge: scalar}.
@@ -307,9 +281,9 @@ class LinearAction:
             return hit
         f = self.field
         M = self.matrices[g]
-        acc = {(): 1}
-        for idx in wedge:
-            nxt: dict = {}
+
+        def wedged(acc, idx):
+            # w ^ e_k for each word w of acc and each k in column idx of M
             for w, c in acc.items():
                 for k in range(self.dim):
                     ck = M[k][idx]
@@ -318,14 +292,12 @@ class LinearAction:
                     pos = 0
                     while pos < len(w) and w[pos] < k:
                         pos += 1
-                    sign = -1 if (len(w) - pos) % 2 else 1
-                    nw = w[:pos] + (k,) + w[pos:]
-                    val = f.mul(c, ck) if sign == 1 else f.neg(f.mul(c, ck))
-                    s = f.add(nxt.get(nw, 0), val)
-                    if s == 0:
-                        nxt.pop(nw, None)
-                    else:
-                        nxt[nw] = s
-            acc = nxt
+                    val = f.mul(c, ck)
+                    yield (w[:pos] + (k,) + w[pos:],
+                           f.neg(val) if (len(w) - pos) % 2 else val)
+
+        acc = {(): 1}
+        for idx in wedge:
+            acc = f.accumulate({}, wedged(acc, idx))
         memo[key] = acc
         return acc

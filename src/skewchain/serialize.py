@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 
-from .fields import field_from_descriptor
+from .fields import field_from_descriptor, is_json_int
 from .groups import (
     NoIdentity,
     NotAssociative,
@@ -56,11 +56,6 @@ from .pbw import PBWParams
 
 class ConfigParseError(ValueError):
     """The run configuration document is structurally invalid."""
-
-
-def is_json_int(val) -> bool:
-    """An integer in a JSON document (``true`` and ``1.0`` are not)."""
-    return isinstance(val, int) and not isinstance(val, bool)
 
 
 def _index(entry: dict, key: str) -> int:
@@ -163,7 +158,7 @@ def _ga_from_wire(field, pairs, what):
     """[[g, "coeff"], ...] -> group-algebra dict."""
     if not isinstance(pairs, list):
         raise ConfigParseError(f"{what}: value must be a list of [g, coeff]")
-    out = {}
+    out = []
     for entry in pairs:
         if (not isinstance(entry, list)) or len(entry) != 2:
             raise ConfigParseError(f"{what}: bad value entry {entry!r}")
@@ -171,11 +166,10 @@ def _ga_from_wire(field, pairs, what):
         if not is_json_int(g):
             raise ConfigParseError(f"{what}: bad group index {g!r}")
         try:
-            c = field.parse(coeff)
+            out.append((g, field.parse(coeff)))
         except (TypeError, ValueError) as e:
             raise ConfigParseError(f"{what}: bad coefficient {coeff!r}: {e}")
-        out[g] = field.add(out.get(g, 0), c)
-    return {g: c for g, c in out.items() if c != 0}
+    return field.accumulate({}, out)
 
 
 def params_from_config(alg: SkewAlgebra, cfg: dict) -> PBWParams:
@@ -251,18 +245,18 @@ def tag_from_json(doc: dict):
     try:
         kind = doc["complex"]
         if kind == "barskew":
-            return ("barskew", int(doc["n"]))
+            return ("barskew", _index(doc, "n"))
         if kind == "barg":
-            return ("barg", int(doc["i"]))
+            return ("barg", _index(doc, "i"))
         if kind == "bars":
-            return ("bars", int(doc["j"]))
+            return ("bars", _index(doc, "j"))
         if kind == "koszul":
-            return ("koszul", int(doc["j"]))
+            return ("koszul", _index(doc, "j"))
         if kind == "twisted":
             dkind = doc["D"]
             if dkind not in ("bar", "koszul"):
                 raise ShapeMismatch(f"unknown D factor {dkind!r}")
-            return ("twisted", int(doc["i"]), int(doc["j"]), dkind)
+            return ("twisted", _index(doc, "i"), _index(doc, "j"), dkind)
     except (KeyError, TypeError, ValueError) as e:
         raise ShapeMismatch(f"bad complex tag in element JSON: {e}") from e
     raise ShapeMismatch(f"unknown complex kind {kind!r}")
@@ -358,8 +352,7 @@ def element_from_json(alg: SkewAlgebra, doc: dict) -> ChainElement:
         except (TypeError, ValueError) as e:
             raise ShapeMismatch(f"bad coefficient in term {entry!r}: {e}")
         piece = expand_term(alg, tag, slots, coeff)
-        for s, c in piece.terms.items():
-            out.add_term(s, c)
+        alg.field.accumulate(out.terms, piece.terms.items())
     return out
 
 

@@ -6,7 +6,9 @@ k-basis the pairs (monomial, group element) with multiplication
     (m1, g1) * (m2, g2) = m1 * (g1 . m2) ⊗ g1 g2,
 
 where g1 . m2 is the polynomial image of m2 under the action.  Elements are
-dicts mapping pairs ``(exponent tuple, group index)`` to nonzero scalars.
+dicts mapping pairs ``(exponent tuple, group index)`` to nonzero scalars;
+they add, negate and scale with the sparse-vector functions of
+:mod:`skewchain.fields`, and multiply with :meth:`SkewAlgebra.mul`.
 
 A :class:`SkewAlgebra` bundles the field, the group and the action, memoizes
 basis-pair products (the hot path of every differential), and provides the
@@ -21,6 +23,7 @@ from .polynomials import (
     LinearAction,
     format_monomial,
     grlex_key,
+    monomial_mul,
     monomials_up_to,
 )
 
@@ -67,7 +70,7 @@ class SkewAlgebra:
         gh = self.group.mul(g1, g2)
         acted = self.action.act_monomial(g1, m2)
         out = tuple(
-            ((tuple(a + b for a, b in zip(m1, m)), gh), c)
+            ((monomial_mul(m1, m), gh), c)
             for m, c in acted.items()
         )
         memo[key] = out
@@ -75,40 +78,11 @@ class SkewAlgebra:
 
     def mul(self, a: dict, b: dict) -> dict:
         """Product of two skew-algebra elements."""
-        f = self.field
-        out: dict = {}
-        for p, cp in a.items():
-            for q, cq in b.items():
-                c = f.mul(cp, cq)
-                for pair, cc in self.mul_pairs(p, q):
-                    s = f.add(out.get(pair, 0), f.mul(c, cc))
-                    if s == 0:
-                        out.pop(pair, None)
-                    else:
-                        out[pair] = s
-        return out
-
-    def add(self, a: dict, b: dict) -> dict:
-        f = self.field
-        out = dict(a)
-        for p, c in b.items():
-            s = f.add(out.get(p, 0), c)
-            if s == 0:
-                out.pop(p, None)
-            else:
-                out[p] = s
-        return out
-
-    def neg(self, a: dict) -> dict:
-        return {p: self.field.neg(c) for p, c in a.items()}
-
-    def sub(self, a: dict, b: dict) -> dict:
-        return self.add(a, self.neg(b))
-
-    def scale(self, c, a: dict) -> dict:
-        if c == 0:
-            return {}
-        return {p: self.field.mul(c, v) for p, v in a.items()}
+        mul = self.field.mul
+        return self.field.accumulate({}, (
+            (pair, mul(mul(cp, cq), cc))
+            for p, cp in a.items() for q, cq in b.items()
+            for pair, cc in self.mul_pairs(p, q)))
 
     # -- embeddings and projections ---------------------------------------
 

@@ -47,7 +47,6 @@ from skewchain.complexes import (
     term_s_degree,
     twisted_free_basis,
 )
-from skewchain.polynomials import var_exp
 from skewchain.verify import verify_chainmap
 
 from helpers import (
@@ -246,6 +245,63 @@ class TestChainMapProperty:
         with pytest.raises(DegreeOutOfRange,
                            match=r"pi_s needs bar degree <= 1, got 2"):
             pi_s(x, small)
+
+    def test_larger_bound_keeps_the_memo(self):
+        A = swap_q()
+        solver = get_pi_solver(A, 4)
+        pi_s(ChainElement.basis(A, ("bars", 2), (Z, X0, X1, Z)), solver)
+        values = dict(solver._values)
+        assert values
+        grown = get_pi_solver(A, 5)
+        assert grown is solver
+        assert grown.j_max == 5
+        assert grown._values == values
+
+
+def _two_parts(A, *terms):
+    """A ChainVector with one basis term in each of two tags."""
+    vec = ChainVector(A)
+    for tag, slots in terms:
+        vec.add_element(ChainElement.basis(A, tag, slots, 2))
+    assert len(vec.parts) == 2
+    return vec
+
+
+#: map name -> (map, its two parts as (tag, slots) on swap_q)
+LIFTED_MAPS = {
+    "awg": (awg, ((("barskew", 1), (UNIT, (X0, 1), (X1, 0))),
+                  (("barskew", 2), (UNIT, (X0, 0), ((0, 0), 1), UNIT)))),
+    "ezg": (ezg, ((("twisted", 1, 1, "bar"), (0, 1, 0, Z, X0, X1)),
+                  (("twisted", 0, 2, "bar"), (1, 0, X1, X0, X1, Z)))),
+    "iota_s": (iota_s, ((("koszul", 1), (X0, (1,), Z)),
+                        (("koszul", 2), (Z, (0, 1), X1)))),
+    "pi_s": (pi_s, ((("bars", 1), (X1, (2, 0), Z)),
+                    (("bars", 2), (Z, X0, X1, X0)))),
+    "id_tensor_iota_s": (id_tensor_iota_s, (
+        (("twisted", 1, 1, "koszul"), (0, 1, 1, X0, (1,), Z)),
+        (("twisted", 0, 2, "koszul"), (1, 0, Z, (0, 1), X0)))),
+    "id_tensor_pi_s": (id_tensor_pi_s, (
+        (("twisted", 1, 1, "bar"), (1, 1, 0, Z, (1, 1), X0)),
+        (("twisted", 0, 2, "bar"), (0, 0, X1, X0, X0, Z)))),
+    "diff": (diff, ((("barskew", 2), ((X0, 1), (X1, 0), (Z, 1), UNIT)),
+                    (("twisted", 1, 1, "koszul"), (0, 1, 1, X0, (1,), X1)))),
+    "bimodule_act": (
+        lambda x: bimodule_act({(X0, 1): 1, (Z, 0): 3}, x, {(X1, 1): -1}),
+        ((("barskew", 1), (UNIT, (X0, 1), UNIT)),
+         (("twisted", 1, 1, "bar"), (0, 1, 1, Z, X1, X0)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFTED_MAPS))
+def test_map_of_a_vector_is_the_sum_over_its_parts(name):
+    A = swap_q()
+    fn, terms = LIFTED_MAPS[name]
+    vec = _two_parts(A, *terms)
+    want = ChainVector(A)
+    for el in vec.parts.values():
+        want.add_vector(as_vector(fn(el)))
+    assert not want.is_zero()
+    assert fn(vec) == want
 
 
 class TestBimoduleProperty:

@@ -267,6 +267,19 @@ class TestApply:
         assert rep["error"]["type"] == "ShapeMismatch"
         assert "awg is not defined on" in rep["error"]["detail"]
 
+    def test_fractional_tag_degree_rejected(self, tmp_path, capsys,
+                                            monkeypatch):
+        import io
+
+        cfg = write_json(tmp_path / "c.json", swap_q_config_doc())
+        doc = {"complex": "bars", "j": 1.9,
+               "terms": [{"slots": [[0, 0], [1, 1], [0, 0]], "coeff": "1"}]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, rep, _ = run_cli(capsys, ["apply", "diff", "--config", cfg])
+        assert code == 2
+        assert rep["error"]["type"] == "ShapeMismatch"
+        assert "must be an integer" in rep["error"]["detail"]
+
     def test_unparseable_input_element(self, tmp_path, capsys, monkeypatch):
         import io
 
@@ -390,6 +403,12 @@ HOSTILE_CONFIGS = {
         {"i": 0, "j": 1, "value": [[0, 1]]}]}},
     "matrix_entry_not_a_string": {"params": {}, "action": {
         "dim": 2, "matrices": {"1": [[0, 1], [1, 0]]}}},
+    "group_size_float": {"params": {}, "group": {
+        "family": "cyclic", "n": 2.9}},
+    "group_order_bool": {"params": {}, "group": {
+        "family": "product_of_cyclics", "orders": [True, 2]}},
+    "action_dim_float": {"params": {}, "action": {
+        "dim": 2.5, "matrices": {"1": [["0", "1"], ["1", "0"]]}}},
 }
 
 

@@ -36,6 +36,7 @@ from skewchain.complexes import (
     ShapeMismatch,
     expand_term,
 )
+from skewchain.fields import vec_sub
 from skewchain.pbw import PBWParams
 from skewchain.polynomials import var_exp
 
@@ -299,8 +300,8 @@ class TestParameterCochainIdentities:
                         (UNIT, {(m, 0): c for m, c in gv.items()},
                          (z, g), UNIT),
                     )
-                    lhs = A.sub(mu1.eval_element(el1),
-                                mu1.eval_element(el2))
+                    lhs = vec_sub(A.field, mu1.eval_element(el1),
+                                  mu1.eval_element(el2))
                     rhs = A.of_group_algebra(params.lam_of(g, i))
                     assert lhs == rhs
             for i in range(A.nvars):
@@ -313,7 +314,7 @@ class TestParameterCochainIdentities:
                     el2 = expand_term(
                         A, tag, (UNIT, (vj, 0), (vi, 0), UNIT)
                     )
-                    lhs = A.sub(mu2.eval_element(el1),
-                                mu2.eval_element(el2))
+                    lhs = vec_sub(A.field, mu2.eval_element(el1),
+                                  mu2.eval_element(el2))
                     rhs = A.of_group_algebra(params.kappa_wedge(i, j))
                     assert lhs == rhs

@@ -17,8 +17,8 @@ import pytest
 
 from skewchain.complexes import (
     ChainElement,
+    ChainVector,
     ShapeMismatch,
-    as_vector,
     bar_diff,
     barskew_free_basis,
     bimodule_act,
@@ -39,6 +39,22 @@ from helpers import s3_perm_q, swap_gf2, swap_q, v4_gf2, z3_unipotent_gf3
 Z = (0, 0)  # the constant monomial for N = 2
 X0, X1 = (1, 0), (0, 1)
 UNIT = (Z, 0)
+
+
+class TestChainVector:
+    def test_cancelled_terms_leave_no_empty_part(self):
+        A = swap_q()
+        x = ChainElement.basis(A, ("bars", 1), (Z, X0, Z), 3)
+        y = ChainElement.basis(A, ("barg", 1), (0, 1, 0))
+        vec = ChainVector(A)
+        vec.add_element(x)
+        vec.add_element(y)
+        vec.add_element(x, A.field.from_int(-1))
+        assert list(vec.parts) == [("barg", 1)]
+        vec.add_terms(("barg", 1), [((0, 1, 0), -1)])
+        assert vec.parts == {}
+        assert vec == ChainVector(A)
+        assert vec.is_zero()
 
 
 class TestExpandTerm:

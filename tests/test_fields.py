@@ -17,6 +17,10 @@ from skewchain.fields import (
     DivisionByZero,
     NonPrimeModulus,
     field_from_descriptor,
+    vec_add,
+    vec_neg,
+    vec_scale,
+    vec_sub,
 )
 
 FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7)]
@@ -120,3 +124,38 @@ class TestArithmetic:
     def test_from_int_embeds_char(self):
         assert GF(3).from_int(3) == 0
         assert QQ.from_int(3) == Fraction(3)
+
+
+class TestAccumulate:
+    def test_cancelled_keys_are_dropped_over_gf2(self):
+        F = GF(2)
+        out = F.accumulate({"a": 1, "b": 1}, [("a", 1), ("c", 1), ("c", 1)])
+        assert out == {"b": 1}
+
+    def test_cancelled_keys_are_dropped_over_q(self):
+        out = QQ.accumulate({}, [("a", Fraction(1, 3)), ("b", 2),
+                                 ("a", Fraction(-1, 3)), ("b", -2)])
+        assert out == {}
+
+    def test_updates_in_place_and_returns_the_dict(self):
+        out = {"a": 1}
+        assert QQ.accumulate(out, [("b", 2)]) is out
+        assert out == {"a": 1, "b": 2}
+
+    def test_q_sums_stay_canonical(self):
+        out = QQ.accumulate({}, [("a", Fraction(1, 2)), ("a", Fraction(1, 2))])
+        assert out == {"a": 1}
+        assert type(out["a"]) is int
+
+    @pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+    def test_vector_arithmetic(self, field):
+        a = {"x": field.from_int(1), "y": field.from_int(2)}
+        b = {"x": field.from_int(-1), "z": field.from_int(1)}
+        assert vec_add(field, a, b) == {"y": field.from_int(2),
+                                        "z": field.from_int(1)}
+        assert vec_sub(field, a, a) == {}
+        assert vec_add(field, a, vec_neg(field, a)) == {}
+        assert vec_scale(field, 0, a) == {}
+        assert vec_scale(field, field.from_int(2), b) == \
+            vec_add(field, b, b)
+        assert a == {"x": field.from_int(1), "y": field.from_int(2)}

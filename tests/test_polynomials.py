@@ -8,7 +8,7 @@ monomial-basis section minus the constant monomial.
 import pytest
 from hypothesis import given, strategies as st
 
-from skewchain.fields import GF, QQ
+from skewchain.fields import GF, QQ, vec_add
 from skewchain.groups import cyclic_group, symmetric_group
 from skewchain.polynomials import (
     DimensionMismatch,
@@ -17,7 +17,6 @@ from skewchain.polynomials import (
     linear_part,
     monomials_of_degree,
     monomials_up_to,
-    poly_add,
     poly_mul,
     reduce_const,
     total_degree,
@@ -66,8 +65,8 @@ class TestArithmetic:
             assert poly_mul(field, f, g) == poly_mul(field, g, f)
             assert poly_mul(field, f, poly_mul(field, g, h)) == \
                 poly_mul(field, poly_mul(field, f, g), h)
-            assert poly_mul(field, f, poly_add(field, g, h)) == \
-                poly_add(
+            assert poly_mul(field, f, vec_add(field, g, h)) == \
+                vec_add(
                     field, poly_mul(field, f, g), poly_mul(field, f, h)
                 )
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from skewchain.complexes import ChainElement, ShapeMismatch, expand_term
-from skewchain.fields import GF, NonPrimeModulus, QQ
+from skewchain.fields import NonPrimeModulus, QQ
 from skewchain.groups import NoIdentity, NotAssociative, NotLatinSquare
 from skewchain.pbw import PBWParams
 from skewchain.serialize import (
