@@ -5,7 +5,9 @@ Exit codes form the machine contract:
 * 0 - all requested checks passed / the deformation is PBW,
 * 1 - a check failed / the deformation is not PBW,
 * 2 - the run could not be set up (bad config, bad shapes, missing data),
-* 3 - the three PBW deciders disagree (a bug, reported loudly).
+* 3 - the three PBW deciders disagree (a bug, reported loudly),
+* 4 - an internal error: any other exception (a bug); the report carries
+  an ``error`` object, as for exit 2, and the traceback goes to stderr.
 
 Reports go to stdout as canonical JSON (and to ``--json PATH`` when given);
 identical (config, seed) pairs produce byte-identical reports.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .fields import NonPrimeModulus
 from .groups import NoIdentity, NotAssociative, NotLatinSquare
@@ -53,6 +56,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DISAGREE = 3
+EXIT_INTERNAL = 4
 
 #: Everything that means "the run could not even be set up".
 CONFIG_ERRORS = (
@@ -242,6 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _error_report(command: str, e: Exception) -> dict:
+    return {"command": command,
+            "error": {"type": type(e).__name__, "detail": str(e)}}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -264,11 +273,10 @@ def main(argv=None) -> int:
         else:
             report, code = run_enumerate(cfg)
     except CONFIG_ERRORS as e:
-        report = {
-            "command": args.command,
-            "error": {"type": type(e).__name__, "detail": str(e)},
-        }
-        code = EXIT_CONFIG
+        report, code = _error_report(args.command, e), EXIT_CONFIG
+    except Exception as e:  # last resort: no exception may exit as 1
+        traceback.print_exc(file=sys.stderr)
+        report, code = _error_report(args.command, e), EXIT_INTERNAL
     text = canonical_json(report)
     sys.stdout.write(text)
     if args.json:

@@ -1,12 +1,15 @@
 """Small exact linear algebra over a Field: RREF, solving, incremental rank.
 
-Everything here is dense-list or sparse-dict based and exact; matrices stay
-small (a few hundred rows/columns), so no fraction-free tricks are needed.
+Everything here is dense-list or sparse-dict based and exact.  ``rref`` and
+``FactoredSolver`` eliminate over the field itself; ``IncrementalRank``,
+whose rational rows would otherwise fill with ever larger fractions, keeps
+them as primitive integer vectors and eliminates fraction-free.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import gcd, lcm
 
 from .fields import Field, scaled_pairs
 
@@ -120,10 +123,17 @@ class FactoredSolver:
 class IncrementalRank:
     """Sparse incremental row space: insert vectors, track the rank.
 
-    Rows are dicts {column: scalar} with the leading (minimum) column
-    normalized to 1.  ``insert`` reduces the vector against the current
-    basis and absorbs any nonzero residual; it returns the residual so
-    callers can detect dependence (empty dict) or collapse witnesses.
+    Rows are dicts {column: scalar} keyed by their leading (minimum)
+    column, and both fields share one exact elimination loop.  Over GF(p)
+    a row's lead is 1.  Over Q a row is a primitive integer vector (its
+    entries are coprime ints), and a vector v with lead b meets a row with
+    lead a as ``v <- a·v - b·row``, made primitive again by dividing out
+    the gcd of its entries, so no Fraction is created and no inverse taken
+    (fraction-free elimination, as in Bareiss, Math. Comp. 22, 1968).
+    ``insert`` reduces the vector against the current basis and absorbs
+    any nonzero residual; it returns the residual, a nonzero multiple of
+    the reduced vector, or ``{}`` exactly when the vector is already in
+    the span.
     """
 
     def __init__(self, field: Field):
@@ -135,15 +145,49 @@ class IncrementalRank:
         return len(self.rows)
 
     def insert(self, vec: dict) -> dict:
-        f = self.field
-        v = dict(vec)
+        p = self.field.char
+        rows = self.rows
+        v = dict(vec) if p else _primitive(vec)
         while v:
             lead = min(v)
-            row = self.rows.get(lead)
+            b = v[lead]
+            row = rows.get(lead)
             if row is None:
-                inv = f.inv(v[lead])
-                v = {c: f.mul(inv, x) for c, x in v.items()}
-                self.rows[lead] = v
+                if p and b != 1:
+                    inv = pow(b, -1, p)
+                    v = {c: x * inv % p for c, x in v.items()}
+                rows[lead] = v
                 return v
-            _sub_scaled(f, v, row, v[lead])
+            if p:
+                # v <- v - b·row; b·y is nonzero mod p, so a zero sum
+                # is always an existing entry
+                for c, y in row.items():
+                    s = (v.get(c, 0) - b * y) % p
+                    if s:
+                        v[c] = s
+                    else:
+                        del v[c]
+                continue
+            a = row[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                v = {c: a * x for c, x in v.items()}
+            for c, y in row.items():
+                s = v.get(c, 0) - b * y
+                if s:
+                    v[c] = s
+                else:
+                    del v[c]
+            g = gcd(*v.values())
+            if g > 1:
+                v = {c: x // g for c, x in v.items()}
         return v
+
+
+def _primitive(vec: dict) -> dict:
+    """The primitive integer multiple of a sparse vector over Q."""
+    den = lcm(*(x.denominator for x in vec.values()))
+    v = {c: x.numerator * (den // x.denominator) for c, x in vec.items()}
+    g = gcd(*v.values())
+    return {c: x // g for c, x in v.items()} if g > 1 else v

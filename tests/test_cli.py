@@ -13,6 +13,7 @@ import pytest
 
 from skewchain.cli import main
 from skewchain.pbw import PBWReport
+from skewchain.serialize import canonical_json
 
 from helpers import (
     NONASSOCIATIVE_TABLE,
@@ -199,6 +200,24 @@ class TestPBW:
         assert rep["agree"] is False
         assert rep["reports"]["five_conditions"]["verdict"] is True
         assert rep["reports"]["cohomological"]["verdict"] is False
+
+    def test_internal_error_exits_four(self, tmp_path, capsys, monkeypatch):
+        # Fault injection: any exception outside the setup errors is an
+        # internal error: exit 4 with a canonical JSON report on stdout,
+        # not a traceback with exit 1.
+        def crash(cfg, method):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr("skewchain.cli.run_pbw", crash)
+        cfg = write_json(tmp_path / "c.json",
+                         swap_q_config_doc(params=KAPPA_ONE))
+        code = main(["pbw", "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == canonical_json(
+            {"command": "pbw",
+             "error": {"type": "RuntimeError", "detail": "injected fault"}})
+        assert "RuntimeError: injected fault" in captured.err
 
 
 class TestApply:

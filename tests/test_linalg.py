@@ -6,6 +6,7 @@ column keys (downstream: chain-element basis tuples).
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -85,6 +86,87 @@ class TestIncrementalRank:
         inc.insert({(0, 1): 2, (1, 0): 1})
         inc.insert({(0, 1): 2, (1, 0): 3})
         assert inc.insert({(1, 0): 7}) == {}
+        assert inc.rank == 2
+
+
+def random_sparse_rows(field, rng, nrows=12, ncols=9):
+    """Dense rows, about 40 % nonzero; every other row combines earlier ones.
+
+    Over Q the independent rows carry fractions with numerators and
+    denominators up to 10**6.
+    """
+    def scalar():
+        if field.char:
+            return field.from_int(rng.randrange(1, field.char))
+        return field.div(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+    rows = []
+    for i in range(nrows):
+        if i % 2 and rows:
+            row = [0] * ncols
+            for src in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
+                c = scalar()
+                row = [field.add(a, field.mul(c, b)) for a, b in zip(row, src)]
+        else:
+            row = [scalar() if rng.random() < 0.4 else 0
+                   for _ in range(ncols)]
+        rows.append(row)
+    return rows
+
+
+def fraction_insert(field, rows, vec):
+    """Reference insert: eliminate by the stored rows scaled to lead 1."""
+    v = dict(vec)
+    while v:
+        lead = min(v)
+        if lead not in rows:
+            inv = field.inv(v[lead])
+            rows[lead] = {c: field.mul(inv, x) for c, x in v.items()}
+            return rows[lead]
+        b = v[lead]
+        for c, y in rows[lead].items():
+            s = field.sub(v.get(c, 0), field.mul(b, y))
+            if s:
+                v[c] = s
+            else:
+                v.pop(c, None)
+    return v
+
+
+class TestIncrementalRankProperties:
+    """IncrementalRank against rref and against Fraction elimination."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7)], ids=str)
+    def test_matches_rref_on_random_sparse_rows(self, field):
+        rng = random.Random(41 + field.char)
+        for _ in range(25):
+            rows = random_sparse_rows(field, rng)
+            inc = IncrementalRank(field)
+            ref: dict = {}
+            for i, row in enumerate(rows):
+                vec = {j: c for j, c in enumerate(row) if c != 0}
+                dependent = rank(field, rows[:i + 1]) == rank(field, rows[:i])
+                residual = inc.insert(vec)
+                assert (residual == {}) == dependent
+                want = fraction_insert(field, ref, vec)
+                # the residual is a nonzero multiple of the Fraction one
+                if residual:
+                    lead = min(residual)
+                    scale = field.inv(residual[lead])
+                    assert {c: field.mul(scale, x)
+                            for c, x in residual.items()} == want
+            assert inc.rank == rank(field, rows)
+            assert all(type(x) is int
+                       for row in inc.rows.values() for x in row.values())
+
+    def test_rational_rows_are_primitive_integer_vectors(self):
+        inc = IncrementalRank(QQ)
+        inc.insert({0: Fraction(1, 2), 3: Fraction(-2, 3)})
+        inc.insert({0: Fraction(5, 7), 2: 10**6})
+        assert inc.rows[0] == {0: 3, 3: -4}
+        # 3·(5/7, 10**6 at 2) - 5·row 0 = (21·10**6, 20) at (2, 3), content 20
+        assert inc.rows[2] == {2: 1050000, 3: 1}
+        assert inc.insert({2: Fraction(-1050000, 9), 3: Fraction(-1, 9)}) == {}
         assert inc.rank == 2
 
 

@@ -43,6 +43,7 @@ from helpers import (
     s3_refl_q,
     swap_gf2,
     swap_q,
+    v4_gf2,
     z3_trivial_gf3_n3,
     z3_unipotent_gf3,
 )
@@ -260,6 +261,40 @@ class TestOracle:
         w = ro.extras["witness"]
         assert w["relation"] == {"kind": "commutator", "i": 0, "j": 1}
         assert w["reduction"] == "(2)*g"
+
+
+def full_support_table(A, seed):
+    """Every kappa and lambda entry nonzero, each coefficient a seeded +-1."""
+    rng = random.Random(seed)
+    f, nv, order = A.field, A.nvars, A.group.order
+
+    def ga():
+        return {g: f.from_int(rng.choice((1, -1))) for g in range(order)}
+
+    return PBWParams(
+        A,
+        {(i, j): ga() for i in range(nv) for j in range(i + 1, nv)},
+        {(g, i): ga() for g in range(1, order) for i in range(nv)})
+
+
+class TestOraclePins:
+    """[verdict, dimension, rank] of the full rank on full-support tables.
+
+    The Q tables run the fraction-free elimination of IncrementalRank on
+    a rank-36 rational system; the mod-p tables pin the GF(3) and GF(2)
+    paths.
+    """
+
+    @pytest.mark.parametrize("make, seed, want", [
+        (s3_refl_q, 0, [False, 24, 36]),
+        (s3_refl_q, 1, [False, 24, 36]),
+        (z3_unipotent_gf3, 0, [False, 12, 18]),
+        (v4_gf2, 0, [False, 61, 19]),
+    ], ids=["s3_refl_q-0", "s3_refl_q-1", "z3_unipotent_gf3-0", "v4_gf2-0"])
+    def test_full_support_table(self, make, seed, want):
+        A = make()
+        ro = oracle_pbw(A, full_support_table(A, seed))
+        assert [ro.verdict, ro.extras["dimension"], ro.extras["rank"]] == want
 
 
 class TestThreeWayAgreement:
