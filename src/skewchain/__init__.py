@@ -19,6 +19,7 @@ from .fields import (
 from .groups import (
     FiniteGroup,
     GroupMismatch,
+    GroupTooLarge,
     NoIdentity,
     NotAssociative,
     NotLatinSquare,
@@ -79,7 +80,8 @@ __all__ = [
     "DivisionByZero", "FieldMismatch", "NonPrimeModulus",
     "FiniteGroup", "cyclic_group", "symmetric_group",
     "product_of_cyclic_groups", "group_from_config", "reduce_identity",
-    "GroupMismatch", "NoIdentity", "NotAssociative", "NotLatinSquare",
+    "GroupMismatch", "GroupTooLarge", "NoIdentity", "NotAssociative",
+    "NotLatinSquare",
     "LinearAction", "poly_mul", "reduce_const", "linear_part",
     "DimensionMismatch",
     "SkewAlgebra", "ContextMismatch",

@@ -31,19 +31,37 @@ class GroupMismatch(ValueError):
     """Raised when two structures built over different groups are combined."""
 
 
+class GroupTooLarge(ValueError):
+    """Raised when a group's order exceeds :data:`MAX_GROUP_ORDER`."""
+
+
+#: The largest group order accepted.  Validating a table checks
+#: associativity on all |G|^3 triples, and the complexes and the PBW oracle
+#: grow with powers of |G|, so a larger group would not finish; the bound
+#: is checked before any table is built.
+MAX_GROUP_ORDER = 120
+
+
+def _check_order(order: int) -> None:
+    if order > MAX_GROUP_ORDER:
+        raise GroupTooLarge(f"group order {order} exceeds the cap of "
+                            f"{MAX_GROUP_ORDER}")
+
+
 class FiniteGroup:
     """A finite group presented by its full multiplication table.
 
     ``table[a][b]`` is the index of the product a*b.  Construction validates
     the table: square shape with entries in range, identity at index 0,
     Latin-square rows and columns, and associativity (checked on all
-    triples; the orders used here are small).
+    triples, so the order is capped at :data:`MAX_GROUP_ORDER`).
     """
 
     __slots__ = ("order", "table", "inverse", "labels")
 
     def __init__(self, table, labels=None):
         n = len(table)
+        _check_order(n)
         if any(len(row) != n for row in table):
             raise ValueError("multiplication table must be square")
         for row in table:
@@ -123,6 +141,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     """Z/n with elements 0..n-1 under addition mod n."""
     if n < 1:
         raise ValueError("cyclic group order must be >= 1")
+    _check_order(n)
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     labels = ["e"] + [f"g{'^%d' % a if a > 1 else ''}" for a in range(1, n)]
     return FiniteGroup(table, labels)
@@ -135,6 +154,10 @@ def symmetric_group(n: int) -> FiniteGroup:
     identity ``01...`` sorts first.  Multiplication is composition,
     (p*q)(x) = p(q(x)).
     """
+    order = 1
+    for k in range(2, n + 1):  # n! with an early stop, never a huge product
+        order *= k
+        _check_order(order)
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     table = [
@@ -150,6 +173,10 @@ def product_of_cyclic_groups(orders) -> FiniteGroup:
     orders = list(orders)
     if not orders or any(not is_json_int(n) or n < 1 for n in orders):
         raise ValueError("orders must be a nonempty list of positive ints")
+    order = 1
+    for n in orders:
+        order *= n
+        _check_order(order)
     elems = list(itertools.product(*[range(n) for n in orders]))
     index = {e: i for i, e in enumerate(elems)}
     table = [
@@ -176,6 +203,8 @@ def group_from_config(cfg: dict) -> FiniteGroup:
     ``{"table": [[..]], "labels": [..]?}`` with 0-based indices and the
     identity at index 0.
     """
+    if not isinstance(cfg, dict):
+        raise TypeError(f"group block must be an object, got {cfg!r}")
     if "table" in cfg:
         return FiniteGroup(cfg["table"], cfg.get("labels"))
     family = cfg.get("family")

@@ -728,6 +728,23 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams, max_degree: int = 3,
     plus shorter sandwiches), "all_words" uses every legal word as a
     cross-check.  With ``early_exit`` the first nonzero reduction settles
     the verdict (dimension is then not computed and reported as None).
+
+    Each sandwich is factored through the left product: for every legal
+    word y and right word b,
+
+        NF(y·b)  =  sum over z of NF(y)[z] · NF(z·b).
+
+    Leftmost reduction makes this exact.  A redex of y·b inside y lies
+    left of the junction, and merging group letters at the junction
+    touches no redex (a pair ending in a group letter is never one), so
+    the rewriter brings y to normal form before it reaches b.  Hence
+    ``left = NF(a·r)`` is reduced once per left word a, every right word
+    is skipped when it vanishes, and the vectors come out the same and in
+    the same order as reducing each a·r·b whole.  A vector equal to one
+    already inserted lies in the span, so it is not inserted again, and a
+    left product met before with the same right words repeats all of its
+    vectors, so it is skipped whole; the rank, witness and dimension are
+    unchanged.
     """
     rw = _Rewriter(alg, params)
     f = alg.field
@@ -747,9 +764,26 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams, max_degree: int = 3,
     by_degree: dict = {}
     for w in pool:
         by_degree.setdefault(wdeg(w), []).append(w)
+    # right words of degree <= d, in the order of increasing degree
+    rights = [[b for db in range(d + 1) for b in by_degree.get(db, ())]
+              for d in range(max_degree + 1)]
 
     rank = IncrementalRank(f)
     witness = None
+
+    def report(r):
+        """The oracle's report at rank r (None after an early exit)."""
+        return PBWReport("oracle", r == 0, None, {
+            "dimension": None if r is None else len(nwords) - r,
+            "expected_dimension": expected,
+            "normal_words": len(nwords),
+            "rank": r,
+            "mode": mode,
+            "witness": witness,
+        })
+
+    seen_lefts = set()
+    seen_vecs = set()
     reduce = rw.reduce
     cat = rw.cat
     for tag, top, el in _relations(alg, params, rw):
@@ -758,47 +792,35 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams, max_degree: int = 3,
             continue
         for da in range(budget + 1):
             for a in by_degree.get(da, ()):
-                for db in range(budget - da + 1):
-                    for b in by_degree.get(db, ()):
-                        vec: dict = {}
-                        for w, c in el.items():
-                            red = reduce(cat(cat(a, w), b))
-                            f.accumulate(vec, scaled_pairs(f, c, red.items()))
-                        if not vec:
-                            continue
-                        vec = {index[w2]: c for w2, c in vec.items()}
-                        if witness is None:
-                            witness = {
-                                "left": list(a),
-                                "relation": tag,
-                                "right": list(b),
-                                "reduction": _format_words(alg, vec, nwords),
-                            }
-                        if early_exit:
-                            return PBWReport(
-                                "oracle", False, None,
-                                {
-                                    "dimension": None,
-                                    "expected_dimension": expected,
-                                    "normal_words": len(nwords),
-                                    "rank": None,
-                                    "mode": mode,
-                                    "witness": witness,
-                                },
-                            )
-                        rank.insert(vec)
-    dimension = len(nwords) - rank.rank
-    return PBWReport(
-        "oracle", rank.rank == 0, None,
-        {
-            "dimension": dimension,
-            "expected_dimension": expected,
-            "normal_words": len(nwords),
-            "rank": rank.rank,
-            "mode": mode,
-            "witness": witness,
-        },
-    )
+                left: dict = {}
+                for w, c in el.items():
+                    f.accumulate(left, scaled_pairs(f, c,
+                                                    reduce(cat(a, w)).items()))
+                key = (frozenset(left.items()), budget - da)
+                if not left or key in seen_lefts:
+                    continue
+                seen_lefts.add(key)
+                for b in rights[budget - da]:
+                    vec: dict = {}
+                    for z, c in left.items():
+                        f.accumulate(vec, scaled_pairs(
+                            f, c, reduce(cat(z, b)).items()))
+                    key = frozenset(vec.items())
+                    if not vec or key in seen_vecs:
+                        continue
+                    seen_vecs.add(key)
+                    vec = {index[w2]: c for w2, c in vec.items()}
+                    if witness is None:
+                        witness = {
+                            "left": list(a),
+                            "relation": tag,
+                            "right": list(b),
+                            "reduction": _format_words(alg, vec, nwords),
+                        }
+                    if early_exit:
+                        return report(None)
+                    rank.insert(vec)
+    return report(rank.rank)
 
 
 def _format_words(alg, vec: dict, nwords) -> str:

@@ -219,9 +219,13 @@ class LinearAction:
         dim = cfg["dim"]
         if not is_json_int(dim):
             raise TypeError(f"action dim must be an integer, got {dim!r}")
+        given = cfg.get("matrices", {})
+        if not isinstance(given, dict):
+            raise TypeError(f"action matrices must be an object, got "
+                            f"{given!r}")
         mats = {
             int(g): [[field.parse(v) for v in row] for row in rows]
-            for g, rows in cfg.get("matrices", {}).items()
+            for g, rows in given.items()
         }
         if all(g in mats or g == 0 for g in group.elements):
             return cls(field, group, dim, mats)

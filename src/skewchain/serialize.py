@@ -179,6 +179,9 @@ def params_from_config(alg: SkewAlgebra, cfg: dict) -> PBWParams:
     unknown = set(cfg) - {"kappa", "lambda"}
     if unknown:
         raise ConfigParseError(f"unknown params keys {sorted(unknown)}")
+    for key in ("kappa", "lambda"):
+        if not isinstance(cfg.get(key, []), list):
+            raise ConfigParseError(f"params {key!r} must be a list of entries")
     kappa = {}
     for entry in cfg.get("kappa", []):
         try:

@@ -17,6 +17,7 @@ Configurations used throughout the suite (N = dim V):
 """
 
 import itertools
+import random
 
 from skewchain.fields import GF, QQ
 from skewchain.groups import (
@@ -24,6 +25,7 @@ from skewchain.groups import (
     product_of_cyclic_groups,
     symmetric_group,
 )
+from skewchain.pbw import PBWParams
 from skewchain.polynomials import LinearAction
 from skewchain.skew import SkewAlgebra
 
@@ -112,6 +114,20 @@ def trivial_group_q(nvars: int = 2) -> SkewAlgebra:
     field, group = QQ, cyclic_group(1)
     action = LinearAction(field, group, nvars, {})
     return SkewAlgebra(field, group, action)
+
+
+def full_support_table(A, seed):
+    """Every kappa and lambda entry nonzero, each coefficient a seeded +-1."""
+    rng = random.Random(seed)
+    f, nv, order = A.field, A.nvars, A.group.order
+
+    def ga():
+        return {g: f.from_int(rng.choice((1, -1))) for g in range(order)}
+
+    return PBWParams(
+        A,
+        {(i, j): ga() for i in range(nv) for j in range(i + 1, nv)},
+        {(g, i): ga() for g in range(1, order) for i in range(nv)})
 
 
 #: The configuration battery of the chain-map acceptance runs.

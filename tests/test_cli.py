@@ -428,6 +428,13 @@ HOSTILE_CONFIGS = {
         "family": "product_of_cyclics", "orders": [True, 2]}},
     "action_dim_float": {"params": {}, "action": {
         "dim": 2.5, "matrices": {"1": [["0", "1"], ["1", "0"]]}}},
+    # found by tests/test_fuzz_cli.py; each exited 4 (internal error)
+    "group_block_list": {"params": {}, "group": [1, "a"]},
+    "group_block_string": {"params": {}, "group": "x"},
+    "action_matrices_not_an_object": {"params": {}, "action": {
+        "dim": 2, "matrices": True}},
+    "kappa_not_a_list": {"params": {"kappa": 1.5}},
+    "lambda_null": {"params": {"lambda": None}},
 }
 
 
@@ -448,6 +455,20 @@ def test_enumerate_cap_must_be_an_integer(cap, tmp_path, capsys):
     assert code == 2
     assert rep["error"] == {"type": "ConfigParseError",
                             "detail": "enumerate cap must be an integer"}
+
+
+@pytest.mark.parametrize("group", [
+    {"family": "cyclic", "n": 1000},
+    {"family": "symmetric", "n": 8},
+    {"family": "product_of_cyclics", "orders": [10, 10, 10]},
+    {"table": [[0]] * 121},
+], ids=["cyclic", "symmetric", "product_of_cyclics", "table"])
+def test_oversized_group_is_a_setup_error(group, tmp_path, capsys):
+    cfg = write_json(tmp_path / "c.json", swap_q_config_doc(group=group))
+    code, rep, _ = run_cli(capsys, ["pbw", "oracle", "--config", cfg])
+    assert code == 2
+    assert rep["error"]["type"] == "ConfigParseError"
+    assert "exceeds the cap of 120" in rep["error"]["detail"]
 
 
 def test_oversized_modulus_is_a_setup_error(tmp_path, capsys):

@@ -1,0 +1,153 @@
+"""Fuzz the CLI exit-code contract on small, partly malformed configs.
+
+Hypothesis draws config documents: a field, a group, an action, a params
+block and budgets, each either well-formed (from a handful of small
+algebras) or replaced by a value of the wrong shape.  ``pbw oracle`` and
+``pbw all`` run on each through :func:`skewchain.cli.main`; the contract
+is an exit code in {0, 1, 2, 3} (4 would be an internal error, a bug) and
+one canonical JSON report on stdout.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from skewchain.cli import main
+from skewchain.serialize import canonical_json
+
+#: Values of the wrong shape, put in place of any block or entry.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.just(1.5),
+    st.sampled_from(["", "x", "1/0", "-1"]), st.just([]), st.just([1, "a"]),
+    st.just({}), st.just({"a": 1}),
+)
+
+
+def mostly(good, bad=JUNK):
+    """``good`` nine draws in ten, else ``bad``.
+
+    The rare branch sits on the last value: Hypothesis draws the simplest
+    choice (0) more often than its share, and that should be the good one.
+    """
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 9 else good)
+
+
+FIELDS = st.sampled_from(["Q", "GF(2)", "GF(3)", "GF(5)", "GF(4)", "GF(1)",
+                          "GF(-3)", "GF(x)", " Q ", "R"])
+
+GROUPS = st.one_of(
+    st.fixed_dictionaries({
+        "family": st.sampled_from(["cyclic", "symmetric", "dihedral"]),
+        "n": st.one_of(st.integers(-1, 3), st.just(10 ** 6), JUNK)}),
+    st.fixed_dictionaries({
+        "family": st.just("product_of_cyclics"),
+        "orders": st.one_of(st.lists(st.integers(-1, 2), max_size=3),
+                            JUNK)}),
+    st.fixed_dictionaries({"table": st.sampled_from([
+        [[0, 1], [1, 0]], [[0]], [[0, 1], [1, 1]], [[1, 0], [0, 1]],
+        [[0, 1]], [[0, 2], [2, 0]], [["0"]], []])}),
+    JUNK,
+)
+
+SCALARS = mostly(st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4"]),
+                 st.sampled_from(["1/0", "a", "", 1, None]))
+
+MATRICES = st.one_of(
+    st.dictionaries(
+        st.sampled_from(["1", "2", "0", "-1", "a", "5"]),
+        st.one_of(
+            st.sampled_from([
+                [["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "-1"]],
+                [["1", "1"], ["0", "1"]], [["1", "0"], ["0", "1"]],
+                [["0", "0"], ["0", "0"]], [["1"]], [["1", "2", "3"]]]),
+            st.lists(st.lists(SCALARS, max_size=2), max_size=2),
+            JUNK),
+        max_size=2),
+    JUNK,
+)
+
+ACTIONS = st.one_of(
+    st.fixed_dictionaries({"dim": st.one_of(st.integers(-1, 2), JUNK)},
+                          optional={"matrices": MATRICES}),
+    JUNK,
+)
+
+def index(lo, hi):
+    """An index in [lo, hi] (in range for two variables and order 2),
+    else one out of range or of the wrong type."""
+    return mostly(st.integers(lo, hi), st.one_of(st.integers(-1, 3), JUNK))
+
+
+GA_VALUES = mostly(st.lists(
+    mostly(st.tuples(index(0, 1), SCALARS).map(list)), min_size=1,
+    max_size=3))
+
+PARAMS = mostly(st.fixed_dictionaries({}, optional={
+    "kappa": mostly(st.lists(mostly(st.fixed_dictionaries(
+        {"i": index(0, 0), "j": index(1, 1)},
+        optional={"value": GA_VALUES})), min_size=1, max_size=2)),
+    "lambda": mostly(st.lists(mostly(st.fixed_dictionaries(
+        {"g": index(1, 1), "i": index(0, 1)},
+        optional={"value": GA_VALUES})), min_size=1, max_size=3)),
+}))
+
+BUDGETS = mostly(st.fixed_dictionaries({}, optional={
+    "j_max": mostly(st.integers(3, 4), st.integers(-1, 2)),
+    "seed": mostly(st.integers(0, 5), JUNK),
+    "samples": mostly(st.integers(0, 2), st.integers(-2, -1)),
+}))
+
+#: Well-formed documents, so that a share of the draws reach the deciders.
+BASES = [
+    {"field": "Q", "group": {"family": "cyclic", "n": 2},
+     "action": {"dim": 2, "matrices": {"1": [["0", "1"], ["1", "0"]]}}},
+    {"field": "GF(2)", "group": {"family": "cyclic", "n": 2},
+     "action": {"dim": 2, "matrices": {"1": [["0", "1"], ["1", "0"]]}}},
+    {"field": "GF(3)", "group": {"family": "cyclic", "n": 3},
+     "action": {"dim": 2, "matrices": {"1": [["1", "1"], ["0", "1"]]}}},
+    {"field": "Q", "group": {"family": "cyclic", "n": 1},
+     "action": {"dim": 2}},
+]
+
+
+@st.composite
+def config_docs(draw):
+    doc = dict(draw(st.sampled_from(BASES)))
+    for key, blocks in (("field", FIELDS), ("group", GROUPS),
+                        ("action", ACTIONS)):
+        if draw(st.integers(0, 9)) == 9:
+            doc[key] = draw(blocks)
+    doc["params"] = draw(PARAMS)
+    if draw(st.booleans()):
+        doc["budgets"] = draw(BUDGETS)
+    if draw(st.integers(0, 19)) == 19:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    if draw(st.integers(0, 19)) == 19:
+        doc = draw(JUNK)
+    return doc
+
+
+def run_main(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("method", ["oracle", "all"])
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=config_docs())
+def test_pbw_exit_code_contract(method, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code, out = run_main(["pbw", method, "--config", str(cfg)])
+    assert code in (0, 1, 2, 3), (code, out)
+    assert out == canonical_json(json.loads(out))

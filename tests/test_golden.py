@@ -21,9 +21,11 @@ from pathlib import Path
 import pytest
 
 from skewchain.cli import main
+from skewchain.serialize import RunConfig, params_to_config
 
 from helpers import (
     NONASSOCIATIVE_TABLE,
+    full_support_table,
     neg_id_q_config_doc,
     swap_q_config_doc,
 )
@@ -42,6 +44,27 @@ Z3_UNIPOTENT_GF3 = {
     "action": {"dim": 2, "matrices": {"1": [["1", "1"], ["0", "1"]]}},
     "budgets": dict(SMALL_BUDGETS, seed=5),
 }
+
+V4_GF2 = {
+    "field": "GF(2)",
+    "group": {"family": "product_of_cyclics", "orders": [2, 2]},
+    "action": {"dim": 3, "matrices": {
+        "2": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+        "1": [["1", "0", "1"], ["0", "1", "1"], ["0", "0", "1"]]}},
+}
+
+Z4_ROT_Q = {
+    "field": "Q",
+    "group": {"family": "cyclic", "n": 4},
+    "action": {"dim": 2, "matrices": {"1": [["0", "-1"], ["1", "0"]]}},
+}
+
+
+def with_full_support(doc, seed):
+    """``doc`` with the params of ``helpers.full_support_table``."""
+    alg = RunConfig.from_dict(doc).algebra
+    return dict(doc, params=params_to_config(full_support_table(alg, seed)))
+
 
 #: One input element per map, each in the map's domain and with more than
 #: one term or a non-unit outer slot where the complex allows it.
@@ -86,6 +109,12 @@ def _cases():
         for method in ("all", "oracle"):
             cases[f"pbw_{method}_{label}_swap_q"] = (
                 ["pbw", method], swap_q_config_doc(params=params), None)
+    for label, doc in (("z3_unipotent_gf3", Z3_UNIPOTENT_GF3),
+                       ("v4_gf2", V4_GF2), ("z4_rot_q", Z4_ROT_Q)):
+        cases[f"pbw_oracle_full_{label}"] = (
+            ["pbw", "oracle"], with_full_support(doc, 0), None)
+    cases["pbw_all_full_z3_unipotent_gf3"] = (
+        ["pbw", "all"], with_full_support(Z3_UNIPOTENT_GF3, 0), None)
     for name, doc in APPLY_INPUTS.items():
         cases[f"apply_{name}_swap_q"] = (["apply", name],
                                          swap_q_config_doc(), doc)

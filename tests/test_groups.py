@@ -9,7 +9,9 @@ from hypothesis import given, strategies as st
 
 from skewchain.fields import GF, QQ, vec_add, vec_scale
 from skewchain.groups import (
+    MAX_GROUP_ORDER,
     FiniteGroup,
+    GroupTooLarge,
     NoIdentity,
     NotAssociative,
     NotLatinSquare,
@@ -85,6 +87,34 @@ class TestConstruction:
         for g in gs:
             acc = G.mul(acc, g)
         assert G.prod(gs) == acc
+
+
+class TestOrderCap:
+    """Group orders above MAX_GROUP_ORDER are refused before any table.
+
+    Each config below once ran for hours (O(n^3) associativity) or built a
+    table of 40320^2 entries; now each is refused at once.
+    """
+
+    @pytest.mark.parametrize("cfg", [
+        {"family": "cyclic", "n": 1000},
+        {"family": "cyclic", "n": 10 ** 18},
+        {"family": "symmetric", "n": 8},
+        {"family": "symmetric", "n": 10 ** 9},
+        {"family": "product_of_cyclics", "orders": [10, 10, 10]},
+        {"family": "product_of_cyclics", "orders": [2] * 64},
+        {"table": [[0]] * (MAX_GROUP_ORDER + 1)},
+    ], ids=["cyclic", "cyclic_huge", "symmetric", "symmetric_huge",
+            "product", "product_many", "table"])
+    def test_large_order_refused(self, cfg):
+        with pytest.raises(GroupTooLarge, match="exceeds the cap"):
+            group_from_config(cfg)
+
+    def test_cap_itself_is_allowed(self):
+        assert MAX_GROUP_ORDER == 120
+        assert symmetric_group(5).order == MAX_GROUP_ORDER
+        with pytest.raises(GroupTooLarge):
+            cyclic_group(MAX_GROUP_ORDER + 1)
 
 
 def ga_elements(field, order):

@@ -23,12 +23,15 @@ from math import comb
 
 import pytest
 
+from skewchain import linalg
 from skewchain.chainmaps import get_pi_solver, iota, pi
 from skewchain.cochains import Cochain, coboundary, transport_up
 from skewchain.complexes import ChainElement, random_twisted_slots
 from skewchain.pbw import (
     PBWParams,
     SearchSpaceTooLarge,
+    _Rewriter,
+    _all_words,
     _normal_words,
     check_all,
     check_cohomological,
@@ -39,6 +42,7 @@ from skewchain.pbw import (
 
 from helpers import (
     PBW_CONFIGS,
+    full_support_table,
     neg_id_q,
     s3_refl_q,
     swap_gf2,
@@ -263,20 +267,6 @@ class TestOracle:
         assert w["reduction"] == "(2)*g"
 
 
-def full_support_table(A, seed):
-    """Every kappa and lambda entry nonzero, each coefficient a seeded +-1."""
-    rng = random.Random(seed)
-    f, nv, order = A.field, A.nvars, A.group.order
-
-    def ga():
-        return {g: f.from_int(rng.choice((1, -1))) for g in range(order)}
-
-    return PBWParams(
-        A,
-        {(i, j): ga() for i in range(nv) for j in range(i + 1, nv)},
-        {(g, i): ga() for g in range(1, order) for i in range(nv)})
-
-
 class TestOraclePins:
     """[verdict, dimension, rank] of the full rank on full-support tables.
 
@@ -295,6 +285,79 @@ class TestOraclePins:
         A = make()
         ro = oracle_pbw(A, full_support_table(A, seed))
         assert [ro.verdict, ro.extras["dimension"], ro.extras["rank"]] == want
+
+
+class TestOracleFactoring:
+    """The identity the oracle factors every sandwich a·r·b through:
+
+        NF(y·b)  =  sum over z of NF(y)[z] · NF(z·b)
+
+    for legal words y, b under leftmost reduction, also on the non-PBW
+    tables, where the rewriting system is not confluent.
+    """
+
+    @staticmethod
+    def _word_pairs(A, rng, count):
+        """Random legal (y, b) of total degree <= 3, a third of them with
+        b opening on the inverse of the group letter y ends in."""
+        nv, group = A.nvars, A.group
+
+        def deg(w):
+            return sum(1 for x in w if x < nv)
+
+        words = sorted(_all_words(A, 3), key=deg)
+        upto = {d: [w for w in words if deg(w) <= d] for d in range(4)}
+        plain = {d: [w for w in ws if not (w and w[0] >= nv)]
+                 for d, ws in upto.items()}
+        pairs = []
+        while len(pairs) < count:
+            y = rng.choice(words)
+            room = 3 - deg(y)
+            if len(pairs) % 3:
+                pairs.append((y, rng.choice(upto[room])))
+            elif y and y[-1] >= nv:
+                pairs.append((y, (nv + group.inv(y[-1] - nv),)
+                              + rng.choice(plain[room])))
+        return pairs
+
+    @pytest.mark.parametrize("make", [swap_gf2, v4_gf2, z3_unipotent_gf3,
+                                      swap_q, s3_refl_q],
+                             ids=["swap_gf2", "v4_gf2", "z3_unipotent_gf3",
+                                  "swap_q", "s3_refl_q"])
+    def test_right_factor_identity(self, make):
+        A = make()
+        f = A.field
+        rng = random.Random(29)
+        tables = [full_support_table(A, 3)]
+        tables += [PBWParams.random(A, rng) for _ in range(2)]
+        merged = 0
+        for params in tables:
+            rw = _Rewriter(A, params)
+            for y, b in self._word_pairs(A, rng, 120):
+                yb = rw.cat(y, b)
+                merged += len(yb) == len(y) + len(b) - 2
+                factored = f.accumulate({}, (
+                    (w, f.mul(c, d)) for z, c in rw.reduce(y).items()
+                    for w, d in rw.reduce(rw.cat(z, b)).items()))
+                assert rw.reduce(yb) == factored, (params.kappa, params.lam,
+                                                   y, b)
+        assert merged >= 3 * 40
+
+    def test_each_inserted_vector_is_new(self, monkeypatch):
+        A = v4_gf2()
+        inserted = []
+        insert = linalg.IncrementalRank.insert
+
+        def spy(self, vec):
+            inserted.append(frozenset(vec.items()))
+            return insert(self, vec)
+
+        monkeypatch.setattr(linalg.IncrementalRank, "insert", spy)
+        ro = oracle_pbw(A, full_support_table(A, 0))
+        assert [ro.verdict, ro.extras["dimension"], ro.extras["rank"]] == \
+            [False, 61, 19]
+        assert len(inserted) >= ro.extras["rank"]
+        assert len(set(inserted)) == len(inserted)
 
 
 class TestThreeWayAgreement:
