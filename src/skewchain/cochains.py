@@ -25,6 +25,12 @@ Evaluating a cochain on an element whose tag differs from the cochain's
 domain gives zero (cochains are extended by zero to other degrees and
 bidegrees), which is what makes evaluation against the mixed-degree
 outputs of pi well defined.
+
+Two intermediate results depend on the algebra alone, not on any cochain:
+the bar differential of a free basis element and the ``free_decompose``
+split of a twisted term.  They are memoized on the algebra
+(``_bar_diff_memo``, ``_free_decompose_memo``), so the fresh cochains that
+``pbw.check_cohomological`` builds for every parameter table share them.
 """
 
 from __future__ import annotations
@@ -97,7 +103,12 @@ class Cochain:
                 v = alg.mul(v, {slots[-1]: 1})
             return v
         f = alg.field
-        a, items, b = free_decompose(alg, self.tag, slots)
+        memo = alg._free_decompose_memo
+        split = memo.get((self.tag, slots))
+        if split is None:
+            split = free_decompose(alg, self.tag, slots)
+            memo[(self.tag, slots)] = split
+        a, items, b = split
         acc: dict = {}
         for c2, key in items:
             f.accumulate(acc, scaled_pairs(f, c2, self.value(key).items()))
@@ -134,12 +145,16 @@ def coboundary(f: Cochain) -> Cochain:
         raise ShapeMismatch("coboundary needs a bar-resolution cochain")
     alg = f.alg
     n = f.tag[1]
+    memo = alg._bar_diff_memo
 
     def fn(inner):
-        x = ChainElement.basis(
-            alg, ("barskew", n + 1), free_slots_barskew(alg, inner)
-        )
-        return f.eval_element(bar_diff(x))
+        key = (n + 1, inner)
+        dx = memo.get(key)
+        if dx is None:
+            dx = bar_diff(ChainElement.basis(
+                alg, ("barskew", n + 1), free_slots_barskew(alg, inner)))
+            memo[key] = dx
+        return f.eval_element(dx)
 
     return Cochain(alg, ("barskew", n + 1), fn)
 

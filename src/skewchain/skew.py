@@ -46,6 +46,9 @@ class SkewAlgebra:
         #: basis pair acting as 1 = (constant monomial, identity element)
         self.unit_pair = (self.zero_exp, 0)
         self._pair_memo: dict = {}
+        #: parameter-free results shared by all cochains (see cochains.py)
+        self._free_decompose_memo: dict = {}
+        self._bar_diff_memo: dict = {}
 
     def require_same(self, other: "SkewAlgebra") -> None:
         if self is other:

@@ -386,6 +386,23 @@ class TestThreeWayAgreement:
             assert all(c["witness"] is None for c in rep.per_condition)
 
 
+class TestSharedMemos:
+    @pytest.mark.parametrize("name", ["v4_gf2", "z3_unipotent_gf3"])
+    def test_cohomological_report_does_not_depend_on_earlier_tables(
+            self, name):
+        """The algebra memoizes what no table changes (pi and iota images,
+        bar differentials of basis elements, free_decompose splits), so a
+        table decided after others must get the report of a fresh algebra."""
+        warm = PBW_CONFIGS[name]()
+        rng = random.Random(7)
+        for _ in range(6):
+            p = PBWParams.random(warm, rng)
+            cold = PBW_CONFIGS[name]()
+            fresh = check_cohomological(cold, PBWParams(cold, p.kappa, p.lam))
+            assert (check_cohomological(warm, p).to_json_dict()
+                    == fresh.to_json_dict())
+
+
 class TestEnumerate:
     def test_neg_id_all_four_kappa_choices_pass(self):
         A = neg_id_q()
