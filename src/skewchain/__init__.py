@@ -52,13 +52,12 @@ from .chainmaps import (
     DegreeOutOfRange,
     awg,
     ezg,
-    get_pi_solver,
     iota,
     iota_s,
     pi,
     pi_s,
 )
-from .cochains import Cochain, bracket, circle, coboundary, cup
+from .cochains import Cochain, circle, coboundary
 from .pbw import (
     MissingParams,
     PBWParams,
@@ -88,8 +87,8 @@ __all__ = [
     "ChainElement", "ChainVector", "ShapeMismatch", "expand_term",
     "bar_diff", "koszul_diff", "twisted_diff", "diff", "bimodule_act",
     "awg", "ezg", "iota_s", "pi_s", "iota", "pi",
-    "get_pi_solver", "verify_chainmap", "DegreeOutOfRange",
-    "Cochain", "coboundary", "circle", "bracket", "cup",
+    "verify_chainmap", "DegreeOutOfRange",
+    "Cochain", "coboundary", "circle",
     "PBWParams", "PBWReport", "check_five", "check_cohomological",
     "oracle_pbw", "check_all", "enumerate_pbw",
     "MissingParams", "SearchSpaceTooLarge",

@@ -22,11 +22,13 @@ On top of these sit the Koszul comparison maps:
 
 * ``iota_s`` — antisymmetrizer from the Koszul resolution of S into its bar
   resolution (a G-equivariant chain map);
-* :class:`PiSolver` — the reverse direction, built degree by degree: the
-  identity in degrees 0, the divided-difference formula in degree 1, and
-  for j >= 2 a deterministic linear solve of d ∘ pi_j = pi_{j-1} ∘ d inside
-  each polynomial grade (the per-grade differential matrix is factored once
-  and reused).  pi_s ∘ iota_s = id then holds degreewise;
+* ``pi_s`` — the reverse direction, the closed-form map Psi of
+  Shepler-Witherspoon ("Quantum differentiation and chain maps of bimodule
+  complexes", Algebra & Number Theory 5, 2011) in the commutative case:
+  each term is a monomial prefix ⊗ a wedge of variables ⊗ a monomial
+  suffix (see ``_psi``).  It is the identity in degree 0, divided
+  differences in degree 1 and zero above N, and pi_s ∘ iota_s = id holds
+  on the nose;
 * ``iota = ezg ∘ (id ⊗ iota_s)`` and ``pi = (id ⊗ pi_s) ∘ awg``, the induced
   splitting between the bar resolution of A and the twisted product with
   the Koszul resolution.
@@ -42,22 +44,13 @@ from .complexes import (
     ChainElement,
     ChainVector,
     ShapeMismatch,
-    bar_diff,
     bimodule_act,
     free_decompose,
-    koszul_faces,
     linear_map,
     tensor_expand,
 )
 from .fields import scaled_pairs
-from .linalg import FactoredSolver
-from .polynomials import (
-    monomial_mul,
-    monomials_of_degree,
-    poly_mul,
-    total_degree,
-    var_exp,
-)
+from .polynomials import monomial_mul, poly_mul, var_exp
 from .skew import SkewAlgebra
 
 
@@ -269,148 +262,57 @@ def iota_s(x) -> ChainVector:
                      lambda d: _antisymmetrize(nv, d))
 
 
-class PiSolver:
-    """Degreewise construction of pi_s : BarS_j -> Koszul_j.
+def _psi(nvars: int, inner):
+    """Psi on a free bar tuple x^{α^1} ⊗ ... ⊗ x^{α^n}, as ((L, w, R), sign).
 
-    Free-basis values are produced on demand and memoized:
-
-    * j = 0: identity;
-    * j = 1: the divided-difference formula — for a monomial m with sorted
-      variable word u_1..u_d, pi(1⊗m⊗1) = sum_t u_1..u_{t-1} ⊗ u_t ⊗
-      u_{t+1}..u_d;
-    * j >= 2: the unique-up-to-boundaries solution of
-      d ∘ pi_j = pi_{j-1} ∘ d inside the polynomial grade of the input
-      tuple, with free variables pinned to zero (deterministic).  The
-      right-hand side lies in the image by Koszul exactness, and the grade's
-      differential matrix is factored once and shared by all tuples.
-    * j > N (the number of variables): zero, which still satisfies the
-      chain-map equation because the degree-N Koszul differential is
-      injective.
+    The closed form is (-1)^{n(n-1)/2} times the sum over variables
+    j_1 > ... > j_n with α^k_{j_k} >= 1 and over 0 <= β_k < α^k_{j_k} of
+    x^L ⊗ x_{j_n} ∧ ... ∧ x_{j_1} ⊗ x^R, where slot k gives L its variables
+    below j_k and β_k copies of x_{j_k}, and gives R the other
+    α^k_{j_k} - β_k - 1 copies and its variables above j_k.  The terms are
+    distinct; the signs are the ints 1 and -1, as in ``_antisymmetrize``.
     """
-
-    def __init__(self, alg: SkewAlgebra, j_max: int = 4):
-        self.alg = alg
-        self.j_max = j_max
-        self._values: dict = {}
-        self._basis: dict = {}
-        self._solvers: dict = {}
-
-    def koszul_basis(self, j: int, grade: int):
-        """Basis slots of Koszul_j in one polynomial grade, fixed order."""
-        key = (j, grade)
-        hit = self._basis.get(key)
-        if hit is None:
-            nv = self.alg.nvars
-            hit = [
-                (m0, w, m1)
-                for w in itertools.combinations(range(nv), j)
-                for da in range(grade - j + 1)
-                for m0 in monomials_of_degree(nv, da)
-                for m1 in monomials_of_degree(nv, grade - j - da)
-            ]
-            self._basis[key] = hit
-        return hit
-
-    def _grade_solver(self, j: int, grade: int) -> FactoredSolver:
-        key = (j, grade)
-        hit = self._solvers.get(key)
-        if hit is None:
-            alg = self.alg
-            cols = self.koszul_basis(j, grade)
-            rows = self.koszul_basis(j - 1, grade)
-            row_index = {s: r for r, s in enumerate(rows)}
-            matrix = [[0] * len(cols) for _ in rows]
-            for cidx, slots in enumerate(cols):
-                # the terms of one basis term's differential are distinct
-                for s2, v in koszul_faces(alg, [(slots, 1)], 0):
-                    matrix[row_index[s2]][cidx] = v
-            hit = FactoredSolver(alg.field, matrix)
-            self._solvers[key] = hit
-        return hit
-
-    def pi_free(self, mbar: tuple) -> dict:
-        """Value on the free basis tuple, as {koszul slots: scalar}."""
-        j = len(mbar)
-        if j > self.j_max:
-            raise DegreeOutOfRange(
-                f"pi_s needs bar degree <= {self.j_max}, got {j}"
-            )
-        alg = self.alg
-        zero = alg.zero_exp
-        if j == 0:
-            return {(zero, (), zero): 1}
-        if j > alg.nvars:
-            return {}
-        hit = self._values.get(mbar)
-        if hit is not None:
-            return hit
-        f = alg.field
-        if j == 1:
-            word = [
-                i for i, e in enumerate(mbar[0]) for _ in range(e)
-            ]
-
-            def monomial(letters):
-                e = [0] * alg.nvars
-                for v in letters:
-                    e[v] += 1
-                return tuple(e)
-
-            out = f.accumulate({}, (
-                ((monomial(word[:t]), (word[t],), monomial(word[t + 1:])), 1)
-                for t in range(len(word))))
-            self._values[mbar] = out
-            return out
-        # j >= 2: solve within the grade of the input tuple
-        free = ChainElement.basis(
-            alg, ("bars", j), (zero,) + mbar + (zero,)
-        )
-        rhs = f.accumulate({}, (
-            (key, f.mul(c, v))
-            for slots2, c in bar_diff(free).terms.items()
-            for key, v in self.pi_term(slots2)))
-        grade = sum(total_degree(m) for m in mbar)
-        rows = self.koszul_basis(j - 1, grade)
-        bvec = [rhs.get(s, 0) for s in rows]
-        xvec = self._grade_solver(j, grade).solve(bvec)
-        cols = self.koszul_basis(j, grade)
-        out = {cols[c]: v for c, v in enumerate(xvec) if v != 0}
-        self._values[mbar] = out
-        return out
-
-    def pi_term(self, slots: tuple):
-        """pi_s of a bar term (m0, *mids, m1) as ((m0 a, w, b m1), scalar)."""
-        m0 = slots[0]
-        m1 = slots[-1]
-        value = self.pi_free(slots[1:-1])
-        zero = self.alg.zero_exp
-        if m0 == zero and m1 == zero:
-            return value.items()
-        return [((monomial_mul(m0, a), w, monomial_mul(b, m1)), v)
-                for (a, w, b), v in value.items()]
+    n = len(inner)
+    zero = (0,) * nvars
+    # (bound on the next j_k, L, w, R) of each choice for the slots so far
+    partial = [(nvars, zero, (), zero)]
+    for alpha in inner:
+        # slot k's share (L part, R part) of each choice of j_k and β_k
+        shares = [[(alpha[:j] + (beta,) + zero[j + 1:],
+                    zero[:j] + (alpha[j] - beta - 1,) + alpha[j + 1:])
+                   for beta in range(alpha[j])] for j in range(nvars)]
+        partial = [(j, monomial_mul(L, left), (j,) + w, monomial_mul(R, right))
+                   for top, L, w, R in partial for j in range(top)
+                   for left, right in shares[j]]
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return [((L, w, R), sign) for _, L, w, R in partial]
 
 
-def get_pi_solver(alg: SkewAlgebra, j_max: int = 4) -> PiSolver:
-    """The per-context PiSolver, created lazily.
+def _pi_s_term(alg: SkewAlgebra, slots):
+    """pi_s of a bar term (m0, *inner, m1): Psi(inner) shifted by m0 and m1.
 
-    A larger ``j_max`` raises the bound of the existing solver, which keeps
-    its memoized values: they do not depend on the bound.
+    Psi values are memoized on the algebra by inner tuple.
     """
-    solver = getattr(alg, "_pi_solver", None)
-    if solver is None:
-        solver = PiSolver(alg, j_max)
-        alg._pi_solver = solver
-    solver.j_max = max(solver.j_max, j_max)
-    return solver
+    inner = slots[1:-1]
+    value = alg._psi_memo.get(inner)
+    if value is None:
+        value = alg.field.accumulate({}, _psi(alg.nvars, inner))
+        alg._psi_memo[inner] = value
+    m0, m1 = slots[0], slots[-1]
+    zero = alg.zero_exp
+    if m0 == zero and m1 == zero:
+        return value.items()
+    return [((monomial_mul(m0, a), w, monomial_mul(b, m1)), v)
+            for (a, w, b), v in value.items()]
 
 
 @linear_map
-def pi_s(x, solver: PiSolver | None = None) -> ChainVector:
+def pi_s(x) -> ChainVector:
     """The splitting BarS_j -> Koszul_j (an S-bimodule chain map)."""
     if x.tag[0] != "bars":
         raise ShapeMismatch(f"pi_s expects bars elements, got {x.tag}")
-    solver = solver or get_pi_solver(x.alg)
-    return _termwise(x, ("koszul", x.tag[1]), 0, solver.pi_term)
+    return _termwise(x, ("koszul", x.tag[1]), 0,
+                     lambda s: _pi_s_term(x.alg, s))
 
 
 # -- the induced maps on the twisted product -------------------------------
@@ -427,23 +329,23 @@ def id_tensor_iota_s(x) -> ChainVector:
 
 
 @linear_map
-def id_tensor_pi_s(x, solver: PiSolver | None = None) -> ChainVector:
+def id_tensor_pi_s(x) -> ChainVector:
     """Apply pi_s to the D-part of twisted(bar) terms."""
     kind, i, j, dkind = x.tag
     if kind != "twisted" or dkind != "bar":
         raise ShapeMismatch(f"expected twisted(bar), got {x.tag}")
-    solver = solver or get_pi_solver(x.alg)
-    return _termwise(x, ("twisted", i, j, "koszul"), i + 2, solver.pi_term)
+    return _termwise(x, ("twisted", i, j, "koszul"), i + 2,
+                     lambda s: _pi_s_term(x.alg, s))
 
 
-def iota(x, solver: PiSolver | None = None) -> ChainVector:
+def iota(x) -> ChainVector:
     """The section X_{i,j} -> BarSkew_{i+j} (ezg after id ⊗ iota_s)."""
     return ezg(id_tensor_iota_s(x))
 
 
-def pi(x, solver: PiSolver | None = None) -> ChainVector:
+def pi(x) -> ChainVector:
     """The retraction BarSkew_n -> sum of X_{i,j} (id ⊗ pi_s after awg)."""
-    return id_tensor_pi_s(awg(x), solver)
+    return id_tensor_pi_s(awg(x))
 
 
 #: The domain complex family of each named map, in report order.
@@ -457,15 +359,8 @@ MAP_DOMAINS = {
 }
 
 
-def map_by_name(name: str, solver: PiSolver | None = None):
-    fns = {
-        "awg": awg,
-        "ezg": ezg,
-        "iota_s": iota_s,
-        "pi_s": lambda x: pi_s(x, solver),
-        "iota": lambda x: iota(x, solver),
-        "pi": lambda x: pi(x, solver),
-    }
-    if name not in fns:
+def map_by_name(name: str):
+    # each key of MAP_DOMAINS is the name of a map defined in this module
+    if name not in MAP_DOMAINS:
         raise ValueError(f"unknown map {name!r}")
-    return fns[name]
+    return globals()[name]

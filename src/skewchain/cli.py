@@ -27,7 +27,6 @@ from .complexes import ShapeMismatch, as_vector, diff
 from .chainmaps import (
     MAP_DOMAINS,
     DegreeOutOfRange,
-    get_pi_solver,
     map_by_name,
 )
 from .pbw import (
@@ -148,8 +147,11 @@ def run_apply(cfg: RunConfig, map_name: str, input_doc: dict):
         raise ShapeMismatch(f"{map_name} is not defined on {x.tag}; "
                             f"expected a {MAP_DOMAINS[map_name]} element")
     else:
-        solver = get_pi_solver(alg, max(cfg.budgets["j_max"], 4))
-        image = as_vector(map_by_name(map_name, solver)(x))
+        bound = max(cfg.budgets["j_max"], 4)
+        if map_name in ("pi_s", "pi") and x.tag[1] > bound:
+            raise DegreeOutOfRange(f"{map_name} needs bar degree <= {bound}, "
+                                   f"got {x.tag[1]}")
+        image = as_vector(map_by_name(map_name)(x))
     report = {
         "command": "apply",
         "map": map_name,

@@ -15,8 +15,6 @@ The operations implemented on bar-resolution cochains:
   position of f in turn with sign (-1)^{(n-1)(i-1)}, its value reduced to
   the basis of A first; insertions that produce the unit in a bar slot
   vanish.
-* ``bracket`` — f∘g - (-1)^{(m-1)(n-1)} g∘f.
-* ``cup`` — (f ⌣ g)(x_1..x_{m+n}) = f(x_1..x_m) * g(x_{m+1}..x_{m+n}).
 * ``transport_up`` / ``transport_down`` — conjugation by the splitting
   maps pi and iota, moving cochains between the twisted-product complex
   and the bar resolution.
@@ -183,49 +181,17 @@ def circle(f: Cochain, g: Cochain) -> Cochain:
     return Cochain(alg, ("barskew", m + n - 1), fn)
 
 
-def bracket(f: Cochain, g: Cochain) -> Cochain:
-    """The graded commutator f∘g - (-1)^{(m-1)(n-1)} g∘f."""
-    m, n = f.tag[1], g.tag[1]
-    fg = circle(f, g)
-    gf = circle(g, f)
-    if ((m - 1) * (n - 1)) % 2 == 1:
-        return fg + gf
-    return fg - gf
-
-
-def cup(f: Cochain, g: Cochain) -> Cochain:
-    """The cup product on bar-resolution cochains."""
-    if f.tag[0] != "barskew" or g.tag[0] != "barskew":
-        raise ShapeMismatch("cup needs bar-resolution cochains")
-    alg = f.alg
-    m, n = f.tag[1], g.tag[1]
-
-    def fn(inner):
-        v = f.value(inner[:m])
-        if not v:
-            return {}
-        w = g.value(inner[m:])
-        if not w:
-            return {}
-        return alg.mul(v, w)
-
-    return Cochain(alg, ("barskew", m + n), fn)
-
-
 def transport_up(alpha: Cochain, pi_fn) -> Cochain:
-    """Pull a twisted-product cochain back to the bar resolution along pi."""
+    """Pull a twisted-product cochain back to the bar resolution along pi.
+
+    ``pi_fn`` maps the inner slots of a free generator 1 ⊗ ... ⊗ 1 of the
+    bar resolution (the key of the new cochain) to its image under pi.
+    """
     if alpha.tag[0] != "twisted":
         raise ShapeMismatch("transport_up starts from a twisted cochain")
-    alg = alpha.alg
     n = alpha.tag[1] + alpha.tag[2]
-
-    def fn(inner):
-        x = ChainElement.basis(
-            alg, ("barskew", n), free_slots_barskew(alg, inner)
-        )
-        return alpha.eval_element(pi_fn(x))
-
-    return Cochain(alg, ("barskew", n), fn)
+    return Cochain(alpha.alg, ("barskew", n),
+                   lambda inner: alpha.eval_element(pi_fn(inner)))
 
 
 def transport_down(mu: Cochain, iota_fn, tag) -> Cochain:

@@ -39,9 +39,9 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .chainmaps import DegreeOutOfRange, get_pi_solver, iota, pi
+from .chainmaps import DegreeOutOfRange, iota, pi
 from .cochains import Cochain, circle, coboundary, transport_up
-from .complexes import ChainElement, twisted_free_basis
+from .complexes import ChainElement, free_slots_barskew, twisted_free_basis
 from .fields import scaled_pairs, vec_add, vec_neg, vec_scale, vec_sub
 from .groups import ga_mul
 from .linalg import IncrementalRank
@@ -382,34 +382,28 @@ def check_five(alg: SkewAlgebra, params: PBWParams) -> PBWReport:
 
 # -- method 2: cohomological conditions on the twisted complex --------------
 
-def _cached_pi(alg, solver):
-    """pi on free bar-resolution elements, memoized on the algebra.
+def _cached_pi(alg):
+    """pi on free bar generators, by inner slots, memoized on the algebra.
 
     The splitting maps do not depend on the deformation parameters, so
     their values are shared across parameter tables.
     """
-    cache = getattr(alg, "_pi_image_cache", None)
-    if cache is None:
-        cache = {}
-        alg._pi_image_cache = cache
+    cache = alg._pi_image_cache
 
-    def pif(x):
-        key = next(iter(x.terms))
-        hit = cache.get((x.tag, key))
+    def pif(inner):
+        hit = cache.get(inner)
         if hit is None:
-            hit = pi(x, solver)
-            cache[(x.tag, key)] = hit
+            hit = pi(ChainElement.basis(alg, ("barskew", len(inner)),
+                                        free_slots_barskew(alg, inner)))
+            cache[inner] = hit
         return hit
 
     return pif
 
 
-def _iota_images(alg, i, j, solver):
+def _iota_images(alg, i, j):
     """(free key, iota image) pairs over the X_{i,j} free basis, cached."""
-    cache = getattr(alg, "_iota_image_cache", None)
-    if cache is None:
-        cache = {}
-        alg._iota_image_cache = cache
+    cache = alg._iota_image_cache
     key = (i, j)
     hit = cache.get(key)
     if hit is None:
@@ -419,7 +413,7 @@ def _iota_images(alg, i, j, solver):
             x = ChainElement.basis(alg, tag, slots)
             cbars = slots[1: i + 1]
             wedge = slots[i + 3]
-            hit.append(((cbars, wedge), iota(x, solver)))
+            hit.append(((cbars, wedge), iota(x)))
         cache[key] = hit
     return hit
 
@@ -450,8 +444,7 @@ def check_cohomological(alg: SkewAlgebra, params: PBWParams,
         raise DegreeOutOfRange(
             "the cohomological checker needs J_max >= 3"
         )
-    solver = get_pi_solver(alg, max(3, j_max))
-    pif = _cached_pi(alg, solver)
+    pif = _cached_pi(alg)
 
     bad_rows = params.identity_lambda_rows()
     bad_value = params.lam_of(0, bad_rows[0]) if bad_rows else None
@@ -475,7 +468,7 @@ def check_cohomological(alg: SkewAlgebra, params: PBWParams,
     phi3 = circle(mu1, mu2) + circle(mu2, mu1)
 
     def first_failure(phi, i, j, describe):
-        for key, image in _iota_images(alg, i, j, solver):
+        for key, image in _iota_images(alg, i, j):
             defect = phi.eval_element(image)
             if defect:
                 w = describe(key)
@@ -497,7 +490,7 @@ def check_cohomological(alg: SkewAlgebra, params: PBWParams,
             phi1, 2, 1,
             lambda key: {"g": key[0][0], "h": key[0][1], "v": key[1][0]},
         )
-    checked["X21"] = len(_iota_images(alg, 2, 1, solver))
+    checked["X21"] = len(_iota_images(alg, 2, 1))
     results.append({"condition": 1, "holds": witness is None,
                     "witness": witness})
 
@@ -506,7 +499,7 @@ def check_cohomological(alg: SkewAlgebra, params: PBWParams,
         phi1, 1, 2,
         lambda key: {"g": key[0][0], "u": key[1][0], "v": key[1][1]},
     )
-    checked["X12"] = len(_iota_images(alg, 1, 2, solver))
+    checked["X12"] = len(_iota_images(alg, 1, 2))
     results.append({"condition": 3, "holds": witness is None,
                     "witness": witness})
 
@@ -523,7 +516,7 @@ def check_cohomological(alg: SkewAlgebra, params: PBWParams,
         phi2, 0, 3,
         lambda key: {"u": key[1][0], "v": key[1][1], "w": key[1][2]},
     )
-    checked["X03"] = len(_iota_images(alg, 0, 3, solver))
+    checked["X03"] = len(_iota_images(alg, 0, 3))
     results.append({"condition": 4, "holds": witness is None,
                     "witness": witness})
 

@@ -46,6 +46,11 @@ class SkewAlgebra:
         #: basis pair acting as 1 = (constant monomial, identity element)
         self.unit_pair = (self.zero_exp, 0)
         self._pair_memo: dict = {}
+        #: pi_s values on free bar tuples (see chainmaps._pi_s_term)
+        self._psi_memo: dict = {}
+        #: pi and iota images shared by all parameter tables (see pbw.py)
+        self._pi_image_cache: dict = {}
+        self._iota_image_cache: dict = {}
         #: parameter-free results shared by all cochains (see cochains.py)
         self._free_decompose_memo: dict = {}
         self._bar_diff_memo: dict = {}

@@ -31,7 +31,6 @@ from .chainmaps import (
     MAP_DOMAINS,
     awg,
     ezg,
-    get_pi_solver,
     iota,
     iota_s,
     map_by_name,
@@ -252,7 +251,6 @@ def verify_chainmap(
     samples: int = 0,
     sample_degree: int = 4,
     seed: int = 0,
-    j_max: int = 4,
     map_fn=None,
 ):
     """Check d ∘ f = f ∘ d on enumerated free bases plus random samples.
@@ -262,9 +260,7 @@ def verify_chainmap(
     """
     if name not in MAP_DOMAINS:
         raise ValueError(f"unknown map {name!r}")
-    solver = get_pi_solver(alg, max(j_max, sample_degree if samples else 0,
-                                    *degrees) if degrees else j_max)
-    fn = map_fn if map_fn is not None else map_by_name(name, solver)
+    fn = map_fn if map_fn is not None else map_by_name(name)
     family = MAP_DOMAINS[name]
     rng = random.Random(seed)
     inputs = itertools.chain(
@@ -291,7 +287,6 @@ def _chainmap_check(name):
             samples=budgets["degree4_samples"],
             sample_degree=4,
             seed=budgets["seed"],
-            j_max=budgets["j_max"],
         )
         return {"name": f"chainmap_{name}", "checked": rep["checked"],
                 "passed": not rep["failures"], "failures": rep["failures"]}
@@ -299,10 +294,6 @@ def _chainmap_check(name):
 
 
 # -- the splitting suite ---------------------------------------------------
-
-def _solver(alg, budgets):
-    return get_pi_solver(alg, max(budgets["j_max"], 4))
-
 
 def _generators(alg, budgets, family, degrees):
     """(tag, slots, basis element) of each free generator in the degrees."""
@@ -340,19 +331,17 @@ def splitting_worked_degree2(alg, budgets, rng):
 @_check
 def pi_iota_identity(alg, budgets, rng):
     """π ∘ ι = id on twisted(koszul) generators through total degree 3."""
-    solver = _solver(alg, budgets)
     degrees = range(min(3, budgets["max_bar_degree"]) + 1)
     for tag, slots, x in _generators(alg, budgets, "twisted_koszul", degrees):
-        yield pi(iota(x), solver) == as_vector(x), _witness(tag, slots)
+        yield pi(iota(x)) == as_vector(x), _witness(tag, slots)
 
 
 @_check
 def pi_s_iota_s_identity(alg, budgets, rng):
     """π_S ∘ ι_S = id on the Koszul generators 1 ⊗ w ⊗ 1."""
-    solver = _solver(alg, budgets)
     degrees = range(budgets["max_bar_degree"] + 1)
     for tag, slots, x in _generators(alg, budgets, "koszul", degrees):
-        yield (pi_s(iota_s(x), solver) == as_vector(x),
+        yield (pi_s(iota_s(x)) == as_vector(x),
                {"tag": list(tag), "wedge": list(slots[1])})
 
 
@@ -367,10 +356,9 @@ def iota_graded(alg, budgets, rng):
 @_check
 def pi_graded(alg, budgets, rng):
     """π keeps the S-degree of barskew generators."""
-    solver = _solver(alg, budgets)
     degrees = range(budgets["max_bar_degree"] + 1)
     for tag, slots, x in _generators(alg, budgets, "barskew", degrees):
-        yield _graded(x, pi(x, solver)), _witness(tag, slots)
+        yield _graded(x, pi(x)), _witness(tag, slots)
 
 
 # -- suites ----------------------------------------------------------------

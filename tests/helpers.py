@@ -19,6 +19,8 @@ Configurations used throughout the suite (N = dim V):
 import itertools
 import random
 
+from skewchain.chainmaps import pi
+from skewchain.complexes import ChainElement, free_slots_barskew
 from skewchain.fields import GF, QQ
 from skewchain.groups import (
     cyclic_group,
@@ -128,6 +130,15 @@ def full_support_table(A, seed):
         A,
         {(i, j): ga() for i in range(nv) for j in range(i + 1, nv)},
         {(g, i): ga() for g in range(1, order) for i in range(nv)})
+
+
+def pi_of_free(A):
+    """pi on the free bar generator 1 ⊗ inner ⊗ 1, by its inner slots.
+
+    This is the ``pi_fn`` that ``cochains.transport_up`` takes.
+    """
+    return lambda inner: pi(ChainElement.basis(
+        A, ("barskew", len(inner)), free_slots_barskew(A, inner)))
 
 
 #: The configuration battery of the chain-map acceptance runs.

@@ -20,7 +20,7 @@ from math import comb
 import pytest
 
 from skewchain import verify
-from skewchain.chainmaps import awg, ezg, get_pi_solver, iota, pi
+from skewchain.chainmaps import awg, ezg, iota, pi
 from skewchain.cochains import Cochain, transport_up
 from skewchain.fields import vec_sub
 from skewchain.complexes import (
@@ -43,6 +43,7 @@ from helpers import (
     classical_aw,
     classical_ez,
     neg_id_q,
+    pi_of_free,
     swap_gf2,
     swap_q,
     trivial_group_q,
@@ -115,7 +116,6 @@ def test_criterion_2_worked_degree2_instance():
 def test_criterion_3_koszul_splitting(name):
     A = CHAINMAP_CONFIGS[name]()
     start = time.monotonic()
-    solver = get_pi_solver(A, 4)
 
     for map_name in ("iota", "pi"):
         rep = verify_chainmap(A, map_name, degrees=BAR_DEGREES,
@@ -137,7 +137,7 @@ def test_criterion_3_koszul_splitting(name):
                                      free=False)
         x = ChainElement.basis(A, tag, slots)
         d = term_s_degree(A, tag, slots)
-        for otag, el in iota(x, solver).parts.items():
+        for otag, el in iota(x).parts.items():
             assert total_degree(otag) == i + j
             for oslots in el.terms:
                 assert term_s_degree(A, otag, oslots) == d
@@ -146,7 +146,7 @@ def test_criterion_3_koszul_splitting(name):
         slots = random_barskew_slots(A, n, POLY_DEG, rng, free=False)
         x = ChainElement.basis(A, ("barskew", n), slots)
         d = term_s_degree(A, ("barskew", n), slots)
-        for otag, el in pi(x, solver).parts.items():
+        for otag, el in pi(x).parts.items():
             assert total_degree(otag) == n
             for oslots in el.terms:
                 assert term_s_degree(A, otag, oslots) == d
@@ -261,8 +261,7 @@ def test_criterion_6_modular_lambda_kappa_table():
 @pytest.mark.parametrize("name", PBW_NAMES)
 def test_criterion_7_parameter_cochain_identities(name):
     A = PBW_CONFIGS[name]()
-    solver = get_pi_solver(A, 4)
-    pif = lambda x: pi(x, solver)  # noqa: E731
+    pif = pi_of_free(A)
     rng = random.Random(700 + sum(map(ord, name)))
     z = A.zero_exp
     UNIT = (z, 0)

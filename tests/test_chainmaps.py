@@ -11,8 +11,10 @@ Frozen values are evaluated by hand from the defining formulas:
   with the permutation sign, each s-letter twisted by the group letters
   shuffled to its right;
 * iota_s antisymmetrizes a wedge over all orderings;
-* pi_s is the unique S-bimodule chain-map splitting (computed via a linear
-  solve), pinned here on 1 ⊗ x0² ⊗ 1.
+* pi_s is the closed-form splitting Ψ: divided differences in degree 1,
+  pinned here on 1 ⊗ x0² ⊗ 1, and in degree 2 a signed sum over a
+  decreasing choice of one variable per slot, pinned on 1 ⊗ x1² ⊗ x0x1 ⊗ 1
+  and on 1 ⊗ x0 ⊗ x1 ⊗ 1 (no decreasing choice, so zero).
 """
 
 import itertools
@@ -21,12 +23,9 @@ import random
 import pytest
 
 from skewchain.chainmaps import (
-    DegreeOutOfRange,
-    PiSolver,
     _shuffles,
     awg,
     ezg,
-    get_pi_solver,
     id_tensor_iota_s,
     id_tensor_pi_s,
     iota,
@@ -181,6 +180,19 @@ class TestFrozenValues:
         bars0 = diff(x).component(("bars", 0)).terms
         assert {(m0, m1): c for (m0, _, m1), c in kosz0.items()} == bars0
 
+    def test_pi_s_closed_form_in_degree_two(self):
+        # j_1 = 1 in x1² (β_1 = 0, 1) and j_2 = 0 in x0x1 (β_2 = 0), sign
+        # (-1)^{2·1/2}: -(1 ⊗ x0∧x1 ⊗ x1²) - (x1 ⊗ x0∧x1 ⊗ x1)
+        A = swap_q()
+        x = ChainElement.basis(A, ("bars", 2), (Z, (0, 2), (1, 1), Z))
+        assert pi_s(x).component(("koszul", 2)).terms == {
+            (Z, (0, 1), (0, 2)): -1,
+            (X1, (0, 1), X1): -1,
+        }
+        assert diff(pi_s(x)) == pi_s(diff(x))
+        y = ChainElement.basis(A, ("bars", 2), (Z, X0, X1, Z))
+        assert pi_s(y).is_zero()
+
     def test_pi_s_iota_s_identity_on_wedge(self):
         A = s3_perm_q()
         z3 = (0, 0, 0)
@@ -237,25 +249,6 @@ class TestChainMapProperty:
             iota_s(bars)
         with pytest.raises(ShapeMismatch):
             pi_s(kosz)
-
-    def test_pi_s_degree_cap(self):
-        A = swap_q()
-        small = PiSolver(A, 1)
-        x = ChainElement.basis(A, ("bars", 2), (Z, X0, X1, Z))
-        with pytest.raises(DegreeOutOfRange,
-                           match=r"pi_s needs bar degree <= 1, got 2"):
-            pi_s(x, small)
-
-    def test_larger_bound_keeps_the_memo(self):
-        A = swap_q()
-        solver = get_pi_solver(A, 4)
-        pi_s(ChainElement.basis(A, ("bars", 2), (Z, X0, X1, Z)), solver)
-        values = dict(solver._values)
-        assert values
-        grown = get_pi_solver(A, 5)
-        assert grown is solver
-        assert grown.j_max == 5
-        assert grown._values == values
 
 
 def _two_parts(A, *terms):
@@ -355,7 +348,6 @@ class TestSplittingIdentities:
     )
     def test_pi_iota_identity(self, make, deg, top):
         A = make()
-        solver = get_pi_solver(A, 4)
         for n in range(top + 1):
             for i in range(n + 1):
                 if n - i > A.nvars:
@@ -363,16 +355,15 @@ class TestSplittingIdentities:
                 tag = ("twisted", i, n - i, "koszul")
                 for slots in twisted_free_basis(A, i, n - i, "koszul", deg):
                     x = ChainElement.basis(A, tag, slots)
-                    assert pi(iota(x, solver), solver) == as_vector(x)
+                    assert pi(iota(x)) == as_vector(x)
 
     def test_pi_s_iota_s_identity_all_wedges(self):
         A = s3_perm_q()
         z3 = (0, 0, 0)
-        solver = get_pi_solver(A, 4)
         for j in range(A.nvars + 1):
             for w in itertools.combinations(range(A.nvars), j):
                 x = ChainElement.basis(A, ("koszul", j), (z3, w, z3))
-                assert pi_s(iota_s(x), solver) == as_vector(x)
+                assert pi_s(iota_s(x)) == as_vector(x)
 
     def test_iota_preserves_s_degree(self):
         A = swap_q()
@@ -392,7 +383,6 @@ class TestSplittingIdentities:
     def test_pi_preserves_s_degree(self):
         # pi runs BarSkew -> twisted(koszul)
         A = swap_q()
-        solver = get_pi_solver(A, 4)
         rng = random.Random(14)
         for _ in range(25):
             n = rng.randrange(4)
@@ -400,7 +390,7 @@ class TestSplittingIdentities:
             slots = random_barskew_slots(A, n, 2, rng, free=False)
             x = ChainElement.basis(A, tag, slots)
             d = term_s_degree(A, tag, slots)
-            for otag, el in pi(x, solver).parts.items():
+            for otag, el in pi(x).parts.items():
                 for oslots in el.terms:
                     assert term_s_degree(A, otag, oslots) == d
 

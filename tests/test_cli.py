@@ -8,6 +8,7 @@ input, or budget problems), 3 = the three PBW deciders disagree.
 """
 
 import json
+import time
 
 import pytest
 
@@ -52,6 +53,15 @@ SPLITTING_CHECKS = [
 #: Budgets small enough that a verify run takes well under a second.
 SMALL_BUDGETS = {"max_bar_degree": 2, "max_poly_degree": 1,
                  "degree4_samples": 5, "samples": 5}
+
+#: Bar degree 5, one above the default j_max (about 3 s for verify all).
+DEGREE5_BUDGETS = dict(SMALL_BUDGETS, max_bar_degree=5, j_max=4)
+
+
+def bars_doc(*mids):
+    """The bar element 1 ⊗ x^{mids[0]} ⊗ ... ⊗ 1 of S over two variables."""
+    return {"complex": "bars", "j": len(mids),
+            "terms": [{"slots": [[0, 0], *mids, [0, 0]], "coeff": "1"}]}
 
 
 class TestVerify:
@@ -114,6 +124,20 @@ class TestVerify:
         assert rep["passed"] is False
         bad = [c for c in rep["checks"] if not c["passed"]]
         assert bad and bad[0]["failures"] == [{"injected": True}]
+
+    def test_splitting_alone_and_in_all_agree_beyond_j_max(self, tmp_path,
+                                                           capsys):
+        # The verify suites are bounded by max_bar_degree alone: a splitting
+        # run must not depend on a degree bound raised by the suites that
+        # ran before it in ``verify all``.
+        cfg = write_json(tmp_path / "c.json",
+                         swap_q_config_doc(budgets=DEGREE5_BUDGETS))
+        code_split, split, _ = run_cli(capsys, ["verify", "splitting",
+                                                "--config", cfg])
+        code_all, every, _ = run_cli(capsys, ["verify", "all",
+                                              "--config", cfg])
+        assert code_split == code_all == 0
+        assert split["checks"] == every["checks"][-len(SPLITTING_CHECKS):]
 
 
 class TestPBW:
@@ -298,6 +322,35 @@ class TestApply:
         assert code == 2
         assert rep["error"]["type"] == "ShapeMismatch"
         assert "must be an integer" in rep["error"]["detail"]
+
+    def test_pi_s_beyond_degree_bound_is_a_setup_error(self, tmp_path,
+                                                       capsys):
+        cfg = write_json(tmp_path / "c.json",
+                         swap_q_config_doc(budgets={"j_max": 4}))
+        inp = write_json(tmp_path / "el.json", bars_doc(*[[1, 0]] * 5))
+        code, rep, _ = run_cli(capsys, ["apply", "pi_s", "--config", cfg,
+                                        "--input", inp])
+        assert code == 2
+        assert rep["error"] == {"type": "DegreeOutOfRange",
+                                "detail": "pi_s needs bar degree <= 4, got 5"}
+
+    @pytest.mark.parametrize("mids,terms", [
+        (([40, 0], [0, 40]), 0),
+        (([0, 40], [40, 0]), 1600),
+    ], ids=["x0_then_x1", "x1_then_x0"])
+    def test_pi_s_of_high_powers_is_fast(self, mids, terms, tmp_path,
+                                         capsys):
+        # Psi picks a decreasing variable per slot: none exists for
+        # x0^40 ⊗ x1^40, and 40 · 40 exponent splits for x1^40 ⊗ x0^40.
+        cfg = write_json(tmp_path / "c.json", swap_q_config_doc())
+        inp = write_json(tmp_path / "el.json", bars_doc(*mids))
+        start = time.monotonic()
+        code, rep, _ = run_cli(capsys, ["apply", "pi_s", "--config", cfg,
+                                        "--input", inp])
+        assert time.monotonic() - start < 1.0
+        assert code == 0
+        assert sum(len(c["terms"])
+                   for c in rep["output"]["components"]) == terms
 
     def test_unparseable_input_element(self, tmp_path, capsys, monkeypatch):
         import io

@@ -24,7 +24,7 @@ from math import comb
 import pytest
 
 from skewchain import linalg
-from skewchain.chainmaps import get_pi_solver, iota, pi
+from skewchain.chainmaps import iota
 from skewchain.cochains import Cochain, coboundary, transport_up
 from skewchain.complexes import ChainElement, random_twisted_slots
 from skewchain.pbw import (
@@ -44,6 +44,7 @@ from helpers import (
     PBW_CONFIGS,
     full_support_table,
     neg_id_q,
+    pi_of_free,
     s3_refl_q,
     swap_gf2,
     swap_q,
@@ -446,8 +447,7 @@ class TestConditionsOnNonBasisVectors:
             A, kappa={(0, 1): {1: 1}, (0, 2): {1: 1}},
             lam=dict(TestModularInstances.LAM),
         )
-        solver = get_pi_solver(A, 4)
-        pif = lambda x: pi(x, solver)  # noqa: E731
+        pif = pi_of_free(A)
 
         def lam_fn(key):
             (g,), ((i,),) = key
@@ -467,4 +467,4 @@ class TestConditionsOnNonBasisVectors:
                 x = x + ChainElement.basis(
                     A, tag, slots, coeff=A.field.from_int(rng.choice([1, 2]))
                 )
-            assert phi1.eval_element(iota(x, solver)) == {}
+            assert phi1.eval_element(iota(x)) == {}
