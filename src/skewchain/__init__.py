@@ -30,6 +30,7 @@ from .groups import (
     symmetric_group,
 )
 from .polynomials import (
+    ActionTooLarge,
     DimensionMismatch,
     LinearAction,
     linear_part,
@@ -82,7 +83,7 @@ __all__ = [
     "GroupMismatch", "GroupTooLarge", "NoIdentity", "NotAssociative",
     "NotLatinSquare",
     "LinearAction", "poly_mul", "reduce_const", "linear_part",
-    "DimensionMismatch",
+    "DimensionMismatch", "ActionTooLarge",
     "SkewAlgebra", "ContextMismatch",
     "ChainElement", "ChainVector", "ShapeMismatch", "expand_term",
     "bar_diff", "koszul_diff", "twisted_diff", "diff", "bimodule_act",

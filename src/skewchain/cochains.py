@@ -24,11 +24,13 @@ domain gives zero (cochains are extended by zero to other degrees and
 bidegrees), which is what makes evaluation against the mixed-degree
 outputs of pi well defined.
 
-Two intermediate results depend on the algebra alone, not on any cochain:
-the bar differential of a free basis element and the ``free_decompose``
-split of a twisted term.  They are memoized on the algebra
-(``_bar_diff_memo``, ``_free_decompose_memo``), so the fresh cochains that
-``pbw.check_cohomological`` builds for every parameter table share them.
+The ``free_decompose`` split of a twisted term depends on the algebra
+alone, not on any cochain.  It is memoized on the algebra
+(``_free_decompose_memo``), so the fresh cochains that
+``pbw.check_cohomological`` builds for every parameter table share it.
+``coboundary`` is not on that path (the decider evaluates d*(mu) on the
+twisted side, see :func:`skewchain.pbw.check_cohomological`) and computes
+each bar differential afresh.
 """
 
 from __future__ import annotations
@@ -142,19 +144,9 @@ def coboundary(f: Cochain) -> Cochain:
     if f.tag[0] != "barskew":
         raise ShapeMismatch("coboundary needs a bar-resolution cochain")
     alg = f.alg
-    n = f.tag[1]
-    memo = alg._bar_diff_memo
-
-    def fn(inner):
-        key = (n + 1, inner)
-        dx = memo.get(key)
-        if dx is None:
-            dx = bar_diff(ChainElement.basis(
-                alg, ("barskew", n + 1), free_slots_barskew(alg, inner)))
-            memo[key] = dx
-        return f.eval_element(dx)
-
-    return Cochain(alg, ("barskew", n + 1), fn)
+    tag = ("barskew", f.tag[1] + 1)
+    return Cochain(alg, tag, lambda inner: f.eval_element(bar_diff(
+        ChainElement.basis(alg, tag, free_slots_barskew(alg, inner)))))
 
 
 def circle(f: Cochain, g: Cochain) -> Cochain:

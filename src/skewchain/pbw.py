@@ -40,8 +40,15 @@ import itertools
 from math import comb
 
 from .chainmaps import DegreeOutOfRange, iota, pi
-from .cochains import Cochain, circle, coboundary, transport_up
-from .complexes import ChainElement, free_slots_barskew, twisted_free_basis
+from .cochains import Cochain, circle, transport_up
+from .complexes import (
+    ChainElement,
+    ChainVector,
+    bimodule_act,
+    diff,
+    free_slots_barskew,
+    twisted_free_basis,
+)
 from .fields import scaled_pairs, vec_add, vec_neg, vec_scale, vec_sub
 from .groups import ga_mul
 from .linalg import IncrementalRank
@@ -418,6 +425,68 @@ def _iota_images(alg, i, j):
     return hit
 
 
+def _pi_of_boundary(alg, pif, i, j, index, image):
+    """Π(d y) for the iota image y of the X_{i,j} free basis element at
+    ``index``, memoized on the algebra.
+
+    Π applies pi to the free part of each term and keeps the outer slots:
+    Π(c · a·E·b) = c · a·pi(E)·b, the bimodule extension through which a
+    transported cochain is evaluated.  No parameter table enters it.
+    """
+    cache = alg._pi_boundary_cache
+    key = (i, j, index)
+    hit = cache.get(key)
+    if hit is None:
+        hit = ChainVector(alg)
+        unit = alg.unit_pair
+        for el in diff(image).parts.values():
+            for slots, c in el.terms.items():
+                a, b = slots[0], slots[-1]
+                hit.add_vector(bimodule_act(
+                    None if a == unit else {a: 1}, pif(slots[1:-1]),
+                    None if b == unit else {b: 1}), c)
+        cache[key] = hit
+    return hit
+
+
+def _defects(alg: SkewAlgebra, params: PBWParams):
+    """The defect maps of :func:`check_cohomological` for one table.
+
+    Returns ``(d*mu1, mu1∘mu1 - d*mu2, mu1∘mu2 + mu2∘mu1)``, each a
+    function of ``(i, j, index, image)`` for the iota image at ``index``
+    of the X_{i,j} free basis, with values in the skew algebra.
+    """
+    pif = _cached_pi(alg)
+    f = alg.field
+
+    def lam_fn(key):
+        (g,), ((i,),) = key
+        return alg.of_group_algebra(params.lam_of(g, i))
+
+    def kap_fn(key):
+        _, ((i, j),) = key
+        return alg.of_group_algebra(params.kappa_wedge(i, j))
+
+    lam_x = Cochain(alg, ("twisted", 1, 1, "koszul"), lam_fn)
+    kap_x = Cochain(alg, ("twisted", 0, 2, "koszul"), kap_fn)
+    mu1 = transport_up(lam_x, pif)
+    mu2 = transport_up(kap_x, pif)
+    mu1_mu1 = circle(mu1, mu1)
+    mu12 = circle(mu1, mu2) + circle(mu2, mu1)
+
+    def d_mu1(*at):
+        return lam_x.eval_element(_pi_of_boundary(alg, pif, *at))
+
+    def phi2(*at):
+        return vec_sub(f, mu1_mu1.eval_element(at[-1]),
+                       kap_x.eval_element(_pi_of_boundary(alg, pif, *at)))
+
+    def phi3(*at):
+        return mu12.eval_element(at[-1])
+
+    return d_mu1, phi2, phi3
+
+
 def check_cohomological(alg: SkewAlgebra, params: PBWParams,
                         j_max: int = 4) -> PBWReport:
     """Decide PBW through the transported cochain conditions.
@@ -435,6 +504,22 @@ def check_cohomological(alg: SkewAlgebra, params: PBWParams,
     correspondence; only the verdicts of the two methods are claimed to
     coincide.
 
+    The coboundaries are evaluated on the twisted side.  A transport
+    mu = transport_up(alpha, pi) is extended bimodule-wise, mu(a·E·b) =
+    a·alpha(pi(E))·b, and alpha is itself an A-bimodule map of the twisted
+    complex, so on every image y
+
+        (d*mu)(y) = mu(d y) = alpha(Π(d y)),   Π(c·a·E·b) = c·a·pi(E)·b.
+
+    The identity is exact, not one up to homotopy: it moves only the outer
+    factors a and b through alpha (whose values on a twisted term are
+    a'·alpha(E')·b' by ``free_decompose``), and asks nothing of pi but its
+    values on free generators; pi itself is not a bimodule map.  Π(d y)
+    does not depend on the table, so it is built once per algebra and
+    image, the first time a scan reaches that image; d*(mu1)(y) is then
+    lambda's cochain on it and d*(mu2)(y) kappa's.  The circle products
+    are evaluated per table on the bar side.
+
     A nonzero lambda(1, -) row cannot come from a bidegree-(1,1) cochain
     on the twisted complex; it is reported as a failure of condition (1)
     with witness g = h = 1, and the remaining conditions are evaluated
@@ -444,32 +529,15 @@ def check_cohomological(alg: SkewAlgebra, params: PBWParams,
         raise DegreeOutOfRange(
             "the cohomological checker needs J_max >= 3"
         )
-    pif = _cached_pi(alg)
-
     bad_rows = params.identity_lambda_rows()
     bad_value = params.lam_of(0, bad_rows[0]) if bad_rows else None
     if bad_rows:
         params = params.without_identity_lambda()
-
-    def lam_fn(key):
-        (g,), ((i,),) = key
-        return alg.of_group_algebra(params.lam_of(g, i))
-
-    def kap_fn(key):
-        _, ((i, j),) = key
-        return alg.of_group_algebra(params.kappa_wedge(i, j))
-
-    lam_x = Cochain(alg, ("twisted", 1, 1, "koszul"), lam_fn)
-    kap_x = Cochain(alg, ("twisted", 0, 2, "koszul"), kap_fn)
-    mu1 = transport_up(lam_x, pif)
-    mu2 = transport_up(kap_x, pif)
-    phi1 = coboundary(mu1)
-    phi2 = circle(mu1, mu1) - coboundary(mu2)
-    phi3 = circle(mu1, mu2) + circle(mu2, mu1)
+    d_mu1, phi2, phi3 = _defects(alg, params)
 
     def first_failure(phi, i, j, describe):
-        for key, image in _iota_images(alg, i, j):
-            defect = phi.eval_element(image)
+        for index, (key, image) in enumerate(_iota_images(alg, i, j)):
+            defect = phi(i, j, index, image)
             if defect:
                 w = describe(key)
                 w["defect"] = alg.format_element(alg.reduce(defect))
@@ -487,7 +555,7 @@ def check_cohomological(alg: SkewAlgebra, params: PBWParams,
         witness = None
     if witness is None:
         witness = first_failure(
-            phi1, 2, 1,
+            d_mu1, 2, 1,
             lambda key: {"g": key[0][0], "h": key[0][1], "v": key[1][0]},
         )
     checked["X21"] = len(_iota_images(alg, 2, 1))
@@ -496,7 +564,7 @@ def check_cohomological(alg: SkewAlgebra, params: PBWParams,
 
     # condition (3) <-> d*(mu1) on X_{1,2}
     witness = first_failure(
-        phi1, 1, 2,
+        d_mu1, 1, 2,
         lambda key: {"g": key[0][0], "u": key[1][0], "v": key[1][1]},
     )
     checked["X12"] = len(_iota_images(alg, 1, 2))

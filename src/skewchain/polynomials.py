@@ -26,6 +26,23 @@ class DimensionMismatch(ValueError):
     """Raised when a vector/matrix has the wrong dimension for an action."""
 
 
+class ActionTooLarge(ValueError):
+    """Raised when an action's dimension exceeds :data:`MAX_ACTION_DIM`."""
+
+
+#: The largest dimension N of V accepted.  An action stores and multiplies
+#: N x N matrices for every pair of group elements, and the complexes grow
+#: with powers of N, so a larger N would not finish; the bound is checked
+#: before any matrix is built.
+MAX_ACTION_DIM = 16
+
+
+def _check_dim(dim: int) -> None:
+    if dim > MAX_ACTION_DIM:
+        raise ActionTooLarge(f"action dim {dim} exceeds the cap of "
+                             f"{MAX_ACTION_DIM}")
+
+
 # -- polynomial arithmetic -------------------------------------------------
 
 def monomial_mul(m1: tuple, m2: tuple) -> tuple:
@@ -144,9 +161,11 @@ class LinearAction:
     verifies that the assignment is a group homomorphism, which for a finite
     group also forces every matrix to be invertible (the matrix of g^-1 is a
     two-sided inverse); the inverse identity is still checked explicitly.
+    N is at most :data:`MAX_ACTION_DIM`.
     """
 
     def __init__(self, field: Field, group: FiniteGroup, dim: int, matrices):
+        _check_dim(dim)
         self.field = field
         self.group = group
         self.dim = dim
@@ -183,6 +202,7 @@ class LinearAction:
     @classmethod
     def from_generators(cls, field, group, dim, generator_matrices):
         """Extend matrices given on a generating set to the whole group."""
+        _check_dim(dim)
         known = {0: _identity_mat(dim)}
         gens = {
             int(g): tuple(tuple(r) for r in rows)
@@ -219,6 +239,7 @@ class LinearAction:
         dim = cfg["dim"]
         if not is_json_int(dim):
             raise TypeError(f"action dim must be an integer, got {dim!r}")
+        _check_dim(dim)
         given = cfg.get("matrices", {})
         if not isinstance(given, dict):
             raise TypeError(f"action matrices must be an object, got "

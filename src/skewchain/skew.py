@@ -51,9 +51,10 @@ class SkewAlgebra:
         #: pi and iota images shared by all parameter tables (see pbw.py)
         self._pi_image_cache: dict = {}
         self._iota_image_cache: dict = {}
+        #: Π(d y) per iota image y, by (i, j, index) (see pbw.py)
+        self._pi_boundary_cache: dict = {}
         #: parameter-free results shared by all cochains (see cochains.py)
         self._free_decompose_memo: dict = {}
-        self._bar_diff_memo: dict = {}
 
     def require_same(self, other: "SkewAlgebra") -> None:
         if self is other:

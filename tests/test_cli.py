@@ -14,6 +14,7 @@ import pytest
 
 from skewchain.cli import main
 from skewchain.pbw import PBWReport
+from skewchain.polynomials import MAX_ACTION_DIM
 from skewchain.serialize import canonical_json
 
 from helpers import (
@@ -481,6 +482,9 @@ HOSTILE_CONFIGS = {
         "family": "product_of_cyclics", "orders": [True, 2]}},
     "action_dim_float": {"params": {}, "action": {
         "dim": 2.5, "matrices": {"1": [["0", "1"], ["1", "0"]]}}},
+    # above polynomials.MAX_ACTION_DIM: rejected before any matrix is built
+    "action_dim_huge": {"params": {}, "action": {
+        "dim": 10 ** 5, "matrices": {"1": [["0", "1"], ["1", "0"]]}}},
     # found by tests/test_fuzz_cli.py; each exited 4 (internal error)
     "group_block_list": {"params": {}, "group": [1, "a"]},
     "group_block_string": {"params": {}, "group": "x"},
@@ -522,6 +526,16 @@ def test_oversized_group_is_a_setup_error(group, tmp_path, capsys):
     assert code == 2
     assert rep["error"]["type"] == "ConfigParseError"
     assert "exceeds the cap of 120" in rep["error"]["detail"]
+
+
+@pytest.mark.parametrize("dim", [MAX_ACTION_DIM + 1, 10 ** 5])
+def test_oversized_action_is_a_setup_error(dim, tmp_path, capsys):
+    cfg = write_json(tmp_path / "c.json", swap_q_config_doc(
+        group={"family": "cyclic", "n": 1}, action={"dim": dim}))
+    code, rep, _ = run_cli(capsys, ["pbw", "five", "--config", cfg])
+    assert code == 2
+    assert rep["error"]["type"] == "ConfigParseError"
+    assert f"action dim {dim} exceeds the cap of 16" in rep["error"]["detail"]
 
 
 def test_oversized_modulus_is_a_setup_error(tmp_path, capsys):

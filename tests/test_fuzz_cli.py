@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skewchain.cli import main
+from skewchain.polynomials import MAX_ACTION_DIM
 from skewchain.serialize import canonical_json
 
 #: Values of the wrong shape, put in place of any block or entry.
@@ -71,9 +72,13 @@ MATRICES = st.one_of(
     JUNK,
 )
 
+#: Dimensions in range, just above ``MAX_ACTION_DIM`` (rejected before any
+#: matrix is built), or of the wrong type.
+DIMS = st.one_of(st.integers(-1, 2),
+                 st.integers(MAX_ACTION_DIM + 1, MAX_ACTION_DIM + 2), JUNK)
+
 ACTIONS = st.one_of(
-    st.fixed_dictionaries({"dim": st.one_of(st.integers(-1, 2), JUNK)},
-                          optional={"matrices": MATRICES}),
+    st.fixed_dictionaries({"dim": DIMS}, optional={"matrices": MATRICES}),
     JUNK,
 )
 
@@ -122,6 +127,10 @@ def config_docs(draw):
                         ("action", ACTIONS)):
         if draw(st.integers(0, 9)) == 9:
             doc[key] = draw(blocks)
+    # a drawn dim in an action block that is otherwise kept: inside a
+    # replaced action block the derandomized draws never reached one
+    if isinstance(doc["action"], dict) and draw(st.integers(0, 4)) == 4:
+        doc["action"] = dict(doc["action"], dim=draw(DIMS))
     doc["params"] = draw(PARAMS)
     if draw(st.booleans()):
         doc["budgets"] = draw(BUDGETS)

@@ -21,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from skewchain.cli import main
+from skewchain.fields import vec_scale
+from skewchain.pbw import PBWParams
 from skewchain.serialize import RunConfig, params_to_config
 
 from helpers import (
@@ -53,6 +55,29 @@ V4_GF2 = {
         "1": [["1", "0", "1"], ["0", "1", "1"], ["0", "0", "1"]]}},
 }
 
+S3_REFL_Q = {
+    "field": "Q",
+    "group": {"family": "symmetric", "n": 3},
+    "action": {"dim": 2, "matrices": {
+        "3": [["0", "-1"], ["1", "-1"]],
+        "2": [["0", "1"], ["1", "0"]]}},
+}
+
+#: Z/3 acting trivially on GF(3)^3, with a PBW table whose lambda is
+#: nonzero (tests/test_pbw.py, TestModularInstances).
+Z3_TRIVIAL_GF3_N3_PBW = {
+    "field": "GF(3)",
+    "group": {"family": "cyclic", "n": 3},
+    "action": {"dim": 3, "matrices": {
+        g: [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        for g in ("1", "2")}},
+    "params": {
+        "kappa": [{"i": 0, "j": j, "value": [[1, "1"]]} for j in (1, 2)],
+        "lambda": ([{"g": 1, "i": i, "value": [[0, "1"]]} for i in range(3)]
+                   + [{"g": 2, "i": i, "value": [[1, "2"]]}
+                      for i in range(3)])},
+}
+
 Z4_ROT_Q = {
     "field": "Q",
     "group": {"family": "cyclic", "n": 4},
@@ -60,10 +85,21 @@ Z4_ROT_Q = {
 }
 
 
-def with_full_support(doc, seed):
-    """``doc`` with the params of ``helpers.full_support_table``."""
+def with_full_support(doc, seed, scales=None):
+    """``doc`` with the params of ``helpers.full_support_table``.
+
+    ``scales``, a pair of scalar strings, multiplies every kappa value by
+    the first and every lambda value by the second.
+    """
     alg = RunConfig.from_dict(doc).algebra
-    return dict(doc, params=params_to_config(full_support_table(alg, seed)))
+    params = full_support_table(alg, seed)
+    if scales is not None:
+        f = alg.field
+        ck, cl = (f.parse(c) for c in scales)
+        params = PBWParams(
+            alg, {k: vec_scale(f, ck, v) for k, v in params.kappa.items()},
+            {k: vec_scale(f, cl, v) for k, v in params.lam.items()})
+    return dict(doc, params=params_to_config(params))
 
 
 #: One input element per map, each in the map's domain and with more than
@@ -115,6 +151,15 @@ def _cases():
             ["pbw", "oracle"], with_full_support(doc, 0), None)
     cases["pbw_all_full_z3_unipotent_gf3"] = (
         ["pbw", "all"], with_full_support(Z3_UNIPOTENT_GF3, 0), None)
+    for label, doc in (("v4_gf2", V4_GF2), ("s3_refl_q", S3_REFL_Q)):
+        cases[f"pbw_cohomological_full_{label}"] = (
+            ["pbw", "cohomological"], with_full_support(doc, 0), None)
+    # fractional coefficients, so that the Q witnesses carry fractions
+    cases["pbw_cohomological_thirds_halves_s3_refl_q"] = (
+        ["pbw", "cohomological"],
+        with_full_support(S3_REFL_Q, 0, ("1/3", "1/2")), None)
+    cases["pbw_cohomological_pbw_z3_trivial_gf3_n3"] = (
+        ["pbw", "cohomological"], Z3_TRIVIAL_GF3_N3_PBW, None)
     for name, doc in APPLY_INPUTS.items():
         cases[f"apply_{name}_swap_q"] = (["apply", name],
                                          swap_q_config_doc(), doc)

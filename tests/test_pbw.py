@@ -25,13 +25,15 @@ import pytest
 
 from skewchain import linalg
 from skewchain.chainmaps import iota
-from skewchain.cochains import Cochain, coboundary, transport_up
+from skewchain.cochains import Cochain, circle, coboundary, transport_up
 from skewchain.complexes import ChainElement, random_twisted_slots
 from skewchain.pbw import (
     PBWParams,
     SearchSpaceTooLarge,
     _Rewriter,
     _all_words,
+    _defects,
+    _iota_images,
     _normal_words,
     check_all,
     check_cohomological,
@@ -387,21 +389,99 @@ class TestThreeWayAgreement:
             assert all(c["witness"] is None for c in rep.per_condition)
 
 
+def fresh_report(name, p):
+    """check_cohomological on the table ``p`` over a new algebra."""
+    cold = PBW_CONFIGS[name]()
+    return check_cohomological(
+        cold, PBWParams(cold, p.kappa, p.lam)).to_json_dict()
+
+
 class TestSharedMemos:
     @pytest.mark.parametrize("name", ["v4_gf2", "z3_unipotent_gf3"])
     def test_cohomological_report_does_not_depend_on_earlier_tables(
             self, name):
         """The algebra memoizes what no table changes (pi and iota images,
-        bar differentials of basis elements, free_decompose splits), so a
-        table decided after others must get the report of a fresh algebra."""
+        their Π(d y) chains, free_decompose splits), so a table decided
+        after others must get the report of a fresh algebra."""
         warm = PBW_CONFIGS[name]()
         rng = random.Random(7)
         for _ in range(6):
             p = PBWParams.random(warm, rng)
-            cold = PBW_CONFIGS[name]()
-            fresh = check_cohomological(cold, PBWParams(cold, p.kappa, p.lam))
             assert (check_cohomological(warm, p).to_json_dict()
-                    == fresh.to_json_dict())
+                    == fresh_report(name, p))
+
+    @pytest.mark.parametrize("name", ["swap_q", "swap_gf2"])
+    def test_pbw_table_after_a_partly_filled_boundary_cache(self, name):
+        """Π(d y) is built when a scan first reaches y.  A table failing at
+        the first X_{2,1} image leaves only that image's chain built; a PBW
+        table with lambda != 0 decided next scans every image."""
+        def x21_built(alg):
+            return sorted(k for k in alg._pi_boundary_cache if k[:2] == (2, 1))
+
+        rng = random.Random(7)
+        draws = [PBWParams.random(PBW_CONFIGS[name](), rng)
+                 for _ in range(400)]
+        early = pbw_table = None
+        for p in draws:
+            A = PBW_CONFIGS[name]()
+            p = PBWParams(A, p.kappa, p.lam)
+            if early is None and not p.identity_lambda_rows():
+                if not check_cohomological(A, p).per_condition[0]["holds"]:
+                    if x21_built(A) == [(2, 1, 0)]:
+                        early = p
+            if pbw_table is None and p.lam and check_five(A, p).verdict:
+                pbw_table = p
+        assert early is not None and pbw_table is not None
+
+        warm = PBW_CONFIGS[name]()
+        first = check_cohomological(
+            warm, PBWParams(warm, early.kappa, early.lam)).to_json_dict()
+        assert x21_built(warm) == [(2, 1, 0)]
+        assert first == fresh_report(name, early)
+        second = check_cohomological(
+            warm, PBWParams(warm, pbw_table.kappa, pbw_table.lam))
+        assert second.verdict
+        assert second.to_json_dict() == fresh_report(name, pbw_table)
+        assert len(x21_built(warm)) == len(_iota_images(warm, 2, 1))
+
+
+class TestTwistedSideCoboundary:
+    """check_cohomological evaluates d*(mu) on an image y as alpha(Π(d y)).
+    Every defect must equal the one the cochain code computes on the bar
+    side: coboundary and circle of the transported cochains."""
+
+    @pytest.mark.parametrize("name", sorted(PBW_CONFIGS))
+    def test_defects_match_the_bar_side_cochains(self, name):
+        A = PBW_CONFIGS[name]()
+        rng = random.Random(11)
+        tables = [PBWParams.random(A, rng) for _ in range(3)]
+        tables += [full_support_table(A, s) for s in range(2)]
+        pif = pi_of_free(A)
+        for p in tables:
+            p = p.without_identity_lambda()
+            d_mu1, phi2, phi3 = _defects(A, p)
+
+            def lam_fn(key):
+                (g,), ((i,),) = key
+                return A.of_group_algebra(p.lam_of(g, i))
+
+            def kap_fn(key):
+                _, ((i, j),) = key
+                return A.of_group_algebra(p.kappa_wedge(i, j))
+
+            mu1 = transport_up(
+                Cochain(A, ("twisted", 1, 1, "koszul"), lam_fn), pif)
+            mu2 = transport_up(
+                Cochain(A, ("twisted", 0, 2, "koszul"), kap_fn), pif)
+            ref1 = coboundary(mu1)
+            ref2 = circle(mu1, mu1) - coboundary(mu2)
+            ref3 = circle(mu1, mu2) + circle(mu2, mu1)
+            for i, j in ((2, 1), (1, 2), (0, 3)):
+                for index, (_key, y) in enumerate(_iota_images(A, i, j)):
+                    at = (i, j, index, y)
+                    assert d_mu1(*at) == ref1.eval_element(y)
+                    assert phi2(*at) == ref2.eval_element(y)
+                    assert phi3(*at) == ref3.eval_element(y)
 
 
 class TestEnumerate:

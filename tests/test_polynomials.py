@@ -11,6 +11,8 @@ from hypothesis import given, strategies as st
 from skewchain.fields import GF, QQ, vec_add
 from skewchain.groups import cyclic_group, symmetric_group
 from skewchain.polynomials import (
+    MAX_ACTION_DIM,
+    ActionTooLarge,
     DimensionMismatch,
     LinearAction,
     grlex_key,
@@ -143,6 +145,17 @@ class TestLinearAction:
                 gh = G.mul(g, h)
                 f = {var_exp(2, 0): 1, (1, 1): 2}
                 assert A.act_poly(g, A.act_poly(h, f)) == A.act_poly(gh, f)
+
+    @pytest.mark.parametrize("build", [
+        lambda G, n: LinearAction(QQ, G, n, {}),
+        lambda G, n: LinearAction.from_generators(QQ, G, n, {}),
+        lambda G, n: LinearAction.from_config(QQ, G, {"dim": n}),
+    ], ids=["init", "from_generators", "from_config"])
+    def test_dim_cap(self, build):
+        G = cyclic_group(1)
+        assert build(G, MAX_ACTION_DIM).dim == MAX_ACTION_DIM
+        with pytest.raises(ActionTooLarge, match="exceeds the cap of 16"):
+            build(G, 10 ** 9)
 
     def test_from_generators_insufficient(self):
         G = symmetric_group(3)
