@@ -12,13 +12,11 @@ from .fields import (
     QQ,
     DivisionByZero,
     Field,
-    FieldMismatch,
     NonPrimeModulus,
     field_from_descriptor,
 )
 from .groups import (
     FiniteGroup,
-    GroupMismatch,
     GroupTooLarge,
     NoIdentity,
     NotAssociative,
@@ -26,16 +24,13 @@ from .groups import (
     cyclic_group,
     group_from_config,
     product_of_cyclic_groups,
-    reduce_identity,
     symmetric_group,
 )
 from .polynomials import (
     ActionTooLarge,
     DimensionMismatch,
     LinearAction,
-    linear_part,
     poly_mul,
-    reduce_const,
 )
 from .skew import ContextMismatch, SkewAlgebra
 from .complexes import (
@@ -77,12 +72,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GF", "QQ", "Field", "field_from_descriptor",
-    "DivisionByZero", "FieldMismatch", "NonPrimeModulus",
+    "DivisionByZero", "NonPrimeModulus",
     "FiniteGroup", "cyclic_group", "symmetric_group",
-    "product_of_cyclic_groups", "group_from_config", "reduce_identity",
-    "GroupMismatch", "GroupTooLarge", "NoIdentity", "NotAssociative",
+    "product_of_cyclic_groups", "group_from_config",
+    "GroupTooLarge", "NoIdentity", "NotAssociative",
     "NotLatinSquare",
-    "LinearAction", "poly_mul", "reduce_const", "linear_part",
+    "LinearAction", "poly_mul",
     "DimensionMismatch", "ActionTooLarge",
     "SkewAlgebra", "ContextMismatch",
     "ChainElement", "ChainVector", "ShapeMismatch", "expand_term",

@@ -16,6 +16,7 @@ identical (config, seed) pairs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 
@@ -103,24 +104,15 @@ def run_pbw(cfg: RunConfig, method: str):
     alg = cfg.algebra
     params = cfg.params
     j_max = cfg.budgets["j_max"]
-    reports = {}
-    agree = True
-    if method == "five":
-        rep = check_five(alg, params)
-        reports[rep.method] = rep.to_json_dict()
-        verdict = rep.verdict
-    elif method == "cohomological":
-        rep = check_cohomological(alg, params, j_max=j_max)
-        reports[rep.method] = rep.to_json_dict()
-        verdict = rep.verdict
-    elif method == "oracle":
-        rep = oracle_pbw(alg, params)
-        reports[rep.method] = rep.to_json_dict()
-        verdict = rep.verdict
+    if method == "all":
+        reports, agree = check_all(alg, params, j_max=j_max)
+        verdict = reports["five_conditions"].verdict
     else:
-        three, agree = check_all(alg, params, j_max=j_max)
-        reports = {k: r.to_json_dict() for k, r in three.items()}
-        verdict = three["five_conditions"].verdict
+        decide = {"five": check_five, "oracle": oracle_pbw,
+                  "cohomological": functools.partial(check_cohomological,
+                                                     j_max=j_max)}[method]
+        rep = decide(alg, params)
+        reports, agree, verdict = {rep.method: rep}, True, rep.verdict
     report = {
         "command": "pbw",
         "method": method,
@@ -128,7 +120,7 @@ def run_pbw(cfg: RunConfig, method: str):
         "params": params_to_config(params),
         "verdict": verdict,
         "agree": agree,
-        "reports": reports,
+        "reports": {k: r.to_json_dict() for k, r in reports.items()},
     }
     if not agree:
         return report, EXIT_DISAGREE
@@ -172,14 +164,10 @@ def run_enumerate(cfg: RunConfig):
     unknown = set(spec) - {"kappa_candidates", "lambda_candidates", "cap"}
     if unknown:
         raise ConfigParseError(f"unknown enumerate keys {sorted(unknown)}")
-    kcands = [
-        _ga_from_wire(alg.field, entry, f"kappa_candidates[{pos}]")
-        for pos, entry in enumerate(spec.get("kappa_candidates", []))
-    ]
-    lcands = [
-        _ga_from_wire(alg.field, entry, f"lambda_candidates[{pos}]")
-        for pos, entry in enumerate(spec.get("lambda_candidates", []))
-    ]
+    kcands, lcands = (
+        [_ga_from_wire(alg.field, entry, f"{key}[{pos}]")
+         for pos, entry in enumerate(spec.get(key, []))]
+        for key in ("kappa_candidates", "lambda_candidates"))
     kwargs = {}
     if "cap" in spec:
         if not is_json_int(spec["cap"]):

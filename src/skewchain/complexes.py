@@ -438,13 +438,6 @@ def diff(x) -> ChainVector:
 
 # -- the bimodule structure ------------------------------------------------
 
-def group_degree(alg: SkewAlgebra, tag, slots) -> int:
-    """Ordered product of all group slots of the C-part of a twisted term."""
-    if tag[0] != "twisted":
-        raise ShapeMismatch("group_degree applies to twisted terms")
-    return alg.group.prod(slots[: tag[1] + 2])
-
-
 def act_skew_left(x: ChainElement, a: dict) -> ChainElement:
     """Left action of a skew-algebra element on a twisted element.
 

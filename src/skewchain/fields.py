@@ -39,10 +39,6 @@ class NonPrimeModulus(ValueError):
     """Raised when a prime field is requested for a composite modulus."""
 
 
-class FieldMismatch(ValueError):
-    """Raised when two structures built over different fields are combined."""
-
-
 class DivisionByZero(ZeroDivisionError):
     """Raised on exact division by the zero scalar."""
 
@@ -99,9 +95,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def from_int(self, n: int):
         raise NotImplementedError
 
@@ -135,12 +128,6 @@ class Field:
     def format(self, a) -> str:
         """Inverse of :meth:`parse` on canonical values."""
         return str(a)
-
-    def require_same(self, other: "Field") -> None:
-        if self != other:
-            raise FieldMismatch(
-                f"cannot mix scalars of {self.descriptor} and {other.descriptor}"
-            )
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<Field {self.descriptor}>"
@@ -178,11 +165,6 @@ class RationalField(Field):
         if a == 0:
             raise DivisionByZero("inverse of 0 in Q")
         return self._canon(Fraction(1, 1) / a)
-
-    def div(self, a, b):
-        if b == 0:
-            raise DivisionByZero("division by 0 in Q")
-        return self._canon(Fraction(a) / b)
 
     def from_int(self, n):
         return n
@@ -234,9 +216,6 @@ class PrimeField(Field):
         if a == 0:
             raise DivisionByZero(f"inverse of 0 in GF({self.p})")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def from_int(self, n):
         return n % self.p

@@ -27,10 +27,6 @@ class NoIdentity(ValueError):
     """Raised when index 0 does not act as a two-sided identity."""
 
 
-class GroupMismatch(ValueError):
-    """Raised when two structures built over different groups are combined."""
-
-
 class GroupTooLarge(ValueError):
     """Raised when a group's order exceeds :data:`MAX_GROUP_ORDER`."""
 
@@ -119,12 +115,6 @@ class FiniteGroup:
     def label(self, a: int) -> str:
         return self.labels[a]
 
-    def require_same(self, other: "FiniteGroup") -> None:
-        if self is other:
-            return
-        if self.table != other.table:
-            raise GroupMismatch("structures use different groups")
-
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and self.table == other.table
 
@@ -190,11 +180,6 @@ def product_of_cyclic_groups(orders) -> FiniteGroup:
     return FiniteGroup(table, labels)
 
 
-def perm_of_label(label: str):
-    """Recover the one-line permutation from a symmetric_group label."""
-    return tuple(int(ch) for ch in label)
-
-
 def group_from_config(cfg: dict) -> FiniteGroup:
     """Build a group from its config block.
 
@@ -227,12 +212,3 @@ def ga_mul(field: Field, group: FiniteGroup, a: dict, b: dict) -> dict:
     return field.accumulate({}, ((table[g][h], mul(cg, ch))
                                  for g, cg in a.items()
                                  for h, ch in b.items()))
-
-
-def reduce_identity(a: dict) -> dict:
-    """Drop the identity component (projection kG -> span of G - {1})."""
-    if 0 not in a:
-        return a
-    out = dict(a)
-    del out[0]
-    return out

@@ -56,6 +56,11 @@ from .polynomials import var_exp, var_names
 from .skew import SkewAlgebra
 
 
+#: The filtration degree of the oracle's word span: degree 3 carries every
+#: overlap of two quadratic relations.
+ORACLE_DEGREE = 3
+
+
 class MissingParams(ValueError):
     """Raised when a PBW question is posed without parameter maps."""
 
@@ -220,12 +225,20 @@ def _basis_image(alg: SkewAlgebra, g: int, i: int) -> dict:
     return {k: mat[k][i] for k in range(alg.nvars) if mat[k][i] != 0}
 
 
-def _format_ga(alg, a: dict) -> str:
-    return alg.format_element(alg.of_group_algebra(a))
+def _condition(number: int, names: tuple, fmt, cases) -> dict:
+    """The report entry of one condition: its first failing case, if any.
 
-
-def _format_poly(alg, p: dict) -> str:
-    return alg.format_element(alg.of_poly(p))
+    ``cases`` yields ``(defect, values)`` pairs in scan order.  The scan
+    stops at the first nonzero defect, whose witness maps ``names`` to
+    ``values`` and ``"defect"`` to ``fmt(defect)``; the witness is built
+    for that case only.
+    """
+    for defect, values in cases:
+        if defect:
+            witness = dict(zip(names, values))
+            witness["defect"] = fmt(defect)
+            return {"condition": number, "holds": False, "witness": witness}
+    return {"condition": number, "holds": True, "witness": None}
 
 
 # -- method 1: the five closed-form conditions ------------------------------
@@ -242,50 +255,42 @@ def check_five(alg: SkewAlgebra, params: PBWParams) -> PBWReport:
     group = alg.group
     nv = alg.nvars
     order = group.order
+    pairs = list(itertools.combinations(range(nv), 2))
+    triples = list(itertools.combinations(range(nv), 3))
 
-    def act_basis(g, i):
+    def act(g, i):
         return _basis_image(alg, g, i)
 
-    results = []
+    def ga(a):  # a group-algebra dict {g: scalar}
+        return alg.format_element(alg.of_group_algebra(a))
 
-    # (1) lambda(gh, v) = lambda(g, ^h v) h + g lambda(h, v)
-    witness = None
-    for g in range(order):
-        for h in range(order):
-            gh = group.mul(g, h)
-            for i in range(nv):
-                lhs = params.lam_of(gh, i)
-                rhs = vec_add(
-                    f,
-                    ga_mul(f, group, params.lam_linear(g, act_basis(h, i)),
-                           {h: 1}),
-                    ga_mul(f, group, {g: 1}, params.lam_of(h, i)),
-                )
-                defect = vec_sub(f, lhs, rhs)
-                if defect:
-                    witness = {
-                        "g": g, "h": h, "v": i,
-                        "defect": _format_ga(alg, defect),
-                    }
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    results.append({"condition": 1, "holds": witness is None,
-                    "witness": witness})
+    def linear(v):  # a linear form {variable index: scalar}
+        return alg.format_element(
+            alg.of_poly({var_exp(nv, k): c for k, c in v.items()}))
 
-    # (2) kappa(^g u, ^g v) g - g kappa(u, v)
-    #     = lambda(lambda(g, v), u) - lambda(lambda(g, u), v)
-    witness = None
-    for g in range(order):
-        for i in range(nv):
-            for j in range(i + 1, nv):
+    def cond1():
+        # lambda(gh, v) = lambda(g, ^h v) h + g lambda(h, v)
+        for g in range(order):
+            for h in range(order):
+                gh = group.mul(g, h)
+                for i in range(nv):
+                    rhs = vec_add(
+                        f,
+                        ga_mul(f, group, params.lam_linear(g, act(h, i)),
+                               {h: 1}),
+                        ga_mul(f, group, {g: 1}, params.lam_of(h, i)),
+                    )
+                    yield vec_sub(f, params.lam_of(gh, i), rhs), (g, h, i)
+
+    def cond2():
+        # kappa(^g u, ^g v) g - g kappa(u, v)
+        #   = lambda(lambda(g, v), u) - lambda(lambda(g, u), v)
+        for g in range(order):
+            for i, j in pairs:
                 lhs = vec_sub(
                     f,
                     ga_mul(f, group,
-                           params.kappa_bilinear(act_basis(g, i),
-                                                 act_basis(g, j)),
+                           params.kappa_bilinear(act(g, i), act(g, j)),
                            {g: 1}),
                     ga_mul(f, group, {g: 1}, params.kappa_wedge(i, j)),
                 )
@@ -294,95 +299,52 @@ def check_five(alg: SkewAlgebra, params: PBWParams) -> PBWReport:
                     params.lam_ga(params.lam_of(g, j), i),
                     params.lam_ga(params.lam_of(g, i), j),
                 )
-                defect = vec_sub(f, lhs, rhs)
-                if defect:
-                    witness = {
-                        "g": g, "u": i, "v": j,
-                        "defect": _format_ga(alg, defect),
-                    }
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    results.append({"condition": 2, "holds": witness is None,
-                    "witness": witness})
+                yield vec_sub(f, lhs, rhs), (g, i, j)
 
-    # (3) lambda_h(g, v)(^h u - ^g u) = lambda_h(g, u)(^h v - ^g v) in V
-    witness = None
-    for g in range(order):
-        for h in range(order):
-            for i in range(nv):
-                for j in range(i + 1, nv):
+    def cond3():
+        # lambda_h(g, v)(^h u - ^g u) = lambda_h(g, u)(^h v - ^g v) in V
+        for g in range(order):
+            for h in range(order):
+                for i, j in pairs:
                     cu = params.lam_of(g, i).get(h, 0)
                     cv = params.lam_of(g, j).get(h, 0)
                     if cu == 0 and cv == 0:
                         continue
-                    du = vec_sub(f, act_basis(h, i), act_basis(g, i))
-                    dv = vec_sub(f, act_basis(h, j), act_basis(g, j))
-                    defect = vec_sub(f, vec_scale(f, cv, du),
-                                     vec_scale(f, cu, dv))
-                    if defect:
-                        mono = {var_exp(nv, k): c for k, c in defect.items()}
-                        witness = {
-                            "g": g, "h": h, "u": i, "v": j,
-                            "defect": _format_poly(alg, mono),
-                        }
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    results.append({"condition": 3, "holds": witness is None,
-                    "witness": witness})
+                    du = vec_sub(f, act(h, i), act(g, i))
+                    dv = vec_sub(f, act(h, j), act(g, j))
+                    yield (vec_sub(f, vec_scale(f, cv, du),
+                                   vec_scale(f, cu, dv)), (g, h, i, j))
 
-    # (4) kappa_g(u,v)(^g w - w) + kappa_g(v,w)(^g u - u)
-    #     + kappa_g(w,u)(^g v - v) = 0 in V
-    witness = None
-    for g in range(order):
-        for i, j, k in itertools.combinations(range(nv), 3):
+    def cond4():
+        # kappa_g(u,v)(^g w - w) + kappa_g(v,w)(^g u - u)
+        #   + kappa_g(w,u)(^g v - v) = 0 in V
+        for g in range(order):
+            for i, j, k in triples:
+                total: dict = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    coeff = params.kappa_eval(a, b).get(g, 0)
+                    if coeff != 0:
+                        f.accumulate(total, scaled_pairs(
+                            f, coeff, vec_sub(f, act(g, c), {c: 1}).items()))
+                yield total, (g, i, j, k)
+
+    def cond5():
+        # lambda(kappa(u,v), w) + lambda(kappa(v,w), u)
+        #   + lambda(kappa(w,u), v) = 0
+        for i, j, k in triples:
             total: dict = {}
-            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                coeff = params.kappa_eval(a, b).get(g, 0)
-                if coeff == 0:
-                    continue
-                diff_c = vec_sub(
-                    f,
-                    {var_exp(nv, t): s
-                     for t, s in act_basis(g, c).items()},
-                    {var_exp(nv, c): 1},
-                )
-                f.accumulate(total, vec_scale(f, coeff, diff_c).items())
-            if total:
-                witness = {
-                    "g": g, "u": i, "v": j, "w": k,
-                    "defect": _format_poly(alg, total),
-                }
-                break
-        if witness:
-            break
-    results.append({"condition": 4, "holds": witness is None,
-                    "witness": witness})
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                f.accumulate(total,
+                             params.lam_ga(params.kappa_eval(a, b), c).items())
+            yield total, (i, j, k)
 
-    # (5) lambda(kappa(u,v), w) + lambda(kappa(v,w), u)
-    #     + lambda(kappa(w,u), v) = 0
-    witness = None
-    for i, j, k in itertools.combinations(range(nv), 3):
-        total: dict = {}
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            f.accumulate(total,
-                         params.lam_ga(params.kappa_eval(a, b), c).items())
-        if total:
-            witness = {
-                "u": i, "v": j, "w": k,
-                "defect": _format_ga(alg, total),
-            }
-            break
-    results.append({"condition": 5, "holds": witness is None,
-                    "witness": witness})
-
+    results = [
+        _condition(1, ("g", "h", "v"), ga, cond1()),
+        _condition(2, ("g", "u", "v"), ga, cond2()),
+        _condition(3, ("g", "h", "u", "v"), linear, cond3()),
+        _condition(4, ("g", "u", "v", "w"), linear, cond4()),
+        _condition(5, ("u", "v", "w"), ga, cond5()),
+    ]
     verdict = all(r["holds"] for r in results)
     return PBWReport("five_conditions", verdict, results)
 
@@ -409,7 +371,11 @@ def _cached_pi(alg):
 
 
 def _iota_images(alg, i, j):
-    """(free key, iota image) pairs over the X_{i,j} free basis, cached."""
+    """(free key, iota image) pairs over the X_{i,j} free basis, cached.
+
+    The free key is the C-part's group slots followed by the wedge's
+    variables, the witness values of the condition scans.
+    """
     cache = alg._iota_image_cache
     key = (i, j)
     hit = cache.get(key)
@@ -420,7 +386,7 @@ def _iota_images(alg, i, j):
             x = ChainElement.basis(alg, tag, slots)
             cbars = slots[1: i + 1]
             wedge = slots[i + 3]
-            hit.append(((cbars, wedge), iota(x)))
+            hit.append((cbars + wedge, iota(x)))
         cache[key] = hit
     return hit
 
@@ -529,73 +495,31 @@ def check_cohomological(alg: SkewAlgebra, params: PBWParams,
         raise DegreeOutOfRange(
             "the cohomological checker needs J_max >= 3"
         )
-    bad_rows = params.identity_lambda_rows()
-    bad_value = params.lam_of(0, bad_rows[0]) if bad_rows else None
-    if bad_rows:
+    bad = [(alg.of_group_algebra(params.lam_of(0, v)), (0, 0, v))
+           for v in params.identity_lambda_rows()[:1]]
+    if bad:
         params = params.without_identity_lambda()
     d_mu1, phi2, phi3 = _defects(alg, params)
+    fmt = alg.format_element
 
-    def first_failure(phi, i, j, describe):
+    def cases(phi, i, j):
         for index, (key, image) in enumerate(_iota_images(alg, i, j)):
-            defect = phi(i, j, index, image)
-            if defect:
-                w = describe(key)
-                w["defect"] = alg.format_element(alg.reduce(defect))
-                return w
-        return None
+            yield phi(i, j, index, image), key
 
-    checked = {}
-    results = []
-
-    # condition (1) <-> d*(mu1) on X_{2,1}
-    if bad_rows:
-        witness = {"g": 0, "h": 0, "v": bad_rows[0],
-                   "defect": _format_ga(alg, bad_value)}
-    else:
-        witness = None
-    if witness is None:
-        witness = first_failure(
-            d_mu1, 2, 1,
-            lambda key: {"g": key[0][0], "h": key[0][1], "v": key[1][0]},
-        )
-    checked["X21"] = len(_iota_images(alg, 2, 1))
-    results.append({"condition": 1, "holds": witness is None,
-                    "witness": witness})
-
-    # condition (3) <-> d*(mu1) on X_{1,2}
-    witness = first_failure(
-        d_mu1, 1, 2,
-        lambda key: {"g": key[0][0], "u": key[1][0], "v": key[1][1]},
-    )
-    checked["X12"] = len(_iota_images(alg, 1, 2))
-    results.append({"condition": 3, "holds": witness is None,
-                    "witness": witness})
-
-    # condition (2) <-> (mu1∘mu1 - d*mu2) on X_{1,2}
-    witness = first_failure(
-        phi2, 1, 2,
-        lambda key: {"g": key[0][0], "u": key[1][0], "v": key[1][1]},
-    )
-    results.append({"condition": 2, "holds": witness is None,
-                    "witness": witness})
-
-    # condition (4) <-> (mu1∘mu1 - d*mu2) on X_{0,3}
-    witness = first_failure(
-        phi2, 0, 3,
-        lambda key: {"u": key[1][0], "v": key[1][1], "w": key[1][2]},
-    )
-    checked["X03"] = len(_iota_images(alg, 0, 3))
-    results.append({"condition": 4, "holds": witness is None,
-                    "witness": witness})
-
-    # condition (5) <-> (mu1∘mu2 + mu2∘mu1) on X_{0,3}
-    witness = first_failure(
-        phi3, 0, 3,
-        lambda key: {"u": key[1][0], "v": key[1][1], "w": key[1][2]},
-    )
-    results.append({"condition": 5, "holds": witness is None,
-                    "witness": witness})
-
+    # d*(mu1) on X_{2,1} and X_{1,2}, mu1∘mu1 - d*(mu2) on X_{1,2} and
+    # X_{0,3}, mu1∘mu2 + mu2∘mu1 on X_{0,3}.  Each scan stops at its first
+    # failure, so Π(d y) is built, in this order, only for the images a
+    # scan reaches.
+    results = [
+        _condition(1, ("g", "h", "v"), fmt,
+                   itertools.chain(bad, cases(d_mu1, 2, 1))),
+        _condition(3, ("g", "u", "v"), fmt, cases(d_mu1, 1, 2)),
+        _condition(2, ("g", "u", "v"), fmt, cases(phi2, 1, 2)),
+        _condition(4, ("u", "v", "w"), fmt, cases(phi2, 0, 3)),
+        _condition(5, ("u", "v", "w"), fmt, cases(phi3, 0, 3)),
+    ]
+    checked = {f"X{i}{j}": len(_iota_images(alg, i, j))
+               for i, j in ((2, 1), (1, 2), (0, 3))}
     results.sort(key=lambda r: r["condition"])
     verdict = all(r["holds"] for r in results)
     return PBWReport("cohomological", verdict, results,
@@ -772,13 +696,13 @@ def _relations(alg: SkewAlgebra, params: PBWParams, rw: _Rewriter):
     return rels
 
 
-def oracle_pbw(alg: SkewAlgebra, params: PBWParams, max_degree: int = 3,
+def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
                mode: str = "normal_sandwich",
                early_exit: bool = False) -> PBWReport:
     """Decide PBW by rank over the degree-<= 3 word span.
 
     Every ideal element a·r·b (r a defining relation, a and b words with
-    total filtration degree within ``max_degree``) is rewritten to normal
+    total filtration degree within ``ORACLE_DEGREE``) is rewritten to normal
     form; the span of these reductions measures exactly the collapse of
     the normal-word basis, so the quotient dimension is
 
@@ -809,13 +733,14 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams, max_degree: int = 3,
     """
     rw = _Rewriter(alg, params)
     f = alg.field
-    nwords = _normal_words(alg, max_degree)
+    nwords = _normal_words(alg, ORACLE_DEGREE)
     index = {w: c for c, w in enumerate(nwords)}
-    expected = alg.group.order * comb(alg.nvars + max_degree, max_degree)
+    expected = alg.group.order * comb(alg.nvars + ORACLE_DEGREE,
+                                     ORACLE_DEGREE)
     if mode == "normal_sandwich":
         pool = nwords
     elif mode == "all_words":
-        pool = _all_words(alg, max_degree)
+        pool = _all_words(alg, ORACLE_DEGREE)
     else:
         raise ValueError(f"unknown oracle mode {mode!r}")
 
@@ -827,7 +752,7 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams, max_degree: int = 3,
         by_degree.setdefault(wdeg(w), []).append(w)
     # right words of degree <= d, in the order of increasing degree
     rights = [[b for db in range(d + 1) for b in by_degree.get(db, ())]
-              for d in range(max_degree + 1)]
+              for d in range(ORACLE_DEGREE + 1)]
 
     rank = IncrementalRank(f)
     witness = None
@@ -848,9 +773,7 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams, max_degree: int = 3,
     reduce = rw.reduce
     cat = rw.cat
     for tag, top, el in _relations(alg, params, rw):
-        budget = max_degree - top
-        if budget < 0:
-            continue
+        budget = ORACLE_DEGREE - top
         for da in range(budget + 1):
             for a in by_degree.get(da, ()):
                 left: dict = {}
@@ -900,15 +823,15 @@ def _format_words(alg, vec: dict, nwords) -> str:
 
 # -- batch driver -----------------------------------------------------------
 
-def check_all(alg: SkewAlgebra, params: PBWParams, j_max: int = 4,
-              oracle_mode: str = "normal_sandwich",
-              oracle_early_exit: bool = True):
-    """Run all three methods; returns (reports dict, agree flag)."""
+def check_all(alg: SkewAlgebra, params: PBWParams, j_max: int = 4):
+    """Run all three methods; returns (reports dict, agree flag).
+
+    The oracle exits early: agreement needs only its verdict.
+    """
     reports = {
         "five_conditions": check_five(alg, params),
         "cohomological": check_cohomological(alg, params, j_max),
-        "oracle": oracle_pbw(alg, params, mode=oracle_mode,
-                             early_exit=oracle_early_exit),
+        "oracle": oracle_pbw(alg, params, early_exit=True),
     }
     verdicts = {r.verdict for r in reports.values()}
     return reports, len(verdicts) == 1

@@ -65,20 +65,6 @@ def poly_mul(field: Field, f: dict, g: dict) -> dict:
 def total_degree(m: tuple) -> int:
     return sum(m)
 
-def reduce_const(f: dict) -> dict:
-    """Drop the constant component (projection S -> span of x^a, a != 0)."""
-    zero = (0,) * len(next(iter(f))) if f else None
-    if zero is None or zero not in f:
-        return f
-    out = dict(f)
-    del out[zero]
-    return out
-
-
-def linear_part(f: dict) -> dict:
-    """The degree-1 homogeneous component of f."""
-    return {m: c for m, c in f.items() if sum(m) == 1}
-
 
 def grlex_key(m: tuple):
     """Sort key for the graded lexicographic monomial order."""
@@ -254,9 +240,6 @@ class LinearAction:
 
     # -- the action -------------------------------------------------------
 
-    def matrix(self, g: int):
-        return self.matrices[g]
-
     def column_poly(self, g: int, j: int) -> dict:
         """The image of the variable x_j as a linear polynomial."""
         M = self.matrices[g]
@@ -286,12 +269,6 @@ class LinearAction:
             )
         memo[key] = out
         return out
-
-    def act_poly(self, g: int, f: dict) -> dict:
-        mul = self.field.mul
-        return self.field.accumulate({}, (
-            (m2, mul(c, c2)) for m, c in f.items()
-            for m2, c2 in self.act_monomial(g, m).items()))
 
     def act_wedge(self, g: int, wedge: tuple) -> dict:
         """Image of e_{i1} ^ ... ^ e_{ij} as {sorted wedge: scalar}.

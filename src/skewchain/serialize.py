@@ -50,8 +50,15 @@ from .complexes import (
     ShapeMismatch,
     expand_term,
     slot_count,
+    term_s_degree,
 )
 from .pbw import PBWParams
+
+
+#: The largest total polynomial degree of one input term.  The action
+#: expands a monomial one degree at a time, and the outputs of the maps grow
+#: with the products of the exponents, so a larger input would not finish.
+MAX_TERM_DEGREE = 100
 
 
 class ConfigParseError(ValueError):
@@ -350,6 +357,10 @@ def element_from_json(alg: SkewAlgebra, doc: dict) -> ChainElement:
         slots = tuple(
             _slot_from_json(alg, tag, pos, val) for pos, val in enumerate(raw)
         )
+        degree = term_s_degree(alg, tag, slots)
+        if degree > MAX_TERM_DEGREE:
+            raise ShapeMismatch(f"term degree {degree} exceeds the cap of "
+                                f"{MAX_TERM_DEGREE}")
         try:
             coeff = alg.field.parse(entry.get("coeff", "1"))
         except (TypeError, ValueError) as e:

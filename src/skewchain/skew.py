@@ -101,19 +101,8 @@ class SkewAlgebra:
     def of_poly(self, f: dict) -> dict:
         return {(m, 0): c for m, c in f.items()}
 
-    def of_group(self, g: int) -> dict:
-        return {(self.zero_exp, g): 1}
-
     def of_group_algebra(self, a: dict) -> dict:
         return {(self.zero_exp, g): c for g, c in a.items()}
-
-    def reduce(self, a: dict) -> dict:
-        """Drop the unit-pair component (projection to non-unit pairs)."""
-        if self.unit_pair not in a:
-            return a
-        out = dict(a)
-        del out[self.unit_pair]
-        return out
 
     # -- deterministic enumerations ---------------------------------------
 

@@ -15,7 +15,7 @@ import pytest
 from skewchain.cli import main
 from skewchain.pbw import PBWReport
 from skewchain.polynomials import MAX_ACTION_DIM
-from skewchain.serialize import canonical_json
+from skewchain.serialize import MAX_TERM_DEGREE, canonical_json
 
 from helpers import (
     NONASSOCIATIVE_TABLE,
@@ -352,6 +352,35 @@ class TestApply:
         assert code == 0
         assert sum(len(c["terms"])
                    for c in rep["output"]["components"]) == terms
+
+    @pytest.mark.parametrize("map_name,doc,degree", [
+        # act_monomial recursed once per degree: RecursionError, exit 4
+        ("awg", {"complex": "barskew", "n": 1, "terms": [{"slots": [
+            [[0, 0], 0], [[1500, 0], 1], [[0, 0], 0]]}]}, 1500),
+        # ran for over a minute
+        ("pi_s", bars_doc([3000000, 0]), 3000000),
+    ], ids=["awg", "pi_s"])
+    def test_input_degree_above_the_cap_is_a_setup_error(
+            self, map_name, doc, degree, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", swap_q_config_doc())
+        inp = write_json(tmp_path / "el.json", doc)
+        start = time.monotonic()
+        code, rep, _ = run_cli(capsys, ["apply", map_name, "--config", cfg,
+                                        "--input", inp])
+        assert time.monotonic() - start < 0.5
+        assert code == 2
+        assert rep["error"] == {
+            "type": "ShapeMismatch",
+            "detail": f"term degree {degree} exceeds the cap of "
+                      f"{MAX_TERM_DEGREE}"}
+
+    def test_input_degree_at_the_cap_is_applied(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", swap_q_config_doc())
+        inp = write_json(tmp_path / "el.json",
+                         bars_doc([MAX_TERM_DEGREE, 0]))
+        code, _, _ = run_cli(capsys, ["apply", "diff", "--config", cfg,
+                                      "--input", inp])
+        assert code == 0
 
     def test_unparseable_input_element(self, tmp_path, capsys, monkeypatch):
         import io

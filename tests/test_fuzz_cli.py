@@ -1,4 +1,4 @@
-"""Fuzz the CLI exit-code contract on small, partly malformed configs.
+"""Fuzz the CLI exit-code contract on small, partly malformed inputs.
 
 Hypothesis draws config documents: a field, a group, an action, a params
 block and budgets, each either well-formed (from a handful of small
@@ -6,6 +6,10 @@ algebras) or replaced by a value of the wrong shape.  ``pbw oracle`` and
 ``pbw all`` run on each through :func:`skewchain.cli.main`; the contract
 is an exit code in {0, 1, 2, 3} (4 would be an internal error, a bug) and
 one canonical JSON report on stdout.
+
+``apply`` runs every map on drawn chain-element documents, well-formed or
+not, some with exponents above the input degree cap; it may exit only 0 or
+2.
 """
 
 import contextlib
@@ -17,9 +21,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from skewchain.cli import main
+from skewchain.chainmaps import MAP_DOMAINS
+from skewchain.cli import MAP_NAMES, main
 from skewchain.polynomials import MAX_ACTION_DIM
-from skewchain.serialize import canonical_json
+from skewchain.serialize import MAX_TERM_DEGREE, canonical_json
 
 #: Values of the wrong shape, put in place of any block or entry.
 JUNK = st.one_of(
@@ -58,29 +63,29 @@ GROUPS = st.one_of(
 SCALARS = mostly(st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4"]),
                  st.sampled_from(["1/0", "a", "", 1, None]))
 
-MATRICES = st.one_of(
-    st.dictionaries(
-        st.sampled_from(["1", "2", "0", "-1", "a", "5"]),
-        st.one_of(
-            st.sampled_from([
-                [["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "-1"]],
-                [["1", "1"], ["0", "1"]], [["1", "0"], ["0", "1"]],
-                [["0", "0"], ["0", "0"]], [["1"]], [["1", "2", "3"]]]),
-            st.lists(st.lists(SCALARS, max_size=2), max_size=2),
-            JUNK),
-        max_size=2),
-    JUNK,
-)
+#: 2 x 2 matrices of drawn entries: the right shape for dim 2, but rarely
+#: a group homomorphism and sometimes with a malformed entry.
+SQUARE = st.lists(st.lists(SCALARS, min_size=2, max_size=2), min_size=2,
+                  max_size=2)
+
+MATRICES = mostly(st.dictionaries(
+    st.sampled_from(["1", "2", "0", "-1", "a", "5"]),
+    mostly(st.one_of(
+        SQUARE,
+        st.sampled_from([
+            [["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "-1"]],
+            [["1", "1"], ["0", "1"]], [["1", "0"], ["0", "1"]],
+            [["0", "0"], ["0", "0"]], [["1"]], [["1", "2", "3"]]]),
+        st.lists(st.lists(SCALARS, max_size=2), max_size=2))),
+    min_size=1, max_size=2))
 
 #: Dimensions in range, just above ``MAX_ACTION_DIM`` (rejected before any
 #: matrix is built), or of the wrong type.
 DIMS = st.one_of(st.integers(-1, 2),
                  st.integers(MAX_ACTION_DIM + 1, MAX_ACTION_DIM + 2), JUNK)
 
-ACTIONS = st.one_of(
-    st.fixed_dictionaries({"dim": DIMS}, optional={"matrices": MATRICES}),
-    JUNK,
-)
+ACTIONS = mostly(st.fixed_dictionaries(
+    {"dim": mostly(st.just(2), DIMS)}, optional={"matrices": MATRICES}))
 
 def index(lo, hi):
     """An index in [lo, hi] (in range for two variables and order 2),
@@ -159,4 +164,71 @@ def test_pbw_exit_code_contract(method, doc):
         cfg.write_text(json.dumps(doc))
         code, out = run_main(["pbw", method, "--config", str(cfg)])
     assert code in (0, 1, 2, 3), (code, out)
+    assert out == canonical_json(json.loads(out))
+
+
+#: Exponent lists for two variables: small or malformed.
+EXPONENTS = mostly(st.lists(mostly(st.integers(0, 2), st.just(-1)),
+                            min_size=2, max_size=2))
+
+#: Exponent lists whose sum over any two slots exceeds the input degree cap.
+LARGE_EXPONENTS = st.lists(st.integers(MAX_TERM_DEGREE // 2, 10 ** 6),
+                           min_size=2, max_size=2)
+
+KINDS = ["barskew", "barg", "bars", "koszul", "twisted"]
+
+
+def slot_strategies(kind, i, j, dkind, exps):
+    """One strategy per slot of a term of the given complex."""
+    group = index(0, 1)
+    wedge = mostly(st.sampled_from([[[]], [[0], [1]], [[0, 1]]][j]),
+                   st.sampled_from([[1, 0], [0, 0], [2], [0]]))
+    if kind == "barskew":
+        return [mostly(st.tuples(exps, group).map(list))] * (i + 2)
+    if kind == "barg":
+        return [group] * (i + 2)
+    if kind == "bars":
+        return [exps] * (j + 2)
+    if kind == "koszul":
+        return [exps, wedge, exps]
+    d = [exps, wedge, exps] if dkind == "koszul" else [exps] * (j + 2)
+    return [group] * (i + 2) + d
+
+
+@st.composite
+def apply_cases(draw):
+    """A map name and an element document, mostly of the map's domain."""
+    map_name = draw(st.sampled_from(MAP_NAMES))
+    # "twisted_bar" -> ("twisted", "bar"); diff is defined everywhere
+    kind, _, dkind = MAP_DOMAINS.get(map_name, "").partition("_")
+    if not kind or draw(st.integers(0, 4)) == 4:
+        kind = draw(st.sampled_from(KINDS))
+    dkind = dkind or draw(st.sampled_from(["bar", "koszul"]))
+    i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    # one case in five or so; derandomized draws seldom reach the top value
+    exps = LARGE_EXPONENTS if draw(st.integers(0, 4)) == 1 else EXPONENTS
+    slots = st.tuples(*slot_strategies(kind, i, j, dkind, exps)).map(list)
+    term = st.fixed_dictionaries({"slots": mostly(slots)},
+                                 optional={"coeff": SCALARS})
+    doc = {"complex": draw(mostly(st.just(kind))),
+           "D": draw(mostly(st.just(dkind))),
+           "terms": draw(mostly(st.lists(mostly(term), max_size=2)))}
+    for key, val in (("n", i), ("i", i), ("j", j)):
+        doc[key] = draw(mostly(st.just(val)))
+    return map_name, draw(mostly(st.just(doc)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.sampled_from(BASES), case=apply_cases())
+def test_apply_exit_code_contract(base, case):
+    map_name, element = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.json"
+        cfg.write_text(json.dumps(base))
+        inp = Path(tmp) / "e.json"
+        inp.write_text(json.dumps(element))
+        code, out = run_main(["apply", map_name, "--config", str(cfg),
+                              "--input", str(inp)])
+    assert code in (0, 2), (code, out)
     assert out == canonical_json(json.loads(out))

@@ -1,9 +1,15 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""No module imports a name it never uses, and the package defines nothing
+that no module of it references.
 
 A standard-library AST scan stands in for a linter.  A name bound by an
 ``import`` counts as used when the module loads it anywhere else (attribute
 access ``mod.x`` counts for ``mod``) or lists it in ``__all__``.  The
 package ``__init__.py`` re-exports the public API, so it is exempt.
+
+A module-level function or class of the package counts as referenced when
+a package module loads its name or an attribute of that name outside the
+definition's own body, or when ``__all__`` lists it.  Definitions that are
+kept without a caller are named in ``UNREFERENCED_ALLOWED`` with the reason.
 """
 
 import ast
@@ -12,11 +18,20 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "skewchain").glob("*.py"))
 MODULES = sorted(
-    p for p in [*(ROOT / "src" / "skewchain").glob("*.py"),
-                *(ROOT / "tests").glob("*.py")]
+    p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
     if p.name != "__init__.py"
 )
+
+#: Definitions the package keeps although none of its modules uses them.
+UNREFERENCED_ALLOWED = {
+    "transport_down": "the paper's translation from the bar resolution back "
+                      "to the twisted complex; test_cochains checks "
+                      "transport_down∘transport_up = id",
+    "FactoredSolver": "perfbench/tracer.py patches linalg.FactoredSolver by "
+                      "name",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -50,3 +65,49 @@ def test_no_unused_imports(path):
 def test_scan_sees_an_unused_import():
     src = "import os\nfrom a import b, c as d\nprint(b)\n"
     assert unused_imports(src) == [(1, "os"), (2, "d")]
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """The (module, name) of each module-level function or class in
+    ``sources`` (module name -> source text) that nothing references."""
+    defined = []
+    referenced = set()
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owner = node.name
+                defined.append((module, owner))
+            all_list = isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                elif all_list and isinstance(sub, ast.Constant):
+                    name = sub.value
+                else:
+                    continue
+                if name != owner:
+                    referenced.add(name)
+    return sorted((module, name) for module, name in defined
+                  if name not in referenced)
+
+
+def test_every_definition_is_referenced():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    found = unreferenced_definitions(sources)
+    assert [(m, n) for m, n in found if n not in UNREFERENCED_ALLOWED] == []
+    # an exception whose definition gained a caller is stale
+    assert sorted(n for _, n in found) == sorted(UNREFERENCED_ALLOWED)
+
+
+def test_scan_sees_an_unreferenced_definition():
+    sources = {
+        "a": "def f():\n    return f()\n\nclass C:\n    pass\n\n"
+             "def g():\n    return h()\n\ndef h():\n    pass\n",
+        "b": "__all__ = ['C']\n",
+    }
+    assert unreferenced_definitions(sources) == [("a", "f"), ("a", "g")]

@@ -98,7 +98,8 @@ def random_sparse_rows(field, rng, nrows=12, ncols=9):
     def scalar():
         if field.char:
             return field.from_int(rng.randrange(1, field.char))
-        return field.div(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        return field.mul(rng.randint(-10**6, 10**6),
+                         field.inv(rng.randint(1, 10**6)))
 
     rows = []
     for i in range(nrows):

@@ -171,6 +171,19 @@ class TestModularInstances:
         assert not oracle_pbw(A, p).verdict
 
 
+class TestWitnessDefect:
+    def test_cohomological_defect_keeps_its_identity_term(self):
+        # d*(mu1) on the first X_{2,1} image is -2 times the unit pair; the
+        # witness once printed it with that term dropped, as "0"
+        A = swap_q()
+        p = full_support_table(A, 0)
+        r5 = check_five(A, p).per_condition[0]
+        rc = check_cohomological(A, p).per_condition[0]
+        assert not r5["holds"] and not rc["holds"]
+        assert r5["witness"] == {"g": 1, "h": 1, "v": 0, "defect": "(2)*1"}
+        assert rc["witness"] == {"g": 1, "h": 1, "v": 0, "defect": "(-2)*1"}
+
+
 class TestIdentityLambda:
     def test_reported_as_condition_one_with_identity_witness(self):
         A = swap_q()

@@ -1,8 +1,6 @@
 """The skew group algebra S(V) ⋊ G: (s·g)(s'·g') = s·(ᵍs')·gg'.
 
-Elements are sparse {(monomial, group): scalar} dicts; ``reduce`` kills
-exactly the unit basis coefficient (constant monomial, identity element),
-which is the section of the quotient by k·1.
+Elements are sparse {(monomial, group): scalar} dicts.
 """
 
 import random
@@ -94,31 +92,6 @@ class TestAlgebraLaws:
         G = alg.group
         for g in G.elements:
             for h in G.elements:
-                assert alg.mul(alg.of_group(g), alg.of_group(h)) == \
-                    alg.of_group(G.mul(g, h))
-
-
-class TestReduce:
-    def test_only_unit_dies(self):
-        A = swap_q()
-        a = {((0, 0), 0): 2, ((0, 0), 1): 3}
-        assert A.reduce(a) == {((0, 0), 1): 3}
-
-    def test_nonconstant_survives(self):
-        A = swap_q()
-        a = {((1, 0), 0): 1}
-        assert A.reduce(a) == a
-
-    def test_pure_unit_dies(self):
-        A = swap_q()
-        assert A.reduce({((0, 0), 0): 5}) == {}
-
-    def test_idempotent_linear(self):
-        A = swap_q()
-        rng = random.Random(17)
-        for _ in range(40):
-            a = skew_elements(A, rng)
-            b = skew_elements(A, rng)
-            assert A.reduce(A.reduce(a)) == A.reduce(a)
-            assert A.reduce(vec_add(A.field, a, b)) == \
-                vec_add(A.field, A.reduce(a), A.reduce(b))
+                assert alg.mul(alg.of_group_algebra({g: 1}),
+                               alg.of_group_algebra({h: 1})) == \
+                    alg.of_group_algebra({G.mul(g, h): 1})
