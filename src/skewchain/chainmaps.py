@@ -67,15 +67,26 @@ def awg(x) -> ChainVector:
     if x.tag[0] != "barskew":
         raise ShapeMismatch(f"awg expects barskew elements, got {x.tag}")
     unit = alg.unit_pair
+    memo = alg._awg_memo
     out = ChainVector(alg)
     for slots, c in x.terms.items():
-        part = _awg_free(alg, slots[1:-1])
+        inner = slots[1:-1]
+        # free images of at most 2 bar letters recur and are memoized;
+        # longer ones recur little and are many
+        shared = len(inner) <= 2
+        part = memo.get(inner)
+        if part is None:
+            part = _awg_free(alg, inner)
+            if shared:
+                memo[inner] = part
         a = None if slots[0] == unit else {slots[0]: 1}
         b = None if slots[-1] == unit else {slots[-1]: 1}
         if a is not None or b is not None:
-            part = bimodule_act(a, part, b)
+            part = bimodule_act(a, part, b)  # awg is a bimodule map
+            shared = False
         if c == 1 and len(x.terms) == 1:
-            return part  # a fresh vector: no need to copy it into out
+            # a stored image never reaches a caller
+            return part.copy() if shared else part
         out.add_vector(part, c)
     return out
 

@@ -156,6 +156,20 @@ def run_apply(cfg: RunConfig, map_name: str, input_doc: dict):
 
 # -- enumerate -------------------------------------------------------------
 
+def _candidates(alg, spec, key):
+    """The group-algebra values listed under ``key`` of an enumerate block."""
+    entries = spec.get(key, [])
+    if not isinstance(entries, list):
+        raise ConfigParseError(f"enumerate {key!r} must be a list")
+    out = []
+    for pos, entry in enumerate(entries):
+        value = _ga_from_wire(alg.field, entry, f"{key}[{pos}]")
+        if any(not 0 <= g < alg.group.order for g in value):
+            raise ConfigParseError(f"{key}[{pos}]: group index out of range")
+        out.append(value)
+    return out
+
+
 def run_enumerate(cfg: RunConfig):
     spec = cfg.enumerate_spec
     if spec is None:
@@ -164,10 +178,8 @@ def run_enumerate(cfg: RunConfig):
     unknown = set(spec) - {"kappa_candidates", "lambda_candidates", "cap"}
     if unknown:
         raise ConfigParseError(f"unknown enumerate keys {sorted(unknown)}")
-    kcands, lcands = (
-        [_ga_from_wire(alg.field, entry, f"{key}[{pos}]")
-         for pos, entry in enumerate(spec.get(key, []))]
-        for key in ("kappa_candidates", "lambda_candidates"))
+    kcands, lcands = (_candidates(alg, spec, key)
+                      for key in ("kappa_candidates", "lambda_candidates"))
     kwargs = {}
     if "cap" in spec:
         if not is_json_int(spec["cap"]):

@@ -63,11 +63,6 @@ class Cochain:
         self.fn = fn
         self._memo: dict = {}
 
-    @classmethod
-    def from_table(cls, alg, tag, table: dict) -> "Cochain":
-        data = dict(table)
-        return cls(alg, tag, lambda key: data.get(key, {}))
-
     def value(self, key) -> dict:
         hit = self._memo.get(key)
         if hit is None:

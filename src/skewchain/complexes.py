@@ -203,8 +203,11 @@ class ChainVector:
         for el in other.parts.values():
             self.add_element(el, scale)
 
-    def component(self, tag) -> ChainElement:
-        return self.parts.get(tag) or ChainElement(self.alg, tag)
+    def copy(self) -> "ChainVector":
+        """The same vector, sharing no terms dict with this one."""
+        return ChainVector(self.alg, {
+            tag: ChainElement(self.alg, tag, dict(el.terms))
+            for tag, el in self.parts.items()})
 
     def components(self):
         return [self.parts[t] for t in sorted(self.parts)]

@@ -48,6 +48,9 @@ class SkewAlgebra:
         self._pair_memo: dict = {}
         #: pi_s values on free bar tuples (see chainmaps._pi_s_term)
         self._psi_memo: dict = {}
+        #: awg images of free generators with at most 2 bar letters, by
+        #: inner tuple (see chainmaps.awg)
+        self._awg_memo: dict = {}
         #: pi and iota images shared by all parameter tables (see pbw.py)
         self._pi_image_cache: dict = {}
         self._iota_image_cache: dict = {}

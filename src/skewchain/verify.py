@@ -25,6 +25,7 @@ from .complexes import (
     random_barskew_slots,
     random_twisted_slots,
     term_s_degree,
+    term_sort_key,
     twisted_free_basis,
 )
 from .chainmaps import (
@@ -42,6 +43,9 @@ from .skew import SkewAlgebra
 
 #: Failure witnesses kept per check.
 MAX_WITNESSES = 5
+
+#: Terms of a chain-map defect rendered in its failure witness.
+MAX_DEFECT_TERMS = 5
 
 
 # -- inputs ----------------------------------------------------------------
@@ -79,13 +83,19 @@ def random_term(alg: SkewAlgebra, family: str, n: int, dmax: int, rng,
     """A random basis term (tag, slots) of one family in degree n.
 
     A twisted family draws the bidegree first, and a Koszul term has degree
-    min(n, N).  Barskew and twisted terms draw their outer slots only when
-    ``free`` is false; bar and Koszul terms of S always draw them.
+    min(n, N).  Likewise, where the trivial group leaves no group letter or
+    N = 0 no S letter, a term has the largest degree up to n that has
+    terms: a twisted term of the trivial group has bidegree (0, j).
+    Barskew and twisted terms draw their outer slots only when ``free`` is
+    false; bar and Koszul terms of S always draw them.
     """
+    no_g, no_s = alg.group.order == 1, not alg.nvars
     if family == "barskew":
+        n = 0 if no_g and no_s else n
         return ("barskew", n), random_barskew_slots(alg, n, dmax, rng, free)
     outer = alg.monomials_up_to(dmax)
     if family == "bars":
+        n = 0 if no_s else n
         letters = alg.monomials_up_to(dmax, include_unit=False)
         m0 = rng.choice(outer)
         mids = tuple(rng.choice(letters) for _ in range(n))
@@ -96,7 +106,10 @@ def random_term(alg: SkewAlgebra, family: str, n: int, dmax: int, rng,
         w = rng.choice(list(itertools.combinations(range(alg.nvars), j)))
         return ("koszul", j), (m0, w, rng.choice(outer))
     dkind = family.split("_")[1]
-    j = rng.randrange((n if dkind == "bar" else min(n, alg.nvars)) + 1)
+    top = n if dkind == "bar" and not no_s else min(n, alg.nvars)
+    j = rng.randrange(top + 1)
+    if no_g:
+        n = j = top
     return (("twisted", n - j, j, dkind),
             random_twisted_slots(alg, n - j, j, dkind, dmax, rng, free))
 
@@ -227,8 +240,28 @@ def group_scalar_compat(alg, budgets, rng):
 
 # -- the chainmaps suite ---------------------------------------------------
 
+def _render_defect(defect: ChainVector) -> str:
+    """The first MAX_DEFECT_TERMS terms of a defect, by tag and then
+    :func:`term_sort_key`, as ``(c)*tag(args)(slots)``, with ``+N more``
+    when there are more."""
+    fmt = defect.alg.field.format
+    terms = sorted(((tag, slots, c) for tag, el in defect.parts.items()
+                    for slots, c in el.terms.items()),
+                   key=lambda t: (t[0], term_sort_key(t[1])))
+    shown = " + ".join(
+        f"({fmt(c)})*{tag[0]}({','.join(map(str, tag[1:]))})"
+        + repr(slots).replace(" ", "")
+        for tag, slots, c in terms[:MAX_DEFECT_TERMS])
+    rest = len(terms) - MAX_DEFECT_TERMS
+    return shown + f" +{rest} more" if rest > 0 else shown
+
+
 def _commutes(alg, fn, inputs):
-    """(d f(x) == f(d x), witness) for each (tag, slots) input."""
+    """(d f(x) == f(d x), witness) for each (tag, slots) input.
+
+    A failure's witness carries the defect d f(x) - f(d x): its term count
+    and a rendering of its first terms.
+    """
     for tag, slots in inputs:
         x = ChainElement.basis(alg, tag, slots)
         lhs, rhs = diff(fn(x)), fn(diff(x))
@@ -240,7 +273,8 @@ def _commutes(alg, fn, inputs):
         defect.add_vector(rhs, alg.field.from_int(-1))
         yield False, dict(
             _witness(tag, slots), degree=homological_degree(tag),
-            defect_terms=sum(len(el.terms) for el in defect.parts.values()))
+            defect_terms=sum(len(el.terms) for el in defect.parts.values()),
+            defect=_render_defect(defect))
 
 
 def verify_chainmap(

@@ -103,7 +103,7 @@ def test_criterion_2_worked_degree2_instance():
     x = ChainElement.basis(A, ("twisted", 1, 1, "bar"),
                            (0, 1, 0, Z, (1, 0), Z))
     lift = ezg(x)
-    assert lift.component(("barskew", 2)).terms == {
+    assert lift.parts[("barskew", 2)].terms == {
         (UNIT, (Z, 1), ((1, 0), 0), UNIT): 1,
         (UNIT, ((0, 1), 0), (Z, 1), UNIT): -1,
     }
@@ -171,7 +171,7 @@ def test_criterion_4_trivial_group_aw():
                 for c, (cb, dm) in terms:
                     expect[(0,) + tuple(cb) + (0,) + (z,)
                            + tuple(dm) + (z,)] = c
-                assert v.component(("twisted", i, j, "bar")).terms == expect
+                assert v.parts[("twisted", i, j, "bar")].terms == expect
 
 
 def test_criterion_4_trivial_group_ez():
@@ -185,7 +185,7 @@ def test_criterion_4_trivial_group_ez():
             for c, mids in classical_ez((), dmid):
                 expect[((z, 0),) + tuple((m, 0) for m in mids)
                        + ((z, 0),)] = c
-            assert v.component(("barskew", j)).terms == expect
+            assert v.parts[("barskew", j)].terms == expect
             assert len(v.parts) == 1
 
 

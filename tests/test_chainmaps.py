@@ -33,6 +33,7 @@ from skewchain.chainmaps import (
     pi,
     pi_s,
 )
+from skewchain.cli import run_verify
 from skewchain.complexes import (
     ChainElement,
     ChainVector,
@@ -46,6 +47,7 @@ from skewchain.complexes import (
     term_s_degree,
     twisted_free_basis,
 )
+from skewchain.serialize import DEFAULT_BUDGETS, RunConfig, canonical_json
 from skewchain.verify import verify_chainmap
 
 from helpers import (
@@ -107,10 +109,10 @@ class TestFrozenValues:
         A = swap_q()
         x = ChainElement.basis(A, ("barskew", 1), (UNIT, (X0, 1), UNIT))
         v = awg(x)
-        assert v.component(("twisted", 0, 1, "bar")).terms == {
+        assert v.parts[("twisted", 0, 1, "bar")].terms == {
             (1, 0, Z, X1, Z): 1
         }
-        assert v.component(("twisted", 1, 0, "bar")).terms == {
+        assert v.parts[("twisted", 1, 0, "bar")].terms == {
             (0, 1, 0, Z, X1): 1
         }
         assert len(v.parts) == 2
@@ -125,7 +127,7 @@ class TestFrozenValues:
             A, ("barskew", 2), (UNIT, (X0, 1), (X1, 0), UNIT)
         )
         v = awg(x)
-        assert v.component(("twisted", 0, 2, "bar")).terms == {
+        assert v.parts[("twisted", 0, 2, "bar")].terms == {
             (1, 0, Z, X1, X1, Z): 1
         }
         assert len(v.parts) == 1
@@ -140,7 +142,7 @@ class TestFrozenValues:
             A, ("twisted", 1, 1, "bar"), (0, 1, 0, Z, X0, Z)
         )
         v = ezg(x)
-        el = v.component(("barskew", 2))
+        el = v.parts[("barskew", 2)]
         assert el.terms == {
             (UNIT, (Z, 1), (X0, 0), UNIT): 1,
             (UNIT, (X1, 0), (Z, 1), UNIT): -1,
@@ -158,7 +160,7 @@ class TestFrozenValues:
         A = swap_q()
         x = ChainElement.basis(A, ("koszul", 2), (Z, (0, 1), Z))
         v = iota_s(x)
-        assert v.component(("bars", 2)).terms == {
+        assert v.parts[("bars", 2)].terms == {
             (Z, X0, X1, Z): 1,
             (Z, X1, X0, Z): -1,
         }
@@ -170,14 +172,14 @@ class TestFrozenValues:
         A = swap_q()
         x = ChainElement.basis(A, ("bars", 1), (Z, (2, 0), Z))
         v = pi_s(x)
-        assert v.component(("koszul", 1)).terms == {
+        assert v.parts[("koszul", 1)].terms == {
             (X0, (0,), Z): 1,
             (Z, (0,), X0): 1,
         }
         # chain-map identity at this instance, after the degree-0
         # identification Koszul_0 = S ⊗ S = BarS_0
-        kosz0 = diff(v).component(("koszul", 0)).terms
-        bars0 = diff(x).component(("bars", 0)).terms
+        kosz0 = diff(v).parts[("koszul", 0)].terms
+        bars0 = diff(x).parts[("bars", 0)].terms
         assert {(m0, m1): c for (m0, _, m1), c in kosz0.items()} == bars0
 
     def test_pi_s_closed_form_in_degree_two(self):
@@ -185,7 +187,7 @@ class TestFrozenValues:
         # (-1)^{2·1/2}: -(1 ⊗ x0∧x1 ⊗ x1²) - (x1 ⊗ x0∧x1 ⊗ x1)
         A = swap_q()
         x = ChainElement.basis(A, ("bars", 2), (Z, (0, 2), (1, 1), Z))
-        assert pi_s(x).component(("koszul", 2)).terms == {
+        assert pi_s(x).parts[("koszul", 2)].terms == {
             (Z, (0, 1), (0, 2)): -1,
             (X1, (0, 1), X1): -1,
         }
@@ -410,7 +412,7 @@ class TestClassicalDegeneration:
                     ("twisted", i, j, "bar") for i, j in want
                 }
                 for (i, j), terms in want.items():
-                    el = v.component(("twisted", i, j, "bar"))
+                    el = v.parts[("twisted", i, j, "bar")]
                     z = A.zero_exp
                     expect = {}
                     for c, (cb, dm) in terms:
@@ -430,5 +432,57 @@ class TestClassicalDegeneration:
                 for c, mids in classical_ez((), dmid):
                     expect[((z, 0),) + tuple((m, 0) for m in mids)
                            + ((z, 0),)] = c
-                assert v.component(("barskew", j)).terms == expect
+                assert v.parts[("barskew", j)].terms == expect
                 assert len(v.parts) == 1
+
+
+class TestAwgMemo:
+    """awg memoizes its images of free generators with at most two bar
+    letters on the algebra.  A stored image must never reach a caller, and
+    a warm algebra must give the reports of a fresh one."""
+
+    @staticmethod
+    def verify_config(make, seed):
+        budgets = dict(DEFAULT_BUDGETS, max_bar_degree=2, max_poly_degree=1,
+                       samples=5, degree4_samples=5, seed=seed)
+        return RunConfig(make(), None, budgets, None, {})
+
+    @pytest.mark.parametrize("inner", [((X0, 1),), ((X0, 1), (X1, 0))])
+    def test_mutating_a_returned_image_leaves_the_next_call_intact(
+            self, inner):
+        A = swap_q()
+        x = ChainElement.basis(A, ("barskew", len(inner)),
+                               (UNIT,) + inner + (UNIT,))
+        for fn in (awg, pi):
+            first = fn(x)
+            want = {tag: dict(el.terms) for tag, el in first.parts.items()}
+            for el in first.parts.values():
+                for slots in el.terms:
+                    el.terms[slots] = 7
+            first.add_terms(("twisted", 0, 0, "bar"), [((0, 0, Z, Z), 1)])
+            first.parts.clear()
+            again = fn(x)
+            assert {tag: el.terms for tag, el in again.parts.items()} == want
+
+    @pytest.mark.parametrize("make", [swap_q, v4_gf2])
+    def test_verify_on_a_warm_algebra_matches_a_fresh_one(self, make):
+        warm = self.verify_config(make, seed=1)
+        run_verify(warm, "all")
+        # a caller that sums awg images in place, as user code may
+        for n in (1, 2):
+            for slots in barskew_free_basis(warm.algebra, n, 1):
+                x = ChainElement.basis(warm.algebra, ("barskew", n), slots)
+                image = awg(x)
+                image.add_vector(awg(x))
+        assert warm.algebra._awg_memo
+        warm.budgets["seed"] = 2
+        fresh = self.verify_config(make, seed=2)
+        assert (canonical_json(run_verify(warm, "all")[0])
+                == canonical_json(run_verify(fresh, "all")[0]))
+
+    def test_memo_holds_only_short_generators(self):
+        cfg = self.verify_config(swap_q, seed=0)
+        cfg.budgets["max_bar_degree"] = 3
+        run_verify(cfg, "all")
+        memo = cfg.algebra._awg_memo
+        assert memo and max(len(inner) for inner in memo) <= 2

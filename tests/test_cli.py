@@ -141,6 +141,22 @@ class TestVerify:
         assert split["checks"] == every["checks"][-len(SPLITTING_CHECKS):]
 
 
+    @pytest.mark.parametrize("order,action", [
+        (1, {"dim": 2}), (1, {"dim": 0}),
+        (2, {"dim": 0, "matrices": {"1": []}}),
+    ], ids=["trivial_group", "trivial_group_no_variables", "no_variables"])
+    def test_algebras_without_group_or_s_letters_pass(self, order, action,
+                                                      tmp_path, capsys):
+        # The sampled checks drew group letters from the trivial group and S
+        # letters from no variables, an internal error (exit 4); such a
+        # term now takes the largest degree that has terms.
+        cfg = write_json(tmp_path / "c.json", swap_q_config_doc(
+            group={"family": "cyclic", "n": order}, action=action,
+            budgets=SMALL_BUDGETS))
+        code, rep, _ = run_cli(capsys, ["verify", "all", "--config", cfg])
+        assert code == 0 and rep["passed"]
+
+
 class TestPBW:
     def test_swap_kappa_one_fails_with_agreement(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json",
@@ -429,6 +445,25 @@ class TestEnumerate:
         assert code == 2
         assert rep["error"]["type"] == "ConfigParseError"
         assert "no enumerate block" in rep["error"]["detail"]
+
+
+    @pytest.mark.parametrize("spec,detail", [
+        ({"kappa_candidates": [[[2, "1"]]]},
+         "kappa_candidates[0]: group index out of range"),
+        ({"lambda_candidates": [[], [[-1, "1"]]]},
+         "lambda_candidates[1]: group index out of range"),
+        ({"kappa_candidates": 1},
+         "enumerate 'kappa_candidates' must be a list"),
+    ], ids=["kappa_index", "lambda_index", "not_a_list"])
+    def test_bad_candidates_are_a_setup_error(self, spec, detail, tmp_path,
+                                              capsys):
+        # an out-of-range group index reached PBWParams (exit 4) and a
+        # non-list was iterated
+        cfg = write_json(tmp_path / "c.json",
+                         swap_q_config_doc(enumerate=spec))
+        code, rep, _ = run_cli(capsys, ["enumerate", "--config", cfg])
+        assert code == 2
+        assert rep["error"] == {"type": "ConfigParseError", "detail": detail}
 
 
 class TestConfigErrors:

@@ -151,7 +151,7 @@ class TestTwistedDifferential:
         A = swap_q()
         x = ChainElement.basis(A, ("twisted", 1, 0, "bar"), (0, 1, 0, Z, Z))
         d = diff(x)
-        comp = d.component(("twisted", 0, 0, "bar"))
+        comp = d.parts[("twisted", 0, 0, "bar")]
         assert comp.terms == {(1, 0, Z, Z): 1, (0, 1, Z, Z): -1}
         assert len(d.parts) == 1
 
@@ -159,7 +159,7 @@ class TestTwistedDifferential:
         A = swap_q()
         x = ChainElement.basis(A, ("twisted", 0, 1, "bar"), (0, 0, Z, X0, Z))
         d = diff(x)
-        comp = d.component(("twisted", 0, 0, "bar"))
+        comp = d.parts[("twisted", 0, 0, "bar")]
         assert comp.terms == {(0, 0, X0, Z): 1, (0, 0, Z, X0): -1}
 
     def test_vertical_sign_alternates(self):
@@ -168,7 +168,7 @@ class TestTwistedDifferential:
         x = ChainElement.basis(
             A, ("twisted", 1, 1, "bar"), (0, 1, 0, Z, X0, Z)
         )
-        vert = diff(x).component(("twisted", 1, 0, "bar"))
+        vert = diff(x).parts[("twisted", 1, 0, "bar")]
         assert vert.terms == {
             (0, 1, 0, X0, Z): -1,
             (0, 1, 0, Z, X0): 1,

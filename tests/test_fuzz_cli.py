@@ -10,6 +10,11 @@ one canonical JSON report on stdout.
 ``apply`` runs every map on drawn chain-element documents, well-formed or
 not, some with exponents above the input degree cap; it may exit only 0 or
 2.
+
+``verify`` (every suite) and ``enumerate`` run on the same drawn documents,
+with tiny budgets (bar degree at most 2, polynomial degree 1, at most 5
+samples) and candidate lists of at most two entries, so that each run
+takes milliseconds; they may exit only 0, 1 or 2.
 """
 
 import contextlib
@@ -231,4 +236,66 @@ def test_apply_exit_code_contract(base, case):
         code, out = run_main(["apply", map_name, "--config", str(cfg),
                               "--input", str(inp)])
     assert code in (0, 2), (code, out)
+    assert out == canonical_json(json.loads(out))
+
+
+#: Budgets that keep a ``verify`` run to milliseconds, or of a bad value
+#: (a setup error).  Every key is present: the defaults are far larger.
+TINY_BUDGETS = st.fixed_dictionaries({
+    "max_bar_degree": mostly(st.integers(1, 2), st.integers(-1, 0)),
+    "max_poly_degree": mostly(st.just(1), st.sampled_from([0, -1, "1"])),
+    "samples": mostly(st.integers(0, 5), st.just(-1)),
+    "degree4_samples": mostly(st.integers(0, 5), st.just(-1)),
+    "seed": mostly(st.integers(0, 5), JUNK),
+})
+
+
+@st.composite
+def verify_docs(draw):
+    doc = draw(config_docs())
+    if isinstance(doc, dict):
+        doc["budgets"] = draw(TINY_BUDGETS)
+    return doc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(suite=st.sampled_from(["complexes", "chainmaps", "splitting", "all"]),
+       doc=verify_docs())
+def test_verify_exit_code_contract(suite, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code, out = run_main(["verify", suite, "--config", str(cfg)])
+    assert code in (0, 1, 2), (code, out)
+    assert out == canonical_json(json.loads(out))
+
+
+#: Candidate lists of at most two group-algebra values: on the drawn
+#: algebras (N = 2, order at most 3) a run decides at most 2 ** 5 tables.
+#: The block or an entry may be malformed.
+ENUMERATE = mostly(st.fixed_dictionaries({}, optional={
+    "kappa_candidates": mostly(st.lists(GA_VALUES, max_size=2)),
+    "lambda_candidates": mostly(st.lists(GA_VALUES, max_size=2)),
+    "cap": mostly(st.integers(0, 40), JUNK),
+}))
+
+
+@st.composite
+def enumerate_docs(draw):
+    doc = draw(config_docs())
+    if isinstance(doc, dict) and draw(st.integers(0, 9)) < 9:
+        doc["enumerate"] = draw(ENUMERATE)
+    return doc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=enumerate_docs())
+def test_enumerate_exit_code_contract(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code, out = run_main(["enumerate", "--config", str(cfg)])
+    assert code in (0, 1, 2), (code, out)
     assert out == canonical_json(json.loads(out))

@@ -6,10 +6,11 @@ A standard-library AST scan stands in for a linter.  A name bound by an
 access ``mod.x`` counts for ``mod``) or lists it in ``__all__``.  The
 package ``__init__.py`` re-exports the public API, so it is exempt.
 
-A module-level function or class of the package counts as referenced when
-a package module loads its name or an attribute of that name outside the
-definition's own body, or when ``__all__`` lists it.  Definitions that are
-kept without a caller are named in ``UNREFERENCED_ALLOWED`` with the reason.
+A module-level function or class of the package, or a public method of
+such a class, counts as referenced when a package module loads its name or
+an attribute of that name outside the definition's own body, or when
+``__all__`` lists it.  Definitions that are kept without a caller are named
+in ``UNREFERENCED_ALLOWED`` with the reason.
 """
 
 import ast
@@ -31,6 +32,8 @@ UNREFERENCED_ALLOWED = {
                       "transport_down∘transport_up = id",
     "FactoredSolver": "perfbench/tracer.py patches linalg.FactoredSolver by "
                       "name",
+    "FactoredSolver.solve": "perfbench/tracer.py patches "
+                            "linalg.FactoredSolver by name",
 }
 
 
@@ -68,32 +71,47 @@ def test_scan_sees_an_unused_import():
 
 
 def unreferenced_definitions(sources: dict) -> list:
-    """The (module, name) of each module-level function or class in
-    ``sources`` (module name -> source text) that nothing references."""
+    """The (module, name) of each module-level function or class, and of
+    each public method (``Class.method``) of a module-level class, in
+    ``sources`` (module name -> source text) that nothing references.
+
+    A reference is a loaded name or an attribute; one made inside the body
+    of the definition it names does not count.
+    """
     defined = []
     referenced = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and name not in enclosing:
+            referenced.add(name)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
     for module, text in sources.items():
         for node in ast.parse(text).body:
-            owner = None
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                owner = node.name
-                defined.append((module, owner))
-            all_list = isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets)
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    name = sub.id
-                elif isinstance(sub, ast.Attribute):
-                    name = sub.attr
-                elif all_list and isinstance(sub, ast.Constant):
-                    name = sub.value
-                else:
-                    continue
-                if name != owner:
-                    referenced.add(name)
+                defined.append((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, f"{node.name}.{item.name}")
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")]
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                referenced |= {sub.value for sub in ast.walk(node.value)
+                               if isinstance(sub, ast.Constant)}
+            visit(node, frozenset())
     return sorted((module, name) for module, name in defined
-                  if name not in referenced)
+                  if name.rpartition(".")[2] not in referenced)
 
 
 def test_every_definition_is_referenced():
@@ -111,3 +129,15 @@ def test_scan_sees_an_unreferenced_definition():
         "b": "__all__ = ['C']\n",
     }
     assert unreferenced_definitions(sources) == [("a", "f"), ("a", "g")]
+
+
+def test_scan_sees_an_unreferenced_method():
+    sources = {
+        "a": "class C:\n    def m(self):\n        return self.m()\n\n"
+             "    def n(self):\n        return self.k()\n\n"
+             "    def k(self):\n        pass\n\n"
+             "    def _p(self):\n        pass\n\n"
+             "    def __len__(self):\n        return 0\n",
+        "b": "from a import C\nC().n()\n",
+    }
+    assert unreferenced_definitions(sources) == [("a", "C.m")]

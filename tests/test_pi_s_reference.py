@@ -59,7 +59,8 @@ class GradeSolve:
         ((slots, _),) = x.terms.items()
         grade = sum(map(sum, slots))
         solver, rows, cols = self._solver(grade)
-        rhs = pi_s(diff(x)).component(("koszul", 1)).terms
+        image = pi_s(diff(x)).parts.get(("koszul", 1))
+        rhs = {} if image is None else image.terms
         sol = solver.solve([rhs.get(s, 0) for s in rows])
         out = ChainElement(self.alg, ("koszul", 2))
         out.terms.update((cols[c], v) for c, v in enumerate(sol) if v != 0)

@@ -57,7 +57,38 @@ def test_chainmap_witnesses_are_capped_and_name_the_defect():
     assert rep["checked"] > verify.MAX_WITNESSES
     assert len(rep["failures"]) == verify.MAX_WITNESSES
     for w in rep["failures"]:
-        assert set(w) == {"degree", "tag", "input", "defect_terms"}
+        assert set(w) == {"degree", "tag", "input", "defect_terms", "defect"}
         assert w["tag"][0] == "barskew" and w["degree"] == w["tag"][1]
         assert w["defect_terms"] > 0
+
+
+def test_chainmap_witness_renders_the_defect():
+    """A witness shows the first terms of d f(x) - f(d x) in tag, then
+    term_sort_key, order, and counts the terms it leaves out."""
+    def mutant(x):  # awg with its X_{i,j} part scaled by i + 1
+        v = awg(x)
+        out = ChainVector(v.alg)
+        for tag, el in v.parts.items():
+            out.add_element(el, tag[1] + 1)
+        return out
+
+    alg = swap_q()
+    rep = verify.verify_chainmap(alg, "awg", degrees=(1,), map_fn=mutant)
+    first = rep["failures"][0]
+    assert first["input"] == [[[0, 0], 0], [[0, 0], 1], [[0, 0], 0]]
+    # d awg(1⊗g⊗1) = g⊗1 - 1⊗g in X_{0,0}; the mutant doubles it
+    assert first["defect"] == ("(-1)*twisted(0,0,bar)(0,1,(0,0),(0,0)) + "
+                               "(1)*twisted(0,0,bar)(1,0,(0,0),(0,0))")
+    rep = verify.verify_chainmap(alg, "awg", degrees=(), samples=5,
+                                 map_fn=mutant)
+    long = [w for w in rep["failures"]
+            if w["defect_terms"] > verify.MAX_DEFECT_TERMS]
+    assert long, "no sampled degree-4 input has a long defect"
+    for w in long:
+        shown, more = w["defect"].rsplit(" +", 1)
+        assert shown.count(")*") == verify.MAX_DEFECT_TERMS
+        assert more == f"{w['defect_terms'] - verify.MAX_DEFECT_TERMS} more"
+    for w in rep["failures"]:
+        if w["defect_terms"] <= verify.MAX_DEFECT_TERMS:
+            assert w["defect"].count(")*") == w["defect_terms"]
 
