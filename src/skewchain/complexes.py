@@ -73,22 +73,28 @@ def homological_degree(tag) -> int:
     raise ShapeMismatch(f"unknown complex tag {tag!r}")
 
 
-def term_s_degree(alg: SkewAlgebra, tag, slots) -> int:
-    """Total polynomial degree of a term (group slots contribute 0)."""
+def term_monomials(tag, slots) -> list:
+    """The exponent tuples in a term's polynomial slots (wedges excluded)."""
     kind = tag[0]
     if kind == "barskew":
-        return sum(total_degree(m) for m, _ in slots)
+        return [m for m, _ in slots]
     if kind == "barg":
-        return 0
+        return []
     if kind == "bars":
-        return sum(total_degree(m) for m in slots)
+        return list(slots)
     if kind == "koszul":
-        m0, w, m1 = slots
-        return total_degree(m0) + len(w) + total_degree(m1)
+        return [slots[0], slots[2]]
     if kind == "twisted":
-        i = tag[1]
-        return term_s_degree(alg, _d_tag(tag), slots[i + 2:])
+        return term_monomials(_d_tag(tag), slots[tag[1] + 2:])
     raise ShapeMismatch(f"unknown complex tag {tag!r}")
+
+
+def term_s_degree(alg: SkewAlgebra, tag, slots) -> int:
+    """Total polynomial degree of a term (group slots contribute 0)."""
+    if tag[0] == "twisted":
+        return term_s_degree(alg, _d_tag(tag), slots[tag[1] + 2:])
+    wedge = len(slots[1]) if tag[0] == "koszul" else 0
+    return wedge + sum(total_degree(m) for m in term_monomials(tag, slots))
 
 
 def _d_tag(tag):

@@ -714,25 +714,39 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
     cross-check.  With ``early_exit`` the first nonzero reduction settles
     the verdict (dimension is then not computed and reported as None).
 
-    Each sandwich is factored through the left product: for every legal
-    word y and right word b,
+    The span is built by right-closure rather than sandwich by sandwich.
+    For a legal word y and legal words b1, b2,
 
-        NF(y·b)  =  sum over z of NF(y)[z] · NF(z·b).
+        NF(y·b1·b2)  =  R_b2(R_b1(NF(y))),   R_b(v) = sum_z v[z]·NF(z·b),
 
-    Leftmost reduction makes this exact.  A redex of y·b inside y lies
-    left of the junction, and merging group letters at the junction
-    touches no redex (a pair ending in a group letter is never one), so
-    the rewriter brings y to normal form before it reaches b.  Hence
-    ``left = NF(a·r)`` is reduced once per left word a, every right word
-    is skipped when it vanishes, and the vectors come out the same and in
-    the same order as reducing each a·r·b whole.  A vector equal to one
-    already inserted lies in the span, so it is not inserted again, and a
-    left product met before with the same right words repeats all of its
-    vectors, so it is skipped whole; the rank, witness and dimension are
-    unchanged.
+    because leftmost reduction brings y to normal form before it reaches
+    b: a redex of y·b inside y lies left of the junction, and merging
+    group letters at the junction touches no redex (a pair ending in a
+    group letter is never one).  This holds on non-PBW tables too.  So
+    with ``left = NF(a·r)`` of budget k (the degree left for b), the
+    sandwiches a·r·b are the images of the left products under the
+    products of one-letter maps R_x.  Write W_k^j for the span of
+    R_m(left) over lefts of budget >= k and sorted monomials m of degree
+    <= budget - k in the variables x_0..x_j (W_k^-1: the lefts alone).
+    Then
+
+        W_k^j  =  W_k^(j-1)  +  R_(x_j)(W_(k+1)^j),
+
+    since a sorted monomial with a letter j ends in x_j.  Going down from
+    the largest budget, each level starts from a basis of the level
+    above's W^-1 plus its own lefts and closes one letter at a time on
+    bases, the residual rows ``IncrementalRank.insert`` returns (linear
+    maps carry a spanning set to a spanning set).  A normal right word
+    is a sorted monomial, then at most one group letter, so the span is
+    W_0^(N-1) plus its images under R_g, g != 1; R_g merely relabels
+    normal words.  In "all_words" mode the letters come in any order, so
+    step j of level k maps the whole of level k+1, and every level is
+    closed under the R_g.  The witness is the first nonzero left product
+    in scan order (the sandwich with the empty right word).
     """
     rw = _Rewriter(alg, params)
     f = alg.field
+    nv = alg.nvars
     nwords = _normal_words(alg, ORACLE_DEGREE)
     index = {w: c for c, w in enumerate(nwords)}
     expected = alg.group.order * comb(alg.nvars + ORACLE_DEGREE,
@@ -744,17 +758,10 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
     else:
         raise ValueError(f"unknown oracle mode {mode!r}")
 
-    def wdeg(w):
-        return sum(1 for x in w if x < alg.nvars)
-
     by_degree: dict = {}
     for w in pool:
-        by_degree.setdefault(wdeg(w), []).append(w)
-    # right words of degree <= d, in the order of increasing degree
-    rights = [[b for db in range(d + 1) for b in by_degree.get(db, ())]
-              for d in range(ORACLE_DEGREE + 1)]
+        by_degree.setdefault(sum(1 for x in w if x < nv), []).append(w)
 
-    rank = IncrementalRank(f)
     witness = None
 
     def report(r):
@@ -768,10 +775,10 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
             "witness": witness,
         })
 
-    seen_lefts = set()
-    seen_vecs = set()
     reduce = rw.reduce
     cat = rw.cat
+    # the nonzero left products NF(a·r) by budget, as {column: scalar}
+    lefts = [[] for _ in range(ORACLE_DEGREE + 1)]
     for tag, top, el in _relations(alg, params, rw):
         budget = ORACLE_DEGREE - top
         for da in range(budget + 1):
@@ -780,31 +787,61 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
                 for w, c in el.items():
                     f.accumulate(left, scaled_pairs(f, c,
                                                     reduce(cat(a, w)).items()))
-                key = (frozenset(left.items()), budget - da)
-                if not left or key in seen_lefts:
+                if not left:
                     continue
-                seen_lefts.add(key)
-                for b in rights[budget - da]:
-                    vec: dict = {}
-                    for z, c in left.items():
-                        f.accumulate(vec, scaled_pairs(
-                            f, c, reduce(cat(z, b)).items()))
-                    key = frozenset(vec.items())
-                    if not vec or key in seen_vecs:
-                        continue
-                    seen_vecs.add(key)
-                    vec = {index[w2]: c for w2, c in vec.items()}
-                    if witness is None:
-                        witness = {
-                            "left": list(a),
-                            "relation": tag,
-                            "right": list(b),
-                            "reduction": _format_words(alg, vec, nwords),
-                        }
+                vec = {index[w]: c for w, c in left.items()}
+                if witness is None:
+                    witness = {
+                        "left": list(a),
+                        "relation": tag,
+                        "right": [],
+                        "reduction": _format_words(alg, vec, nwords),
+                    }
                     if early_exit:
                         return report(None)
-                    rank.insert(vec)
-    return report(rank.rank)
+                lefts[budget - da].append(vec)
+
+    def times_var(x):
+        """R_x on column vectors, with NF(z·x) reduced once per column z."""
+        rows: dict = {}
+
+        def apply(v):
+            out: dict = {}
+            for z, c in v.items():
+                row = rows.get(z)
+                if row is None:
+                    row = rows[z] = [(index[w], d) for w, d in
+                                     reduce(cat(nwords[z], (x,))).items()]
+                f.accumulate(out, scaled_pairs(f, c, row))
+            return out
+        return apply
+
+    def times_group(g):
+        """R_g on column vectors: a relabelling of the normal words."""
+        perm = [index[cat(w, (nv + g,))] for w in nwords]
+        return lambda v: {perm[z]: c for z, c in v.items()}
+
+    var_maps = [times_var(x) for x in range(nv)]
+    group_maps = [times_group(g) for g in range(1, alg.group.order)]
+    ordered = mode == "normal_sandwich"
+    # the level above as (basis, marks): basis[:marks[j + 1]] spans W^j
+    above, marks_above = [], [0] * (nv + 1)
+    for k in range(ORACLE_DEGREE, -1, -1):
+        span = IncrementalRank(f)
+        basis = list(filter(None, map(span.insert, itertools.chain(
+            above[:marks_above[0]], lefts[k]))))
+        marks = [len(basis)]
+        for x, times in enumerate(var_maps):
+            src = above[:marks_above[x + 1]] if ordered else above
+            basis.extend(filter(None, map(span.insert, map(times, src))))
+            marks.append(len(basis))
+        if k == 0 or not ordered:
+            closed = basis[:]
+            for times in group_maps:
+                basis.extend(filter(None, map(span.insert,
+                                              map(times, closed))))
+        above, marks_above = basis, marks
+    return report(span.rank)
 
 
 def _format_words(alg, vec: dict, nwords) -> str:

@@ -34,6 +34,7 @@ whitespace) so identical (config, seed) runs produce byte-identical output.
 from __future__ import annotations
 
 import json
+from math import comb, prod
 
 from .fields import field_from_descriptor, is_json_int
 from .groups import (
@@ -50,6 +51,7 @@ from .complexes import (
     ShapeMismatch,
     expand_term,
     slot_count,
+    term_monomials,
     term_s_degree,
 )
 from .pbw import PBWParams
@@ -59,6 +61,17 @@ from .pbw import PBWParams
 #: expands a monomial one degree at a time, and the outputs of the maps grow
 #: with the products of the exponents, so a larger input would not finish.
 MAX_TERM_DEGREE = 100
+
+#: The largest bound on the monomials of the action images of one input
+#: term.  A group element g sends x^a to the product of (g·x_i)^(a_i); with
+#: c_i nonzeros in column i of g, (g·x_i)^(a_i) has at most
+#: C(a_i + c_i - 1, c_i - 1) monomials.  The bound of a term multiplies
+#: these over its monomial slots, with c_i the most nonzeros in column i
+#: of any group matrix.  It is 1 for a permutation action, whatever the
+#: degree; a dense action on many variables passes 10^4 long before
+#: MAX_TERM_DEGREE (at x0^14 on Q^6), and the work of the maps grows
+#: with it.
+MAX_ACTION_TERMS = 10 ** 4
 
 
 class ConfigParseError(ValueError):
@@ -346,6 +359,9 @@ def element_from_json(alg: SkewAlgebra, doc: dict) -> ChainElement:
         raise ShapeMismatch("terms must be a list")
     n_slots = slot_count(tag)
     out = ChainElement(alg, tag)
+    widths = [max(sum(1 for row in mat if row[i] != 0)
+                  for mat in alg.action.matrices)
+              for i in range(alg.nvars)]
     for entry in terms:
         if not isinstance(entry, dict) or "slots" not in entry:
             raise ShapeMismatch(f"bad term entry {entry!r}")
@@ -361,6 +377,13 @@ def element_from_json(alg: SkewAlgebra, doc: dict) -> ChainElement:
         if degree > MAX_TERM_DEGREE:
             raise ShapeMismatch(f"term degree {degree} exceeds the cap of "
                                 f"{MAX_TERM_DEGREE}")
+        bound = prod(comb(a + c - 1, c - 1)
+                     for m in term_monomials(tag, slots)
+                     for a, c in zip(m, widths))
+        if bound > MAX_ACTION_TERMS:
+            raise ShapeMismatch(f"term action images of up to {bound} "
+                                f"monomials exceed the cap of "
+                                f"{MAX_ACTION_TERMS}")
         try:
             coeff = alg.field.parse(entry.get("coeff", "1"))
         except (TypeError, ValueError) as e:

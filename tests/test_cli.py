@@ -15,7 +15,11 @@ import pytest
 from skewchain.cli import main
 from skewchain.pbw import PBWReport
 from skewchain.polynomials import MAX_ACTION_DIM
-from skewchain.serialize import MAX_TERM_DEGREE, canonical_json
+from skewchain.serialize import (
+    MAX_ACTION_TERMS,
+    MAX_TERM_DEGREE,
+    canonical_json,
+)
 
 from helpers import (
     NONASSOCIATIVE_TABLE,
@@ -397,6 +401,49 @@ class TestApply:
         code, _, _ = run_cli(capsys, ["apply", "diff", "--config", cfg,
                                       "--input", inp])
         assert code == 0
+
+    def test_dense_action_image_above_the_cap_is_a_setup_error(
+            self, tmp_path, capsys):
+        # the reflection I - (2/6)·J of Q^6: every matrix entry is
+        # nonzero, so x0^24 has up to C(29, 5) = 118,755 image monomials;
+        # awg ran for 28 s and peaked at 435 MB at this degree
+        dense = [["2/3" if r == c else "-1/3" for c in range(6)]
+                 for r in range(6)]
+        cfg = write_json(tmp_path / "c.json", {
+            "field": "Q", "group": {"family": "cyclic", "n": 2},
+            "action": {"dim": 6, "matrices": {"1": dense}}})
+        unit = [[0] * 6, 0]
+        inp = write_json(tmp_path / "el.json", {
+            "complex": "barskew", "n": 1,
+            "terms": [{"slots": [unit, [[24] + [0] * 5, 1], unit]}]})
+        start = time.monotonic()
+        code, rep, _ = run_cli(capsys, ["apply", "awg", "--config", cfg,
+                                        "--input", inp])
+        assert time.monotonic() - start < 0.5
+        assert code == 2
+        assert rep["error"] == {
+            "type": "ShapeMismatch",
+            "detail": f"term action images of up to 118755 monomials "
+                      f"exceed the cap of {MAX_ACTION_TERMS}"}
+
+    @pytest.mark.parametrize("map_name", ["awg", "pi"])
+    def test_permutation_action_at_the_degree_cap_is_applied(
+            self, map_name, tmp_path, capsys):
+        # a permutation matrix has one nonzero per column: bound 1
+        perm = {"2": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+                "3": [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]]}
+        cfg = write_json(tmp_path / "c.json", {
+            "field": "Q", "group": {"family": "symmetric", "n": 3},
+            "action": {"dim": 3, "matrices": perm}})
+        unit = [[0, 0, 0], 0]
+        inp = write_json(tmp_path / "el.json", {
+            "complex": "barskew", "n": 2,
+            "terms": [{"slots": [unit, [[50, 30, 0], 1], [[0, 0, 20], 2],
+                                 unit]}]})
+        code, rep, _ = run_cli(capsys, ["apply", map_name, "--config", cfg,
+                                        "--input", inp])
+        assert code == 0
+        assert rep["output"]["components"]
 
     def test_unparseable_input_element(self, tmp_path, capsys, monkeypatch):
         import io

@@ -146,7 +146,8 @@ def _cases():
             cases[f"pbw_{method}_{label}_swap_q"] = (
                 ["pbw", method], swap_q_config_doc(params=params), None)
     for label, doc in (("z3_unipotent_gf3", Z3_UNIPOTENT_GF3),
-                       ("v4_gf2", V4_GF2), ("z4_rot_q", Z4_ROT_Q)):
+                       ("v4_gf2", V4_GF2), ("z4_rot_q", Z4_ROT_Q),
+                       ("s3_refl_q", S3_REFL_Q)):
         cases[f"pbw_oracle_full_{label}"] = (
             ["pbw", "oracle"], with_full_support(doc, 0), None)
     cases["pbw_all_full_z3_unipotent_gf3"] = (

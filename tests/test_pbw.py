@@ -23,7 +23,6 @@ from math import comb
 
 import pytest
 
-from skewchain import linalg
 from skewchain.chainmaps import iota
 from skewchain.cochains import Cochain, circle, coboundary, transport_up
 from skewchain.complexes import ChainElement, random_twisted_slots
@@ -358,22 +357,6 @@ class TestOracleFactoring:
                 assert rw.reduce(yb) == factored, (params.kappa, params.lam,
                                                    y, b)
         assert merged >= 3 * 40
-
-    def test_each_inserted_vector_is_new(self, monkeypatch):
-        A = v4_gf2()
-        inserted = []
-        insert = linalg.IncrementalRank.insert
-
-        def spy(self, vec):
-            inserted.append(frozenset(vec.items()))
-            return insert(self, vec)
-
-        monkeypatch.setattr(linalg.IncrementalRank, "insert", spy)
-        ro = oracle_pbw(A, full_support_table(A, 0))
-        assert [ro.verdict, ro.extras["dimension"], ro.extras["rank"]] == \
-            [False, 61, 19]
-        assert len(inserted) >= ro.extras["rank"]
-        assert len(set(inserted)) == len(inserted)
 
 
 class TestThreeWayAgreement:
