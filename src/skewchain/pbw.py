@@ -528,35 +528,68 @@ def check_cohomological(alg: SkewAlgebra, params: PBWParams,
 
 # -- method 3: the degree-3 rewriting oracle --------------------------------
 
-class _Rewriter:
-    """Leftmost-reduction rewriting in the free product of T(V) and kG.
+class _OracleFrame:
+    """What the oracle needs of an algebra and never of a table.
+
+    Built once per algebra, on the first :func:`oracle_pbw` call, and kept
+    as ``SkewAlgebra._oracle_frame``: the normal words with their column
+    index and their degree groups, the action columns ``^g x_i`` as
+    (variable, scalar) pairs, the relabelling of the normal words by each
+    right group letter, and the defining relations.  A relation is named
+    by the table coordinate it carries, kappa(x_i ∧ x_j) for the
+    commutator of i < j and lambda(g, x_i) for the straightening of g
+    past x_i, and kept as its table-free part r0.  Each coordinate has a
+    bit (:meth:`bit`); a table's support is the OR of the bits of its
+    nonzero coordinates.
 
     Words are tuples over letters 0..N-1 (variables) and N+g (group
     elements, g >= 1); legal words never contain two adjacent group
     letters and never the identity letter — that much is the free-product
-    structure itself (kG is a subalgebra).  Everything else — moving group
-    letters right, sorting variables — happens only through the defining
-    relations:
+    structure itself (kG is a subalgebra).
 
-        (N+g, i)  ->  sum_k (^g x_i)_k (k, N+g)  +  lambda(g, x_i)
-        (j, i)    ->  (i, j) - kappa(x_i ∧ x_j)          for j > i
-
-    applied at the leftmost reducible position and memoized.  Reduction
-    terminates because each step either lowers the filtration degree or
-    moves the word down in the (group letters left of variables,
-    variable inversions) order.
+    Filled as tables ask for it: per relation and left word a the pair
+    (mask(r, a), NF0(a·r0)) of :meth:`pair`, with NF0 the normal form
+    under the zero table, and, from the zero-table :class:`_Rewriter`,
+    per word w its normal form and ``mask(w)``, the OR of the
+    coordinates read along w's zero-table reduction tree.
     """
 
-    def __init__(self, alg: SkewAlgebra, params: PBWParams):
+    def __init__(self, alg: SkewAlgebra):
         self.alg = alg
-        self.params = params
-        self.nv = alg.nvars
-        self._memo: dict = {}
-        nv = self.nv
-        self._act_rows = {
-            g: [_basis_image(alg, g, i) for i in range(nv)]
-            for g in range(alg.group.order)
+        nv = self.nv = alg.nvars
+        order = alg.group.order
+        f = alg.field
+        self.nwords = _normal_words(alg, ORACLE_DEGREE)
+        self.index = {w: c for c, w in enumerate(self.nwords)}
+        self.by_degree: dict = {}
+        for w in self.nwords:
+            self.by_degree.setdefault(sum(1 for x in w if x < nv),
+                                      []).append(w)
+        self.act_rows = {
+            g: [tuple(_basis_image(alg, g, i).items()) for i in range(nv)]
+            for g in range(order)
         }
+        #: R_g on columns, g != 1: a relabelling of the normal words.
+        #: By the layout of :func:`_normal_words`, column c is monomial
+        #: c // |G| then group letter h = c % |G|, and R_g makes h hg.
+        mul = alg.group.mul
+        self.perms = [[c - c % order + mul(c % order, g)
+                       for c in range(len(self.nwords))]
+                      for g in range(1, order)]
+        #: (coordinate, top degree, r0 as (word, scalar) pairs)
+        self.relations = [
+            (("kappa", i, j), 2, (((j, i), 1), ((i, j), f.from_int(-1))))
+            for i in range(nv) for j in range(i + 1, nv)]
+        for g in range(order):
+            gw = (nv + g,) if g else ()
+            for i in range(nv):
+                free = f.accumulate({self.cat(gw, (i,)): 1}, (
+                    (self.cat((k,), gw), f.neg(c))
+                    for k, c in self.act_rows[g][i]))
+                self.relations.append(
+                    (("lambda", g, i), 1, tuple(free.items())))
+        self._zero = None
+        self._pairs: dict = {}
 
     def cat(self, w1: tuple, w2: tuple) -> tuple:
         """Concatenate legal words, merging boundary group letters."""
@@ -581,49 +614,145 @@ class _Rewriter:
             ((() if g == 0 else (nv + g,)), c) for g, c in sorted(a.items())
         ]
 
+    def bit(self, kind: str, u: int, v: int) -> int:
+        """The bit of kappa(x_u ∧ x_v) or lambda(u, x_v)."""
+        nv = self.nv
+        return 1 << (u * nv + v + (0 if kind == "kappa" else nv * nv))
+
+    def support(self, params: PBWParams) -> int:
+        """The OR of the bits of the table's nonzero coordinates."""
+        s = 0
+        for i, j in params.kappa:
+            s |= self.bit("kappa", i, j)
+        for g, i in params.lam:
+            s |= self.bit("lambda", g, i)
+        return s
+
+    def pair(self, n: int, a: tuple):
+        """(mask(r, a), NF0(a·r0)) for relation number n and left word a.
+
+        mask(r, a) is the relation's own coordinate OR'd with mask(a·w)
+        for the words w of r0; the zero-table rewriter records mask(a·w)
+        on the walk that reduces a·w.
+        """
+        key = (n, a)
+        hit = self._pairs.get(key)
+        if hit is None:
+            if self._zero is None:
+                self._zero = _Rewriter(self, PBWParams.zero(self.alg),
+                                       masks={})
+            zero = self._zero
+            f = self.alg.field
+            coord, _top, free = self.relations[n]
+            out = self.bit(*coord)
+            left: dict = {}
+            for w, c in free:
+                aw = self.cat(a, w)
+                f.accumulate(left, scaled_pairs(
+                    f, c, zero.reduce(aw).items()))
+                out |= zero.masks[aw]
+            hit = self._pairs[key] = (out, left)
+        return hit
+
+
+def _frame(alg: SkewAlgebra) -> _OracleFrame:
+    """The algebra's oracle frame, built on first use."""
+    if alg._oracle_frame is None:
+        alg._oracle_frame = _OracleFrame(alg)
+    return alg._oracle_frame
+
+
+def _relation_tag(coord) -> dict:
+    """The witness name of the relation that carries a coordinate."""
+    kind, u, v = coord
+    if kind == "kappa":
+        return {"kind": "commutator", "i": u, "j": v}
+    return {"kind": "straightening", "g": u, "i": v}
+
+
+class _Rewriter:
+    """Leftmost-reduction rewriting in the free product of T(V) and kG.
+
+    Moving group letters right and sorting variables happens only through
+    the defining relations:
+
+        (N+g, i)  ->  sum_k (^g x_i)_k (k, N+g)  +  lambda(g, x_i)
+        (j, i)    ->  (i, j) - kappa(x_i ∧ x_j)          for j > i
+
+    applied at the leftmost reducible position and memoized per table (a
+    group letter exceeds every variable, so both redexes read a > b with b
+    a variable).  Reduction terminates because each step either
+    lowers the filtration degree or moves the word down in the (group
+    letters left of variables, variable inversions) order.
+
+    Given a ``masks`` dict, the rewriter also records there, per word w it
+    reduces, mask(w): the OR of the coordinates read at the steps of w's
+    reduction tree, lambda(g, x_i) at a step (N+g, i) and
+    kappa(x_i ∧ x_j) at a step (j, i).  The frame's zero-table rewriter
+    does, so its masks come from the walk that gives its normal forms.
+    """
+
+    def __init__(self, frame: _OracleFrame, params: PBWParams,
+                 masks: dict | None = None):
+        self.frame = frame
+        self.params = params
+        self.nv = frame.nv
+        self.masks = masks
+        self._memo: dict = {}
+
     def reduce(self, w: tuple) -> dict:
         """The normal form of a word, as {normal word: scalar}."""
         hit = self._memo.get(w)
         if hit is not None:
             return hit
         nv = self.nv
-        f = self.alg.field
-        pos = None
         for p in range(len(w) - 1):
             a, b = w[p], w[p + 1]
-            if a >= nv and b < nv:
-                pos = p
+            if b < nv and a > b:
                 break
-            if a < nv and b < nv and a > b:
-                pos = p
-                break
-        if pos is None:
+        else:
             out = {w: 1}
             self._memo[w] = out
+            if self.masks is not None:
+                self.masks[w] = 0
             return out
-        head, tail = w[:pos], w[pos + 2:]
-        a, b = w[pos], w[pos + 1]
+        frame = self.frame
+        f = frame.alg.field
+        head, tail = w[:p], w[p + 2:]
         expansion = []
         if a >= nv:
             g, i = a - nv, b
-            for k, c in self._act_rows[g][i].items():
+            for k, c in frame.act_rows[g][i]:
                 expansion.append(((k, a), c))
-            for word, c in self.ga_word(self.params.lam_of(g, i)):
+            for word, c in frame.ga_word(self.params.lam_of(g, i)):
                 expansion.append((word, c))
         else:
             expansion.append(((b, a), 1))
-            for word, c in self.ga_word(self.params.kappa_wedge(b, a)):
+            for word, c in frame.ga_word(self.params.kappa_wedge(b, a)):
                 expansion.append((word, f.neg(c)))
+        cat = frame.cat
+        masks = self.masks
+        read = 0
         out: dict = {}
         for mid, c in expansion:
-            sub = self.reduce(self.cat(self.cat(head, mid), tail))
-            f.accumulate(out, scaled_pairs(f, c, sub.items()))
+            child = cat(cat(head, mid), tail)
+            f.accumulate(out, scaled_pairs(f, c, self.reduce(child).items()))
+            if masks is not None:
+                read |= masks[child]
         self._memo[w] = out
+        if masks is not None:
+            masks[w] = read | (frame.bit("lambda", a - nv, b) if a >= nv
+                               else frame.bit("kappa", b, a))
         return out
 
 
 def _normal_words(alg: SkewAlgebra, max_degree: int):
-    """All normal-form words of filtration degree <= max_degree."""
+    """All normal-form words of filtration degree <= max_degree.
+
+    Laid out monomial by monomial: word m·|G| + h is the m-th sorted
+    monomial followed by the group letter h (none for the identity,
+    h = 0).  The frame's R_g relabelling reads columns by this layout.
+    """
     nv = alg.nvars
     out = []
     for d in range(max_degree + 1):
@@ -634,85 +763,24 @@ def _normal_words(alg: SkewAlgebra, max_degree: int):
     return out
 
 
-def _all_words(alg: SkewAlgebra, max_degree: int):
-    """All legal free-product words of filtration degree <= max_degree.
-
-    Legal words alternate freely in the variables but never put two group
-    letters next to each other, which bounds the length by
-    2*max_degree + 1; breadth-first growth by one letter therefore
-    terminates and produces each word exactly once.
-    """
-    nv = alg.nvars
-    glets = [nv + g for g in range(1, alg.group.order)]
-    maxlen = 2 * max_degree + 1
-    out = []
-    frontier = [()]
-    while frontier:
-        grown = []
-        for w in frontier:
-            out.append(w)
-            if len(w) >= maxlen:
-                continue
-            deg = sum(1 for x in w if x < nv)
-            if deg < max_degree:
-                for v in range(nv):
-                    grown.append(w + (v,))
-            if not (w and w[-1] >= nv):
-                for gl in glets:
-                    grown.append(w + (gl,))
-        frontier = grown
-    return out
-
-
-def _relations(alg: SkewAlgebra, params: PBWParams, rw: _Rewriter):
-    """The defining relations as (tag dict, top degree, element dict).
-
-    Group-product relations gh - (gh) are omitted: word concatenation
-    multiplies inside kG, so their sandwiches reduce to identically zero
-    elements and contribute nothing to the span.  Their overlaps with the
-    straightening rule are still exercised, by sandwiches whose left word
-    ends in a group letter.
-    """
-    nv = alg.nvars
-    f = alg.field
-    rels = []
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            el = f.accumulate({(j, i): 1, (i, j): f.from_int(-1)},
-                              rw.ga_word(params.kappa_wedge(i, j)))
-            rels.append(({"kind": "commutator", "i": i, "j": j}, 2, el))
-    for g in range(alg.group.order):
-        for i in range(nv):
-            gw = (nv + g,) if g else ()
-            el = f.accumulate({rw.cat(gw, (i,)): 1}, itertools.chain(
-                ((rw.cat((k,), gw), f.neg(c))
-                 for k, c in rw._act_rows[g][i].items()),
-                ((word, f.neg(c))
-                 for word, c in rw.ga_word(params.lam_of(g, i)))))
-            if el:
-                rels.append(
-                    ({"kind": "straightening", "g": g, "i": i}, 1, el)
-                )
-    return rels
-
-
 def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
-               mode: str = "normal_sandwich",
                early_exit: bool = False) -> PBWReport:
     """Decide PBW by rank over the degree-<= 3 word span.
 
-    Every ideal element a·r·b (r a defining relation, a and b words with
-    total filtration degree within ``ORACLE_DEGREE``) is rewritten to normal
-    form; the span of these reductions measures exactly the collapse of
-    the normal-word basis, so the quotient dimension is
+    Every ideal element a·r·b (r a defining relation, a and b normal words
+    with total filtration degree within ``ORACLE_DEGREE``) is rewritten to
+    normal form; the span of these reductions measures exactly the
+    collapse of the normal-word basis, so the quotient dimension is
 
         #normal words - rank  =  |G|·C(N+3, 3)   iff PBW.
 
-    ``mode`` picks the sandwich words: "normal_sandwich" uses normal
-    words only (sufficient: any word is a combination of normal words
-    plus shorter sandwiches), "all_words" uses every legal word as a
-    cross-check.  With ``early_exit`` the first nonzero reduction settles
-    the verdict (dimension is then not computed and reported as None).
+    Normal sandwich words suffice: any word is a combination of normal
+    words plus shorter sandwiches.  The group-product relations gh - (gh)
+    are omitted: word concatenation multiplies inside kG, so their
+    sandwiches reduce to zero.  Their overlaps with the straightening rule
+    are still exercised, by left words ending in a group letter.  With
+    ``early_exit`` the first nonzero reduction settles the verdict
+    (dimension is then not computed and reported as None).
 
     The span is built by right-closure rather than sandwich by sandwich.
     For a legal word y and legal words b1, b2,
@@ -739,29 +807,31 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
     maps carry a spanning set to a spanning set).  A normal right word
     is a sorted monomial, then at most one group letter, so the span is
     W_0^(N-1) plus its images under R_g, g != 1; R_g merely relabels
-    normal words.  In "all_words" mode the letters come in any order, so
-    step j of level k maps the whole of level k+1, and every level is
-    closed under the R_g.  The witness is the first nonzero left product
-    in scan order (the sandwich with the empty right word).
+    normal words.  The witness is the first nonzero left product in scan
+    order (the sandwich with the empty right word).
+
+    Left products a table cannot change are skipped.  Let s be the
+    table's support and r0 the table-free part of r (the algebra's
+    :class:`_OracleFrame` keeps both, and the masks below).  When r's own
+    coordinate is zero on the table, r = r0, and the pair (r, a) is
+    skipped if mask(r, a) & s == 0 and the zero-table product NF0(a·r0)
+    is zero.  Then NF(a·r) = NF0(a·r0) = 0, by induction on the
+    zero-table reduction tree of each word a·w, w in r0: a step whose
+    coordinate is zero on the table expands to its parameter-free terms
+    alone, the children of that step in the zero-table tree, whose normal
+    forms agree under both tables by induction; a normal word is its own
+    normal form under both.  NF0(a·r0) is computed, never assumed, though
+    it is always zero (the undeformed algebra is PBW).  A skipped product
+    is zero, so the witness, the span and the scan order are those of
+    the unskipped loop.
     """
-    rw = _Rewriter(alg, params)
+    frame = _frame(alg)
     f = alg.field
     nv = alg.nvars
-    nwords = _normal_words(alg, ORACLE_DEGREE)
-    index = {w: c for c, w in enumerate(nwords)}
+    nwords = frame.nwords
+    index = frame.index
     expected = alg.group.order * comb(alg.nvars + ORACLE_DEGREE,
                                      ORACLE_DEGREE)
-    if mode == "normal_sandwich":
-        pool = nwords
-    elif mode == "all_words":
-        pool = _all_words(alg, ORACLE_DEGREE)
-    else:
-        raise ValueError(f"unknown oracle mode {mode!r}")
-
-    by_degree: dict = {}
-    for w in pool:
-        by_degree.setdefault(sum(1 for x in w if x < nv), []).append(w)
-
     witness = None
 
     def report(r):
@@ -771,20 +841,35 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
             "expected_dimension": expected,
             "normal_words": len(nwords),
             "rank": r,
-            "mode": mode,
+            "mode": "normal_sandwich",
             "witness": witness,
         })
 
+    rw = _Rewriter(frame, params)
     reduce = rw.reduce
-    cat = rw.cat
+    cat = frame.cat
+    support = frame.support(params)
     # the nonzero left products NF(a·r) by budget, as {column: scalar}
     lefts = [[] for _ in range(ORACLE_DEGREE + 1)]
-    for tag, top, el in _relations(alg, params, rw):
+    for n, (coord, top, free) in enumerate(frame.relations):
+        own = frame.bit(*coord) & support
+        el = free
+        if own:
+            kind, u, v = coord
+            value = (params.kappa_wedge(u, v) if kind == "kappa"
+                     else vec_neg(f, params.lam_of(u, v)))
+            el = f.accumulate(dict(free), frame.ga_word(value)).items()
+        if not el:
+            continue
         budget = ORACLE_DEGREE - top
         for da in range(budget + 1):
-            for a in by_degree.get(da, ()):
+            for a in frame.by_degree.get(da, ()):
+                if not own:
+                    mask, zero_left = frame.pair(n, a)
+                    if not (mask & support or zero_left):
+                        continue
                 left: dict = {}
-                for w, c in el.items():
+                for w, c in el:
                     f.accumulate(left, scaled_pairs(f, c,
                                                     reduce(cat(a, w)).items()))
                 if not left:
@@ -793,7 +878,7 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
                 if witness is None:
                     witness = {
                         "left": list(a),
-                        "relation": tag,
+                        "relation": _relation_tag(coord),
                         "right": [],
                         "reduction": _format_words(alg, vec, nwords),
                     }
@@ -816,14 +901,12 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
             return out
         return apply
 
-    def times_group(g):
+    def times_group(perm):
         """R_g on column vectors: a relabelling of the normal words."""
-        perm = [index[cat(w, (nv + g,))] for w in nwords]
         return lambda v: {perm[z]: c for z, c in v.items()}
 
     var_maps = [times_var(x) for x in range(nv)]
-    group_maps = [times_group(g) for g in range(1, alg.group.order)]
-    ordered = mode == "normal_sandwich"
+    group_maps = [times_group(perm) for perm in frame.perms]
     # the level above as (basis, marks): basis[:marks[j + 1]] spans W^j
     above, marks_above = [], [0] * (nv + 1)
     for k in range(ORACLE_DEGREE, -1, -1):
@@ -832,10 +915,10 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
             above[:marks_above[0]], lefts[k]))))
         marks = [len(basis)]
         for x, times in enumerate(var_maps):
-            src = above[:marks_above[x + 1]] if ordered else above
-            basis.extend(filter(None, map(span.insert, map(times, src))))
+            basis.extend(filter(None, map(span.insert,
+                                          map(times, above[:marks_above[x + 1]]))))
             marks.append(len(basis))
-        if k == 0 or not ordered:
+        if k == 0:
             closed = basis[:]
             for times in group_maps:
                 basis.extend(filter(None, map(span.insert,

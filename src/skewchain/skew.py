@@ -58,6 +58,8 @@ class SkewAlgebra:
         self._pi_boundary_cache: dict = {}
         #: parameter-free results shared by all cochains (see cochains.py)
         self._free_decompose_memo: dict = {}
+        #: the PBW oracle's table-free data (see pbw._OracleFrame)
+        self._oracle_frame = None
 
     def require_same(self, other: "SkewAlgebra") -> None:
         if self is other:

@@ -30,8 +30,8 @@ from skewchain.pbw import (
     PBWParams,
     SearchSpaceTooLarge,
     _Rewriter,
-    _all_words,
     _defects,
+    _frame,
     _iota_images,
     _normal_words,
     check_all,
@@ -41,6 +41,7 @@ from skewchain.pbw import (
     oracle_pbw,
 )
 
+from test_oracle_reference import _all_words, literal_oracle
 from helpers import (
     PBW_CONFIGS,
     full_support_table,
@@ -246,6 +247,8 @@ class TestOracle:
 
     @pytest.mark.parametrize("name", ["swap_q", "neg_id", "z3_uni"])
     def test_modes_agree(self, name):
+        """Sandwiching with every legal word of the free product, not only
+        normal words, spans the same space (literal all-words oracle)."""
         make = {"swap_q": swap_q, "neg_id": neg_id_q,
                 "z3_uni": z3_unipotent_gf3}[name]
         A = make()
@@ -253,15 +256,10 @@ class TestOracle:
         tables = [PBWParams.zero(A), PBWParams(A, kappa={(0, 1): {0: 1}})]
         tables += [PBWParams.random(A, rng) for _ in range(3)]
         for p in tables:
-            a = oracle_pbw(A, p, mode="normal_sandwich")
-            b = oracle_pbw(A, p, mode="all_words")
-            assert a.verdict == b.verdict
-            assert a.extras["dimension"] == b.extras["dimension"]
-
-    def test_unknown_mode(self):
-        A = swap_q()
-        with pytest.raises(ValueError):
-            oracle_pbw(A, PBWParams.zero(A), mode="everything")
+            a = oracle_pbw(A, p)
+            rank, _witness = literal_oracle(A, p, "all_words")
+            assert a.verdict == (rank == 0)
+            assert a.extras["dimension"] == a.extras["normal_words"] - rank
 
     def test_early_exit_reports_no_dimension(self):
         A = swap_q()
@@ -346,14 +344,15 @@ class TestOracleFactoring:
         tables = [full_support_table(A, 3)]
         tables += [PBWParams.random(A, rng) for _ in range(2)]
         merged = 0
+        frame = _frame(A)
         for params in tables:
-            rw = _Rewriter(A, params)
+            rw = _Rewriter(frame, params)
             for y, b in self._word_pairs(A, rng, 120):
-                yb = rw.cat(y, b)
+                yb = frame.cat(y, b)
                 merged += len(yb) == len(y) + len(b) - 2
                 factored = f.accumulate({}, (
                     (w, f.mul(c, d)) for z, c in rw.reduce(y).items()
-                    for w, d in rw.reduce(rw.cat(z, b)).items()))
+                    for w, d in rw.reduce(frame.cat(z, b)).items()))
                 assert rw.reduce(yb) == factored, (params.kappa, params.lam,
                                                    y, b)
         assert merged >= 3 * 40
@@ -439,6 +438,101 @@ class TestSharedMemos:
         assert second.verdict
         assert second.to_json_dict() == fresh_report(name, pbw_table)
         assert len(x21_built(warm)) == len(_iota_images(warm, 2, 1))
+
+
+def frame_tables(A, seed):
+    """Zero, kappa-only, lambda-only, one-coordinate, random and
+    full-support tables for the oracle frame tests."""
+    rng = random.Random(seed)
+    full = full_support_table(A, seed)
+    coords = sorted(full.kappa) + sorted(full.lam)
+    ci = rng.randrange(len(coords))
+    g = rng.randrange(A.group.order)
+    single = ({coords[ci]: {g: 1}}, {}) if ci < len(full.kappa) else (
+        {}, {coords[ci]: {g: 1}})
+    return [PBWParams.zero(A), PBWParams(A, kappa=full.kappa),
+            PBWParams(A, lam=full.lam), PBWParams(A, *single),
+            PBWParams.random(A, rng), PBWParams.random(A, rng), full]
+
+
+def fresh_oracle(name, p, early_exit):
+    """oracle_pbw on the table ``p`` over a new algebra."""
+    cold = PBW_CONFIGS[name]()
+    return oracle_pbw(cold, PBWParams(cold, p.kappa, p.lam),
+                      early_exit=early_exit).to_json_dict()
+
+
+def skipped_pairs(A, p):
+    """The (relation, left word) pairs the oracle skips on the table p:
+    its own coordinate is zero, its mask misses the support and its
+    zero-table left product is zero."""
+    frame = _frame(A)
+    support = frame.support(p)
+    return [(n, a) for (n, a), (mask, left) in frame._pairs.items()
+            if not frame.bit(*frame.relations[n][0]) & support
+            and not mask & support and not left]
+
+
+class TestOracleFrame:
+    """The oracle keeps its table-free data on the algebra
+    (``_OracleFrame``), so a table decided on an algebra that decided
+    others must get the report of a fresh algebra."""
+
+    @pytest.mark.parametrize("name", ["swap_q", "swap_gf2",
+                                      "z3_unipotent_gf3", "s3_refl_q",
+                                      "v4_gf2"])
+    def test_report_does_not_depend_on_earlier_tables(self, name):
+        tables = frame_tables(PBW_CONFIGS[name](), sum(map(ord, name)))
+        # one algebra starts from the zero table, the other from the full
+        # one; each decides every table with and without early exit, then
+        # again in the opposite order
+        for first in (tables, tables[::-1]):
+            warm = PBW_CONFIGS[name]()
+            order = [(p, e) for p in first for e in (False, True)]
+            order += [(p, e) for p in first[::-1] for e in (True, False)]
+            for p, early in order:
+                p = PBWParams(warm, p.kappa, p.lam)
+                assert (oracle_pbw(warm, p, early_exit=early).to_json_dict()
+                        == fresh_oracle(name, p, early)), (p.kappa, p.lam)
+            assert warm._oracle_frame._pairs
+
+    @pytest.mark.parametrize("name", ["swap_gf2", "z3_unipotent_gf3",
+                                      "v4_gf2"])
+    def test_sparse_tables_match_the_literal_oracle(self, name):
+        """Most left products are skipped on a table that leaves most
+        coordinates zero; on three variables a skip must look past the
+        first step of each reduction (v4_gf2's one-coordinate tables)."""
+        A = PBW_CONFIGS[name]()
+        total = len(_frame(A).nwords)
+        tables = frame_tables(A, 0)[1:4]
+        tables += [frame_tables(A, seed)[3] for seed in (1, 2)]
+        for p in tables:
+            rank, witness = literal_oracle(A, p, "normal_sandwich")
+            ro = oracle_pbw(A, p)
+            assert [ro.extras["rank"], ro.extras["dimension"],
+                    ro.extras["witness"]] == [rank, total - rank, witness]
+
+    @pytest.mark.parametrize("name", sorted(PBW_CONFIGS))
+    def test_group_relabelling_is_right_multiplication(self, name):
+        """R_g on columns, read off the word layout, is w -> w·g."""
+        frame = _frame(PBW_CONFIGS[name]())
+        for g, perm in enumerate(frame.perms, 1):
+            assert perm == [frame.index[frame.cat(w, (frame.nv + g,))]
+                            for w in frame.nwords]
+
+    def test_skip_fires_on_nonzero_pbw_tables(self):
+        A = swap_gf2()
+        p = PBWParams(A, kappa={(0, 1): {0: 1}})
+        assert oracle_pbw(A, p).verdict
+        assert skipped_pairs(A, p)
+
+        B = z3_unipotent_gf3()
+        rng = random.Random(3)
+        draws = (PBWParams.random(B, rng) for _ in range(400))
+        q = next(t for t in draws
+                 if not t.is_zero() and check_five(B, t).verdict)
+        assert oracle_pbw(B, q).verdict
+        assert skipped_pairs(B, q)
 
 
 class TestTwistedSideCoboundary:
