@@ -533,38 +533,33 @@ class _OracleFrame:
 
     Built once per algebra, on the first :func:`oracle_pbw` call, and kept
     as ``SkewAlgebra._oracle_frame``: the normal words with their column
-    index and their degree groups, the action columns ``^g x_i`` as
-    (variable, scalar) pairs, the relabelling of the normal words by each
+    index and the columns by degree, the action columns ``^g x_i`` as
+    (variable, scalar) pairs, the relabelling R_g of the columns by each
     right group letter, and the defining relations.  A relation is named
     by the table coordinate it carries, kappa(x_i ∧ x_j) for the
     commutator of i < j and lambda(g, x_i) for the straightening of g
-    past x_i, and kept as its table-free part r0.  Each coordinate has a
-    bit (:meth:`bit`); a table's support is the OR of the bits of its
-    nonzero coordinates.
+    past x_i, and kept as its table-free part r0: (word, scalar) pairs,
+    words over the letters 0..N-1 (variables) and N+g (group elements,
+    g >= 1).  Each coordinate has a bit (:meth:`bit`); a table's support
+    is the OR of the bits of its nonzero coordinates.
 
-    Words are tuples over letters 0..N-1 (variables) and N+g (group
-    elements, g >= 1); legal words never contain two adjacent group
-    letters and never the identity letter — that much is the free-product
-    structure itself (kG is a subalgebra).
-
-    Filled as tables ask for it: per relation and left word a the pair
-    (mask(r, a), NF0(a·r0)) of :meth:`pair`, with NF0 the normal form
-    under the zero table, and, from the zero-table :class:`_Rewriter`,
-    per word w its normal form and ``mask(w)``, the OR of the
-    coordinates read along w's zero-table reduction tree.
+    Filled as tables ask for it: the zero-table rows with their masks
+    (:class:`_Rows`) and, per relation and left column a, the pair
+    (mask(r, a), NF0(a·r0)) of :meth:`pair`, NF0 the normal form under
+    the zero table.
     """
 
     def __init__(self, alg: SkewAlgebra):
         self.alg = alg
         nv = self.nv = alg.nvars
-        order = alg.group.order
+        order = self.order = alg.group.order
         f = alg.field
         self.nwords = _normal_words(alg, ORACLE_DEGREE)
         self.index = {w: c for c, w in enumerate(self.nwords)}
         self.by_degree: dict = {}
-        for w in self.nwords:
+        for c, w in enumerate(self.nwords):
             self.by_degree.setdefault(sum(1 for x in w if x < nv),
-                                      []).append(w)
+                                      []).append(c)
         self.act_rows = {
             g: [tuple(_basis_image(alg, g, i).items()) for i in range(nv)]
             for g in range(order)
@@ -583,36 +578,12 @@ class _OracleFrame:
         for g in range(order):
             gw = (nv + g,) if g else ()
             for i in range(nv):
-                free = f.accumulate({self.cat(gw, (i,)): 1}, (
-                    (self.cat((k,), gw), f.neg(c))
-                    for k, c in self.act_rows[g][i]))
+                free = f.accumulate({gw + (i,): 1}, (
+                    ((k,) + gw, f.neg(c)) for k, c in self.act_rows[g][i]))
                 self.relations.append(
                     (("lambda", g, i), 1, tuple(free.items())))
         self._zero = None
         self._pairs: dict = {}
-
-    def cat(self, w1: tuple, w2: tuple) -> tuple:
-        """Concatenate legal words, merging boundary group letters."""
-        nv = self.nv
-        if not (w1 and w2 and w1[-1] >= nv and w2[0] >= nv):
-            return w1 + w2
-        group = self.alg.group
-        w1 = list(w1)
-        w2 = list(w2)
-        while w1 and w2 and w1[-1] >= nv and w2[0] >= nv:
-            g = group.mul(w1[-1] - nv, w2[0] - nv)
-            w1.pop()
-            w2.pop(0)
-            if g != 0:
-                w1.append(nv + g)
-        return tuple(w1) + tuple(w2)
-
-    def ga_word(self, a: dict):
-        """A group-algebra dict as (word, coeff) pairs."""
-        nv = self.nv
-        return [
-            ((() if g == 0 else (nv + g,)), c) for g, c in sorted(a.items())
-        ]
 
     def bit(self, kind: str, u: int, v: int) -> int:
         """The bit of kappa(x_u ∧ x_v) or lambda(u, x_v)."""
@@ -628,30 +599,20 @@ class _OracleFrame:
             s |= self.bit("lambda", g, i)
         return s
 
-    def pair(self, n: int, a: tuple):
-        """(mask(r, a), NF0(a·r0)) for relation number n and left word a.
+    def pair(self, n: int, a: int):
+        """(mask(r, a), NF0(a·r0)) for relation number n and left column a.
 
-        mask(r, a) is the relation's own coordinate OR'd with mask(a·w)
-        for the words w of r0; the zero-table rewriter records mask(a·w)
-        on the walk that reduces a·w.
+        mask(r, a) is the relation's own coordinate OR'd with the masks of
+        the zero-table rows that the words of r0 read from a.
         """
         key = (n, a)
         hit = self._pairs.get(key)
         if hit is None:
             if self._zero is None:
-                self._zero = _Rewriter(self, PBWParams.zero(self.alg),
-                                       masks={})
-            zero = self._zero
-            f = self.alg.field
+                self._zero = _Rows(self, PBWParams.zero(self.alg))
             coord, _top, free = self.relations[n]
-            out = self.bit(*coord)
-            left: dict = {}
-            for w, c in free:
-                aw = self.cat(a, w)
-                f.accumulate(left, scaled_pairs(
-                    f, c, zero.reduce(aw).items()))
-                out |= zero.masks[aw]
-            hit = self._pairs[key] = (out, left)
+            mask, left = self._zero.left(a, free)
+            hit = self._pairs[key] = (mask | self.bit(*coord), left)
         return hit
 
 
@@ -670,80 +631,96 @@ def _relation_tag(coord) -> dict:
     return {"kind": "straightening", "g": u, "i": v}
 
 
-class _Rewriter:
-    """Leftmost-reduction rewriting in the free product of T(V) and kG.
+class _Rows:
+    """The right-multiplication rows R_x(c) = NF(nwords[c]·x) of one table.
 
-    Moving group letters right and sorting variables happens only through
-    the defining relations:
-
-        (N+g, i)  ->  sum_k (^g x_i)_k (k, N+g)  +  lambda(g, x_i)
-        (j, i)    ->  (i, j) - kappa(x_i ∧ x_j)          for j > i
-
-    applied at the leftmost reducible position and memoized per table (a
-    group letter exceeds every variable, so both redexes read a > b with b
-    a variable).  Reduction terminates because each step either
-    lowers the filtration degree or moves the word down in the (group
-    letters left of variables, variable inversions) order.
-
-    Given a ``masks`` dict, the rewriter also records there, per word w it
-    reduces, mask(w): the OR of the coordinates read at the steps of w's
-    reduction tree, lambda(g, x_i) at a step (N+g, i) and
-    kappa(x_i ∧ x_j) at a step (j, i).  The frame's zero-table rewriter
-    does, so its masks come from the walk that gives its normal forms.
+    A row is a tuple of (column, scalar) pairs, defined for columns of
+    degree <= 2 and filled on first use by one leftmost rewriting step
+    and the right-closure identity (the three cases of
+    :func:`oracle_pbw`).  Next to each row sits its mask: the coordinate
+    of its step OR'd with the masks of the rows the step reads, where of
+    a vector a row composes, only the columns the vector keeps count.
     """
 
-    def __init__(self, frame: _OracleFrame, params: PBWParams,
-                 masks: dict | None = None):
+    def __init__(self, frame: _OracleFrame, params: PBWParams):
         self.frame = frame
         self.params = params
+        self.field = frame.alg.field
         self.nv = frame.nv
-        self.masks = masks
-        self._memo: dict = {}
+        self._rows = [{} for _ in range(frame.nv)]
+        self._masks = [{} for _ in range(frame.nv)]
 
-    def reduce(self, w: tuple) -> dict:
-        """The normal form of a word, as {normal word: scalar}."""
-        hit = self._memo.get(w)
-        if hit is not None:
-            return hit
-        nv = self.nv
-        for p in range(len(w) - 1):
-            a, b = w[p], w[p + 1]
-            if b < nv and a > b:
-                break
-        else:
-            out = {w: 1}
-            self._memo[w] = out
-            if self.masks is not None:
-                self.masks[w] = 0
-            return out
-        frame = self.frame
-        f = frame.alg.field
-        head, tail = w[:p], w[p + 2:]
-        expansion = []
-        if a >= nv:
-            g, i = a - nv, b
-            for k, c in frame.act_rows[g][i]:
-                expansion.append(((k, a), c))
-            for word, c in frame.ga_word(self.params.lam_of(g, i)):
-                expansion.append((word, c))
-        else:
-            expansion.append(((b, a), 1))
-            for word, c in frame.ga_word(self.params.kappa_wedge(b, a)):
-                expansion.append((word, f.neg(c)))
-        cat = frame.cat
-        masks = self.masks
+    def row(self, x: int, c: int) -> tuple:
+        """R_x(c), filled on first use."""
+        hit = self._rows[x].get(c)
+        return self._step(x, c) if hit is None else hit
+
+    def times(self, x: int, pairs) -> dict:
+        """R_x on a column vector given as (column, scalar) pairs."""
+        f = self.field
+        rows = self._rows[x]
+        out: dict = {}
+        for c, s in pairs:
+            row = rows.get(c)
+            if row is None:
+                row = self._step(x, c)
+            f.accumulate(out, scaled_pairs(f, s, row))
+        return out
+
+    def left(self, a: int, el) -> tuple:
+        """(mask, NF(nwords[a]·el)) for (word, scalar) pairs el.
+
+        Each word is applied one right letter at a time; mask is the OR of
+        the masks of the rows read on the way.
+        """
+        f, nv, masks = self.field, self.nv, self._masks
         read = 0
         out: dict = {}
-        for mid, c in expansion:
-            child = cat(cat(head, mid), tail)
-            f.accumulate(out, scaled_pairs(f, c, self.reduce(child).items()))
-            if masks is not None:
-                read |= masks[child]
-        self._memo[w] = out
-        if masks is not None:
-            masks[w] = read | (frame.bit("lambda", a - nv, b) if a >= nv
-                               else frame.bit("kappa", b, a))
-        return out
+        for w, s in el:
+            v = ((a, s),)
+            for x in w:
+                if x < nv:
+                    image = self.times(x, v)
+                    for z, _ in v:
+                        read |= masks[x][z]
+                    v = image.items()
+                else:
+                    perm = self.frame.perms[x - nv - 1]
+                    v = [(perm[z], d) for z, d in v]
+            f.accumulate(out, v)
+        return read, out
+
+    def _step(self, x: int, c: int) -> tuple:
+        """Fill R_x(c) and its mask from the leftmost redex of nwords[c]·x."""
+        frame, f, masks = self.frame, self.field, self._masks
+        h = c % frame.order
+        m = c - h  # the column of c's monomial
+        mono = frame.nwords[m]
+        if h:
+            # m·h·x -> sum_k (^h x)_k m·x_k·h + lambda(h, x) at (h, x)
+            perm = frame.perms[h - 1]
+            out = {m + g: d for g, d in self.params.lam_of(h, x).items()}
+            mask = frame.bit("lambda", h, x)
+            for k, s in frame.act_rows[h][x]:
+                f.accumulate(out, ((perm[z], f.mul(s, d))
+                                   for z, d in self.row(k, m)))
+                mask |= masks[k][m]
+        elif not mono or x >= mono[-1]:
+            out, mask = {frame.index[mono + (x,)]: 1}, 0
+        else:
+            # m'·x_j·x -> m'·x·x_j - kappa(x ∧ x_j) at (x_j, x)
+            j = mono[-1]
+            prev = frame.index[mono[:-1]]
+            inner = self.row(x, prev)
+            out = f.accumulate(self.times(j, inner), (
+                (prev + g, f.neg(d))
+                for g, d in self.params.kappa_wedge(x, j).items()))
+            mask = frame.bit("kappa", x, j) | masks[x][prev]
+            for z, _ in inner:
+                mask |= masks[j][z]
+        row = self._rows[x][c] = tuple(out.items())
+        masks[x][c] = mask
+        return row
 
 
 def _normal_words(alg: SkewAlgebra, max_degree: int):
@@ -751,7 +728,8 @@ def _normal_words(alg: SkewAlgebra, max_degree: int):
 
     Laid out monomial by monomial: word m·|G| + h is the m-th sorted
     monomial followed by the group letter h (none for the identity,
-    h = 0).  The frame's R_g relabelling reads columns by this layout.
+    h = 0).  The frame's R_g relabelling and the rows read columns by
+    this layout.
     """
     nv = alg.nvars
     out = []
@@ -782,16 +760,46 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
     ``early_exit`` the first nonzero reduction settles the verdict
     (dimension is then not computed and reported as None).
 
-    The span is built by right-closure rather than sandwich by sandwich.
-    For a legal word y and legal words b1, b2,
+    Normal forms are those of leftmost reduction in the free product of
+    T(V) and kG, by the defining relations
+
+        (N+g, i)  ->  sum_k (^g x_i)_k (k, N+g)  +  lambda(g, x_i)
+        (j, i)    ->  (i, j) - kappa(x_i ∧ x_j)          for j > i,
+
+    which terminates: each step lowers the filtration degree or moves the
+    word down in the (group letters left of variables, variable
+    inversions) order.  For a legal word y and legal words b1, b2,
 
         NF(y·b1·b2)  =  R_b2(R_b1(NF(y))),   R_b(v) = sum_z v[z]·NF(z·b),
 
     because leftmost reduction brings y to normal form before it reaches
     b: a redex of y·b inside y lies left of the junction, and merging
     group letters at the junction touches no redex (a pair ending in a
-    group letter is never one).  This holds on non-PBW tables too.  So
-    with ``left = NF(a·r)`` of budget k (the degree left for b), the
+    group letter is never one).  This holds on non-PBW tables too, where
+    the system is not confluent.  R_g (g != 1) merely relabels normal
+    words, and the rows R_x(c) = NF(nwords[c]·x) of a variable x
+    (:class:`_Rows`) follow from one leftmost step each.  Write the
+    column c as m·h, m a sorted monomial and h a group letter:
+
+    * h != 1: the leftmost redex is (h, x), so
+      R_x(c) = sum_k (^h x)_k R_h(R_(x_k)(m)) + sum_g lambda(h, x)_g m·g;
+    * h = 1 and m empty or x >= last(m): m·x is normal, R_x(c) = m·x;
+    * m = m'·x_j with x < j: the leftmost redex is (x_j, x), so
+      R_x(c) = R_(x_j)(R_x(m')) - sum_g kappa(x ∧ x_j)_g m'·g.
+
+    Each case is the rewriting step at the leftmost redex followed by the
+    right-closure identity on the words it spawns (m·x_k·h, m'·x·x_j; the
+    words m·g and m'·g are normal), so every row, and every normal form
+    below, is the one leftmost reduction gives.  The recursion ends
+    because every row it asks for belongs to a word of the reduction tree
+    of nwords[c]·x.  A left product is then NF(a·r) = sum over the words
+    w of r of its scalar times R_w(a), one letter of w at a time: for
+    the commutator R_i(R_j(a)) - R_j(R_i(a)) + kappa(x_i ∧ x_j)·a, for
+    the straightening R_i(R_g(a)) - sum_k (^g x_i)_k R_g(R_k(a)) -
+    lambda(g, x_i)·a.
+
+    The span is built by right-closure rather than sandwich by sandwich.
+    With ``left = NF(a·r)`` of budget k (the degree left for b), the
     sandwiches a·r·b are the images of the left products under the
     products of one-letter maps R_x.  Write W_k^j for the span of
     R_m(left) over lefts of budget >= k and sorted monomials m of degree
@@ -806,30 +814,33 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
     bases, the residual rows ``IncrementalRank.insert`` returns (linear
     maps carry a spanning set to a spanning set).  A normal right word
     is a sorted monomial, then at most one group letter, so the span is
-    W_0^(N-1) plus its images under R_g, g != 1; R_g merely relabels
-    normal words.  The witness is the first nonzero left product in scan
-    order (the sandwich with the empty right word).
+    W_0^(N-1) plus its images under R_g, g != 1.  The witness is the
+    first nonzero left product in scan order (the sandwich with the
+    empty right word).
 
     Left products a table cannot change are skipped.  Let s be the
     table's support and r0 the table-free part of r (the algebra's
-    :class:`_OracleFrame` keeps both, and the masks below).  When r's own
-    coordinate is zero on the table, r = r0, and the pair (r, a) is
-    skipped if mask(r, a) & s == 0 and the zero-table product NF0(a·r0)
-    is zero.  Then NF(a·r) = NF0(a·r0) = 0, by induction on the
-    zero-table reduction tree of each word a·w, w in r0: a step whose
-    coordinate is zero on the table expands to its parameter-free terms
-    alone, the children of that step in the zero-table tree, whose normal
-    forms agree under both tables by induction; a normal word is its own
-    normal form under both.  NF0(a·r0) is computed, never assumed, though
-    it is always zero (the undeformed algebra is PBW).  A skipped product
-    is zero, so the witness, the span and the scan order are those of
-    the unskipped loop.
+    :class:`_OracleFrame` keeps both, the zero-table rows R0_x and the
+    masks below).  A row's mask mask0(x, c) is the coordinate of its step
+    OR'd with the masks of the rows the step reads, and for a vector the
+    step composes rows on (R0_x(m') in the third case), of the columns
+    that vector keeps.  If mask0(x, c) & s == 0, then R_x(c) = R0_x(c):
+    the step's parameter terms vanish under both tables, and by induction
+    the rows it reads agree, so the composed vector is the same and so
+    are the rows read on its columns.  mask(r, a) is r's own coordinate
+    OR'd with the masks of the rows the words of r0 read from a, composed
+    the same way.  When r's own coordinate is zero on the table, r = r0,
+    and the pair (r, a) is skipped if mask(r, a) & s == 0 and the
+    zero-table product NF0(a·r0) is zero; then NF(a·r) = NF0(a·r0) = 0.
+    NF0(a·r0) is computed, never assumed, though it is always zero (the
+    undeformed algebra is PBW).  A skipped product is zero, so the
+    witness, the span and the scan order are those of the unskipped
+    loop.
     """
     frame = _frame(alg)
     f = alg.field
     nv = alg.nvars
     nwords = frame.nwords
-    index = frame.index
     expected = alg.group.order * comb(alg.nvars + ORACLE_DEGREE,
                                      ORACLE_DEGREE)
     witness = None
@@ -845,9 +856,7 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
             "witness": witness,
         })
 
-    rw = _Rewriter(frame, params)
-    reduce = rw.reduce
-    cat = frame.cat
+    rows = _Rows(frame, params)
     support = frame.support(params)
     # the nonzero left products NF(a·r) by budget, as {column: scalar}
     lefts = [[] for _ in range(ORACLE_DEGREE + 1)]
@@ -858,7 +867,8 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
             kind, u, v = coord
             value = (params.kappa_wedge(u, v) if kind == "kappa"
                      else vec_neg(f, params.lam_of(u, v)))
-            el = f.accumulate(dict(free), frame.ga_word(value)).items()
+            el = f.accumulate(dict(free), (((nv + g,) if g else (), c)
+                                           for g, c in value.items())).items()
         if not el:
             continue
         budget = ORACLE_DEGREE - top
@@ -868,16 +878,12 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
                     mask, zero_left = frame.pair(n, a)
                     if not (mask & support or zero_left):
                         continue
-                left: dict = {}
-                for w, c in el:
-                    f.accumulate(left, scaled_pairs(f, c,
-                                                    reduce(cat(a, w)).items()))
-                if not left:
+                vec = rows.left(a, el)[1]
+                if not vec:
                     continue
-                vec = {index[w]: c for w, c in left.items()}
                 if witness is None:
                     witness = {
-                        "left": list(a),
+                        "left": list(nwords[a]),
                         "relation": _relation_tag(coord),
                         "right": [],
                         "reduction": _format_words(alg, vec, nwords),
@@ -886,26 +892,11 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
                         return report(None)
                 lefts[budget - da].append(vec)
 
-    def times_var(x):
-        """R_x on column vectors, with NF(z·x) reduced once per column z."""
-        rows: dict = {}
-
-        def apply(v):
-            out: dict = {}
-            for z, c in v.items():
-                row = rows.get(z)
-                if row is None:
-                    row = rows[z] = [(index[w], d) for w, d in
-                                     reduce(cat(nwords[z], (x,))).items()]
-                f.accumulate(out, scaled_pairs(f, c, row))
-            return out
-        return apply
-
     def times_group(perm):
         """R_g on column vectors: a relabelling of the normal words."""
         return lambda v: {perm[z]: c for z, c in v.items()}
 
-    var_maps = [times_var(x) for x in range(nv)]
+    var_maps = [lambda v, x=x: rows.times(x, v.items()) for x in range(nv)]
     group_maps = [times_group(perm) for perm in frame.perms]
     # the level above as (basis, marks): basis[:marks[j + 1]] spans W^j
     above, marks_above = [], [0] * (nv + 1)

@@ -78,6 +78,10 @@ Z3_TRIVIAL_GF3_N3_PBW = {
                       for i in range(3)])},
 }
 
+#: The Drinfeld Hecke table kappa(x0 ∧ x1) = r - r² on S3_REFL_Q, r and r²
+#: the 3-cycles (group indices 3 and 4): PBW for all three deciders.
+DRINFELD_HECKE = {"kappa": [{"i": 0, "j": 1, "value": [[3, "1"], [4, "-1"]]}]}
+
 Z4_ROT_Q = {
     "field": "Q",
     "group": {"family": "cyclic", "n": 4},
@@ -150,6 +154,9 @@ def _cases():
                        ("s3_refl_q", S3_REFL_Q)):
         cases[f"pbw_oracle_full_{label}"] = (
             ["pbw", "oracle"], with_full_support(doc, 0), None)
+    for method in ("all", "oracle"):
+        cases[f"pbw_{method}_drinfeld_hecke_s3_refl_q"] = (
+            ["pbw", method], dict(S3_REFL_Q, params=DRINFELD_HECKE), None)
     cases["pbw_all_full_z3_unipotent_gf3"] = (
         ["pbw", "all"], with_full_support(Z3_UNIPOTENT_GF3, 0), None)
     for label, doc in (("v4_gf2", V4_GF2), ("s3_refl_q", S3_REFL_Q)):

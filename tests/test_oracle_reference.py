@@ -16,7 +16,8 @@ with every kappa and lambda entry nonzero.
 The rewriting system below is a frozen copy of the oracle's as it was
 before the oracle kept table-free data on the algebra: it builds its own
 action columns, relations and word lists per call and shares no memo with
-``skewchain.pbw``.
+``skewchain.pbw``, which rewrites no words.  ``tests/test_pbw.py`` also
+checks every one of the oracle's rows R_x(c) = NF(w·x) against it.
 """
 
 import itertools

@@ -29,7 +29,7 @@ from skewchain.complexes import ChainElement, random_twisted_slots
 from skewchain.pbw import (
     PBWParams,
     SearchSpaceTooLarge,
-    _Rewriter,
+    _Rows,
     _defects,
     _frame,
     _iota_images,
@@ -41,7 +41,7 @@ from skewchain.pbw import (
     oracle_pbw,
 )
 
-from test_oracle_reference import _all_words, literal_oracle
+from test_oracle_reference import _Rewriter, literal_oracle
 from helpers import (
     PBW_CONFIGS,
     full_support_table,
@@ -300,62 +300,68 @@ class TestOraclePins:
         assert [ro.verdict, ro.extras["dimension"], ro.extras["rank"]] == want
 
 
+class TestDrinfeldHeckePins:
+    """Nonzero kappa-only tables on s3_refl_q, r and r² the 3-cycles
+    (group indices 3 and 4).  kappa(x0 ∧ x1) = c(r - r²) is a Drinfeld
+    Hecke algebra (Ram–Shepler, Comment. Math. Helv. 78, 2003): kappa is
+    G-invariant and supported on elements with codim V^g = 2, and the
+    reflections (det = -1) force kappa_r² = -kappa_r and kappa_1 = 0.
+    Breaking either rule collapses the oracle's span to rank 18."""
+
+    @pytest.mark.parametrize("value, want", [
+        ({3: 1, 4: -1}, [True, 0, 60]),
+        ({3: -1, 4: 1}, [True, 0, 60]),
+        ({3: 2, 4: -2}, [True, 0, 60]),
+        ({3: 1}, [False, 18, 42]),
+        ({3: 1, 4: 1}, [False, 18, 42]),
+        ({0: 1, 3: 1, 4: -1}, [False, 18, 42]),
+    ], ids=["r-r2", "r2-r", "2r-2r2", "r", "r+r2", "r-r2+1"])
+    def test_three_deciders(self, value, want):
+        A = s3_refl_q()
+        p = PBWParams(A, kappa={(0, 1): value})
+        ro = oracle_pbw(A, p)
+        assert [ro.verdict, ro.extras["rank"], ro.extras["dimension"]] == want
+        assert check_five(A, p).verdict == want[0]
+        assert check_cohomological(A, p).verdict == want[0]
+        assert oracle_pbw(A, p, early_exit=True).verdict == want[0]
+
+
 class TestOracleFactoring:
-    """The identity the oracle factors every sandwich a·r·b through:
+    """The rows the oracle builds every normal form from,
 
-        NF(y·b)  =  sum over z of NF(y)[z] · NF(z·b)
+        R_x(c)  =  NF(nwords[c]·x),
 
-    for legal words y, b under leftmost reduction, also on the non-PBW
-    tables, where the rewriting system is not confluent.
+    each filled by one leftmost step and the right-closure identity
+    NF(y·b) = sum over z of NF(y)[z] · NF(z·b).  Every row, for every
+    column of degree <= 2 and every variable, must be the normal form the
+    frozen literal rewriter of test_oracle_reference gives, also on the
+    non-PBW tables, where the rewriting system is not confluent.  A
+    zero-table row whose mask misses a table's support must also be that
+    table's row: the premise of the oracle's skip.
     """
 
-    @staticmethod
-    def _word_pairs(A, rng, count):
-        """Random legal (y, b) of total degree <= 3, a third of them with
-        b opening on the inverse of the group letter y ends in."""
-        nv, group = A.nvars, A.group
-
-        def deg(w):
-            return sum(1 for x in w if x < nv)
-
-        words = sorted(_all_words(A, 3), key=deg)
-        upto = {d: [w for w in words if deg(w) <= d] for d in range(4)}
-        plain = {d: [w for w in ws if not (w and w[0] >= nv)]
-                 for d, ws in upto.items()}
-        pairs = []
-        while len(pairs) < count:
-            y = rng.choice(words)
-            room = 3 - deg(y)
-            if len(pairs) % 3:
-                pairs.append((y, rng.choice(upto[room])))
-            elif y and y[-1] >= nv:
-                pairs.append((y, (nv + group.inv(y[-1] - nv),)
-                              + rng.choice(plain[room])))
-        return pairs
-
-    @pytest.mark.parametrize("make", [swap_gf2, v4_gf2, z3_unipotent_gf3,
-                                      swap_q, s3_refl_q],
-                             ids=["swap_gf2", "v4_gf2", "z3_unipotent_gf3",
-                                  "swap_q", "s3_refl_q"])
-    def test_right_factor_identity(self, make):
-        A = make()
-        f = A.field
-        rng = random.Random(29)
-        tables = [full_support_table(A, 3)]
-        tables += [PBWParams.random(A, rng) for _ in range(2)]
-        merged = 0
+    @pytest.mark.parametrize("name", sorted(PBW_CONFIGS))
+    def test_right_factor_identity(self, name):
+        A = PBW_CONFIGS[name]()
         frame = _frame(A)
-        for params in tables:
-            rw = _Rewriter(frame, params)
-            for y, b in self._word_pairs(A, rng, 120):
-                yb = frame.cat(y, b)
-                merged += len(yb) == len(y) + len(b) - 2
-                factored = f.accumulate({}, (
-                    (w, f.mul(c, d)) for z, c in rw.reduce(y).items()
-                    for w, d in rw.reduce(frame.cat(z, b)).items()))
-                assert rw.reduce(yb) == factored, (params.kappa, params.lam,
-                                                   y, b)
-        assert merged >= 3 * 40
+        columns = [c for d in range(3) for c in frame.by_degree[d]]
+        zero = _Rows(frame, PBWParams.zero(A))
+        unchanged = 0
+        for params in frame_tables(A, sum(map(ord, name))):
+            rows = _Rows(frame, params)
+            literal = _Rewriter(A, params)
+            support = frame.support(params)
+            for c in columns:
+                for x in range(A.nvars):
+                    row = dict(rows.row(x, c))
+                    assert ({frame.nwords[z]: d for z, d in row.items()}
+                            == literal.reduce(frame.nwords[c] + (x,))), (
+                        params.kappa, params.lam, frame.nwords[c], x)
+                    zero_row = dict(zero.row(x, c))
+                    if not zero._masks[x][c] & support:
+                        assert row == zero_row
+                        unchanged += 1
+        assert unchanged > len(columns) * A.nvars
 
 
 class TestThreeWayAgreement:
@@ -515,9 +521,11 @@ class TestOracleFrame:
     @pytest.mark.parametrize("name", sorted(PBW_CONFIGS))
     def test_group_relabelling_is_right_multiplication(self, name):
         """R_g on columns, read off the word layout, is w -> w·g."""
-        frame = _frame(PBW_CONFIGS[name]())
+        A = PBW_CONFIGS[name]()
+        frame = _frame(A)
+        cat = _Rewriter(A, PBWParams.zero(A)).cat
         for g, perm in enumerate(frame.perms, 1):
-            assert perm == [frame.index[frame.cat(w, (frame.nv + g,))]
+            assert perm == [frame.index[cat(w, (frame.nv + g,))]
                             for w in frame.nwords]
 
     def test_skip_fires_on_nonzero_pbw_tables(self):
