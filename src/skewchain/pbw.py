@@ -533,20 +533,19 @@ class _OracleFrame:
 
     Built once per algebra, on the first :func:`oracle_pbw` call, and kept
     as ``SkewAlgebra._oracle_frame``: the normal words with their column
-    index and the columns by degree, the action columns ``^g x_i`` as
-    (variable, scalar) pairs, the relabelling R_g of the columns by each
-    right group letter, and the defining relations.  A relation is named
-    by the table coordinate it carries, kappa(x_i ∧ x_j) for the
-    commutator of i < j and lambda(g, x_i) for the straightening of g
-    past x_i, and kept as its table-free part r0: (word, scalar) pairs,
-    words over the letters 0..N-1 (variables) and N+g (group elements,
-    g >= 1).  Each coordinate has a bit (:meth:`bit`); a table's support
-    is the OR of the bits of its nonzero coordinates.
+    index, the action columns ``^g x_i`` as (variable, scalar) pairs, the
+    relabelling R_g of the columns by each right group letter, and the
+    defining relations.  A relation is named by the table coordinate it
+    carries, kappa(x_i ∧ x_j) for the commutator of i < j and lambda(g, x_i)
+    for the straightening of g past x_i, and kept as its table-free part
+    r0, (word, scalar) pairs over the letters 0..N-1 (variables) and N+g
+    (group elements, g >= 1), with its budget, the degree left for the
+    right word, and its overlap columns: the left columns a within the
+    budget whose product a·r the overlap rule of :func:`oracle_pbw`
+    keeps.
 
-    Filled as tables ask for it: the zero-table rows with their masks
-    (:class:`_Rows`) and, per relation and left column a, the pair
-    (mask(r, a), NF0(a·r0)) of :meth:`pair`, NF0 the normal form under
-    the zero table.
+    The first zero table fills NF0(a·r0) for every relation and overlap
+    column (:meth:`zero_lefts`), NF0 the normal form under the zero table.
     """
 
     def __init__(self, alg: SkewAlgebra):
@@ -556,10 +555,7 @@ class _OracleFrame:
         f = alg.field
         self.nwords = _normal_words(alg, ORACLE_DEGREE)
         self.index = {w: c for c, w in enumerate(self.nwords)}
-        self.by_degree: dict = {}
-        for c, w in enumerate(self.nwords):
-            self.by_degree.setdefault(sum(1 for x in w if x < nv),
-                                      []).append(c)
+        self.degree = [sum(1 for x in w if x < nv) for w in self.nwords]
         self.act_rows = {
             g: [tuple(_basis_image(alg, g, i).items()) for i in range(nv)]
             for g in range(order)
@@ -571,8 +567,8 @@ class _OracleFrame:
         self.perms = [[c - c % order + mul(c % order, g)
                        for c in range(len(self.nwords))]
                       for g in range(1, order)]
-        #: (coordinate, top degree, r0 as (word, scalar) pairs)
-        self.relations = [
+        # (coordinate, top degree, r0)
+        relations = [
             (("kappa", i, j), 2, (((j, i), 1), ((i, j), f.from_int(-1))))
             for i in range(nv) for j in range(i + 1, nv)]
         for g in range(order):
@@ -580,40 +576,36 @@ class _OracleFrame:
             for i in range(nv):
                 free = f.accumulate({gw + (i,): 1}, (
                     ((k,) + gw, f.neg(c)) for k, c in self.act_rows[g][i]))
-                self.relations.append(
-                    (("lambda", g, i), 1, tuple(free.items())))
-        self._zero = None
-        self._pairs: dict = {}
+                relations.append((("lambda", g, i), 1, tuple(free.items())))
+        #: (coordinate, r0, budget, overlap columns); columns are laid
+        #: out by degree, so column order is scan order
+        self.relations = []
+        for coord, top, free in relations:
+            budget = ORACLE_DEGREE - top
+            self.relations.append((coord, free, budget, tuple(
+                a for a, d in enumerate(self.degree)
+                if d <= budget and self.overlaps(coord, a))))
+        self._zero_lefts = None
 
-    def bit(self, kind: str, u: int, v: int) -> int:
-        """The bit of kappa(x_u ∧ x_v) or lambda(u, x_v)."""
-        nv = self.nv
-        return 1 << (u * nv + v + (0 if kind == "kappa" else nv * nv))
+    def overlaps(self, coord, a: int) -> bool:
+        """Whether the overlap rule of :func:`oracle_pbw` keeps the left
+        product a·r, r the relation carrying coord."""
+        if a % self.order:
+            return True
+        kind, u, v = coord
+        if kind == "lambda":
+            return u == 0
+        m = self.nwords[a]
+        return bool(m) and m[-1] > v
 
-    def support(self, params: PBWParams) -> int:
-        """The OR of the bits of the table's nonzero coordinates."""
-        s = 0
-        for i, j in params.kappa:
-            s |= self.bit("kappa", i, j)
-        for g, i in params.lam:
-            s |= self.bit("lambda", g, i)
-        return s
-
-    def pair(self, n: int, a: int):
-        """(mask(r, a), NF0(a·r0)) for relation number n and left column a.
-
-        mask(r, a) is the relation's own coordinate OR'd with the masks of
-        the zero-table rows that the words of r0 read from a.
-        """
-        key = (n, a)
-        hit = self._pairs.get(key)
-        if hit is None:
-            if self._zero is None:
-                self._zero = _Rows(self, PBWParams.zero(self.alg))
-            coord, _top, free = self.relations[n]
-            mask, left = self._zero.left(a, free)
-            hit = self._pairs[key] = (mask | self.bit(*coord), left)
-        return hit
+    def zero_lefts(self) -> list:
+        """NF0(a·r0) per relation and overlap column, in scan order,
+        computed on the first zero table by the zero-table rows."""
+        if self._zero_lefts is None:
+            rows = _Rows(self, PBWParams.zero(self.alg))
+            self._zero_lefts = [[rows.left(a, free) for a in columns]
+                                for _c, free, _b, columns in self.relations]
+        return self._zero_lefts
 
 
 def _frame(alg: SkewAlgebra) -> _OracleFrame:
@@ -637,9 +629,7 @@ class _Rows:
     A row is a tuple of (column, scalar) pairs, defined for columns of
     degree <= 2 and filled on first use by one leftmost rewriting step
     and the right-closure identity (the three cases of
-    :func:`oracle_pbw`).  Next to each row sits its mask: the coordinate
-    of its step OR'd with the masks of the rows the step reads, where of
-    a vector a row composes, only the columns the vector keeps count.
+    :func:`oracle_pbw`).
     """
 
     def __init__(self, frame: _OracleFrame, params: PBWParams):
@@ -648,7 +638,6 @@ class _Rows:
         self.field = frame.alg.field
         self.nv = frame.nv
         self._rows = [{} for _ in range(frame.nv)]
-        self._masks = [{} for _ in range(frame.nv)]
 
     def row(self, x: int, c: int) -> tuple:
         """R_x(c), filled on first use."""
@@ -667,32 +656,25 @@ class _Rows:
             f.accumulate(out, scaled_pairs(f, s, row))
         return out
 
-    def left(self, a: int, el) -> tuple:
-        """(mask, NF(nwords[a]·el)) for (word, scalar) pairs el.
-
-        Each word is applied one right letter at a time; mask is the OR of
-        the masks of the rows read on the way.
-        """
-        f, nv, masks = self.field, self.nv, self._masks
-        read = 0
+    def left(self, a: int, el) -> dict:
+        """NF(nwords[a]·el) for (word, scalar) pairs el, each word applied
+        one right letter at a time."""
+        f, nv = self.field, self.nv
         out: dict = {}
         for w, s in el:
             v = ((a, s),)
             for x in w:
                 if x < nv:
-                    image = self.times(x, v)
-                    for z, _ in v:
-                        read |= masks[x][z]
-                    v = image.items()
+                    v = self.times(x, v).items()
                 else:
                     perm = self.frame.perms[x - nv - 1]
                     v = [(perm[z], d) for z, d in v]
             f.accumulate(out, v)
-        return read, out
+        return out
 
     def _step(self, x: int, c: int) -> tuple:
-        """Fill R_x(c) and its mask from the leftmost redex of nwords[c]·x."""
-        frame, f, masks = self.frame, self.field, self._masks
+        """Fill R_x(c) from the leftmost redex of nwords[c]·x."""
+        frame, f = self.frame, self.field
         h = c % frame.order
         m = c - h  # the column of c's monomial
         mono = frame.nwords[m]
@@ -700,26 +682,19 @@ class _Rows:
             # m·h·x -> sum_k (^h x)_k m·x_k·h + lambda(h, x) at (h, x)
             perm = frame.perms[h - 1]
             out = {m + g: d for g, d in self.params.lam_of(h, x).items()}
-            mask = frame.bit("lambda", h, x)
             for k, s in frame.act_rows[h][x]:
                 f.accumulate(out, ((perm[z], f.mul(s, d))
                                    for z, d in self.row(k, m)))
-                mask |= masks[k][m]
         elif not mono or x >= mono[-1]:
-            out, mask = {frame.index[mono + (x,)]: 1}, 0
+            out = {frame.index[mono + (x,)]: 1}
         else:
             # m'·x_j·x -> m'·x·x_j - kappa(x ∧ x_j) at (x_j, x)
             j = mono[-1]
             prev = frame.index[mono[:-1]]
-            inner = self.row(x, prev)
-            out = f.accumulate(self.times(j, inner), (
+            out = f.accumulate(self.times(j, self.row(x, prev)), (
                 (prev + g, f.neg(d))
                 for g, d in self.params.kappa_wedge(x, j).items()))
-            mask = frame.bit("kappa", x, j) | masks[x][prev]
-            for z, _ in inner:
-                mask |= masks[j][z]
         row = self._rows[x][c] = tuple(out.items())
-        masks[x][c] = mask
         return row
 
 
@@ -818,24 +793,24 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
     first nonzero left product in scan order (the sandwich with the
     empty right word).
 
-    Left products a table cannot change are skipped.  Let s be the
-    table's support and r0 the table-free part of r (the algebra's
-    :class:`_OracleFrame` keeps both, the zero-table rows R0_x and the
-    masks below).  A row's mask mask0(x, c) is the coordinate of its step
-    OR'd with the masks of the rows the step reads, and for a vector the
-    step composes rows on (R0_x(m') in the third case), of the columns
-    that vector keeps.  If mask0(x, c) & s == 0, then R_x(c) = R0_x(c):
-    the step's parameter terms vanish under both tables, and by induction
-    the rows it reads agree, so the composed vector is the same and so
-    are the rows read on its columns.  mask(r, a) is r's own coordinate
-    OR'd with the masks of the rows the words of r0 read from a, composed
-    the same way.  When r's own coordinate is zero on the table, r = r0,
-    and the pair (r, a) is skipped if mask(r, a) & s == 0 and the
-    zero-table product NF0(a·r0) is zero; then NF(a·r) = NF0(a·r0) = 0.
-    NF0(a·r0) is computed, never assumed, though it is always zero (the
-    undeformed algebra is PBW).  A skipped product is zero, so the
-    witness, the span and the scan order are those of the unskipped
-    loop.
+    Only overlaps are reduced (Bergman's diamond lemma, Adv. Math. 29,
+    1978): the left products below are zero under every table, term for
+    term by the row cases themselves, and the frame's overlap columns
+    (:class:`_OracleFrame`) leave them out.  Write the left column a as
+    m·h with h = 1:
+
+    * the straightening of g != 1 past x_i: R_i(R_g(m)) = R_i(m·g) is the
+      first case with h = g, which is exactly the rest of NF(m·r);
+    * the commutator of i < j, m empty or last(m) <= j: R_j(m) = m·x_j by
+      the second case, and R_i(m·x_j) = R_j(R_i(m)) - kappa(x_i ∧ x_j)·m
+      by the third.
+
+    The straightening of g = 1 carries only lambda(1, x_i) and is never
+    skipped.  A skipped product is zero, so the witness, the span and the
+    scan order are those of the unskipped loop.  On the zero table the
+    left products are read from the frame, which computes each NF0(a·r0)
+    once per algebra by the same rows, never assuming it zero (though it
+    is: the undeformed algebra is PBW).
     """
     frame = _frame(alg)
     f = alg.field
@@ -857,40 +832,32 @@ def oracle_pbw(alg: SkewAlgebra, params: PBWParams,
         })
 
     rows = _Rows(frame, params)
-    support = frame.support(params)
+    zero_lefts = frame.zero_lefts() if params.is_zero() else None
     # the nonzero left products NF(a·r) by budget, as {column: scalar}
     lefts = [[] for _ in range(ORACLE_DEGREE + 1)]
-    for n, (coord, top, free) in enumerate(frame.relations):
-        own = frame.bit(*coord) & support
-        el = free
-        if own:
-            kind, u, v = coord
-            value = (params.kappa_wedge(u, v) if kind == "kappa"
-                     else vec_neg(f, params.lam_of(u, v)))
-            el = f.accumulate(dict(free), (((nv + g,) if g else (), c)
-                                           for g, c in value.items())).items()
+    for n, (coord, free, budget, columns) in enumerate(frame.relations):
+        kind, u, v = coord
+        value = (params.kappa_wedge(u, v) if kind == "kappa"
+                 else vec_neg(f, params.lam_of(u, v)))
+        el = f.accumulate(dict(free), (((nv + g,) if g else (), c)
+                                       for g, c in value.items())).items()
         if not el:
             continue
-        budget = ORACLE_DEGREE - top
-        for da in range(budget + 1):
-            for a in frame.by_degree.get(da, ()):
-                if not own:
-                    mask, zero_left = frame.pair(n, a)
-                    if not (mask & support or zero_left):
-                        continue
-                vec = rows.left(a, el)[1]
-                if not vec:
-                    continue
-                if witness is None:
-                    witness = {
-                        "left": list(nwords[a]),
-                        "relation": _relation_tag(coord),
-                        "right": [],
-                        "reduction": _format_words(alg, vec, nwords),
-                    }
-                    if early_exit:
-                        return report(None)
-                lefts[budget - da].append(vec)
+        for i, a in enumerate(columns):
+            vec = (rows.left(a, el) if zero_lefts is None
+                   else zero_lefts[n][i])
+            if not vec:
+                continue
+            if witness is None:
+                witness = {
+                    "left": list(nwords[a]),
+                    "relation": _relation_tag(coord),
+                    "right": [],
+                    "reduction": _format_words(alg, vec, nwords),
+                }
+                if early_exit:
+                    return report(None)
+            lefts[budget - frame.degree[a]].append(vec)
 
     def times_group(perm):
         """R_g on column vectors: a relabelling of the normal words."""

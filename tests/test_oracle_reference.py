@@ -10,8 +10,10 @@ The sandwich words are the normal words, or in the ``all_words`` cross-check
 every legal word of the free product.  ``oracle_pbw`` must give the same
 verdict, dimension and rank as both, the witness of the normal-word scan,
 and with ``early_exit`` the same verdict and witness, on every config
-below: the zero table, a kappa-only table, three random tables and a table
-with every kappa and lambda entry nonzero.
+below: the zero table, a kappa-only table, three random tables, a table
+with every kappa and lambda entry nonzero, and a table with lambda(1, x) != 0,
+alone and with kappa (only such a table makes the straightening relation
+of the identity nonzero, and then it is an element of kG).
 
 The rewriting system below is a frozen copy of the oracle's as it was
 before the oracle kept table-free data on the algebra: it builds its own
@@ -269,11 +271,16 @@ def literal_oracle(alg, params, mode):
 
 
 def tables(alg, seed):
-    """The zero, kappa-only, three random and the full-support tables."""
+    """The zero, kappa-only, three random and the full-support tables, then
+    lambda(1, x_(N-1)) = the full table's lambda(g_1, x_0), alone and with
+    the full kappa."""
     rng = random.Random(seed)
     full = full_support_table(alg, seed)
+    identity = {(0, alg.nvars - 1): full.lam[(1, 0)]}
     return ([PBWParams.zero(alg), PBWParams(alg, kappa=full.kappa)]
-            + [PBWParams.random(alg, rng) for _ in range(3)] + [full])
+            + [PBWParams.random(alg, rng) for _ in range(3)] + [full]
+            + [PBWParams(alg, lam=identity),
+               PBWParams(alg, kappa=full.kappa, lam=identity)])
 
 
 @pytest.mark.parametrize("mode", MODES)

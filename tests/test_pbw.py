@@ -27,6 +27,7 @@ from skewchain.chainmaps import iota
 from skewchain.cochains import Cochain, circle, coboundary, transport_up
 from skewchain.complexes import ChainElement, random_twisted_slots
 from skewchain.pbw import (
+    ORACLE_DEGREE,
     PBWParams,
     SearchSpaceTooLarge,
     _Rows,
@@ -335,33 +336,24 @@ class TestOracleFactoring:
     NF(y·b) = sum over z of NF(y)[z] · NF(z·b).  Every row, for every
     column of degree <= 2 and every variable, must be the normal form the
     frozen literal rewriter of test_oracle_reference gives, also on the
-    non-PBW tables, where the rewriting system is not confluent.  A
-    zero-table row whose mask misses a table's support must also be that
-    table's row: the premise of the oracle's skip.
+    non-PBW tables, where the rewriting system is not confluent.
     """
 
     @pytest.mark.parametrize("name", sorted(PBW_CONFIGS))
     def test_right_factor_identity(self, name):
         A = PBW_CONFIGS[name]()
         frame = _frame(A)
-        columns = [c for d in range(3) for c in frame.by_degree[d]]
-        zero = _Rows(frame, PBWParams.zero(A))
-        unchanged = 0
+        columns = [c for c, w in enumerate(frame.nwords)
+                   if sum(x < A.nvars for x in w) <= 2]
         for params in frame_tables(A, sum(map(ord, name))):
             rows = _Rows(frame, params)
             literal = _Rewriter(A, params)
-            support = frame.support(params)
             for c in columns:
                 for x in range(A.nvars):
                     row = dict(rows.row(x, c))
                     assert ({frame.nwords[z]: d for z, d in row.items()}
                             == literal.reduce(frame.nwords[c] + (x,))), (
                         params.kappa, params.lam, frame.nwords[c], x)
-                    zero_row = dict(zero.row(x, c))
-                    if not zero._masks[x][c] & support:
-                        assert row == zero_row
-                        unchanged += 1
-        assert unchanged > len(columns) * A.nvars
 
 
 class TestThreeWayAgreement:
@@ -468,15 +460,26 @@ def fresh_oracle(name, p, early_exit):
                       early_exit=early_exit).to_json_dict()
 
 
-def skipped_pairs(A, p):
-    """The (relation, left word) pairs the oracle skips on the table p:
-    its own coordinate is zero, its mask misses the support and its
-    zero-table left product is zero."""
-    frame = _frame(A)
-    support = frame.support(p)
-    return [(n, a) for (n, a), (mask, left) in frame._pairs.items()
-            if not frame.bit(*frame.relations[n][0]) & support
-            and not mask & support and not left]
+def relation_element(A, coord, free, p):
+    """The relation carrying coord under the table p, as (word, scalar)
+    pairs: its table-free part plus its table value."""
+    f, nv = A.field, A.nvars
+    kind, u, v = coord
+    value = (p.kappa_wedge(u, v) if kind == "kappa"
+             else {g: f.neg(c) for g, c in p.lam_of(u, v).items()})
+    return f.accumulate(dict(free), (((nv + g,) if g else (), c)
+                                     for g, c in value.items())).items()
+
+
+def overlap_skips(A, coord, a):
+    """The overlap rule, stated on words: with the left word m·h, skip
+    h = 1 with the straightening of g != 1, and h = 1 with the commutator
+    of i < j when m is empty or last(m) <= j."""
+    m = _frame(A).nwords[a]
+    if m and m[-1] >= A.nvars:
+        return False
+    kind, u, v = coord
+    return u != 0 if kind == "lambda" else not m or m[-1] <= v
 
 
 class TestOracleFrame:
@@ -500,14 +503,19 @@ class TestOracleFrame:
                 p = PBWParams(warm, p.kappa, p.lam)
                 assert (oracle_pbw(warm, p, early_exit=early).to_json_dict()
                         == fresh_oracle(name, p, early)), (p.kappa, p.lam)
-            assert warm._oracle_frame._pairs
+            # the zero table read its left products from the frame
+            zero_lefts = warm._oracle_frame._zero_lefts
+            assert any(zero_lefts)
+            assert not any(v for per in zero_lefts for v in per)
 
     @pytest.mark.parametrize("name", ["swap_gf2", "z3_unipotent_gf3",
                                       "v4_gf2"])
     def test_sparse_tables_match_the_literal_oracle(self, name):
-        """Most left products are skipped on a table that leaves most
-        coordinates zero; on three variables a skip must look past the
-        first step of each reduction (v4_gf2's one-coordinate tables)."""
+        """Tables that leave most coordinates zero (kappa-only,
+        lambda-only, one-coordinate): most of their left products are
+        zero, so rank and witness rest on the few that are not, which on
+        three variables (v4_gf2) may first differ from zero deep inside a
+        reduction."""
         A = PBW_CONFIGS[name]()
         total = len(_frame(A).nwords)
         tables = frame_tables(A, 0)[1:4]
@@ -528,19 +536,30 @@ class TestOracleFrame:
             assert perm == [frame.index[cat(w, (frame.nv + g,))]
                             for w in frame.nwords]
 
-    def test_skip_fires_on_nonzero_pbw_tables(self):
-        A = swap_gf2()
-        p = PBWParams(A, kappa={(0, 1): {0: 1}})
-        assert oracle_pbw(A, p).verdict
-        assert skipped_pairs(A, p)
-
-        B = z3_unipotent_gf3()
-        rng = random.Random(3)
-        draws = (PBWParams.random(B, rng) for _ in range(400))
-        q = next(t for t in draws
-                 if not t.is_zero() and check_five(B, t).verdict)
-        assert oracle_pbw(B, q).verdict
-        assert skipped_pairs(B, q)
+    @pytest.mark.parametrize("name", sorted(PBW_CONFIGS))
+    def test_overlap_rule_skips_only_zero_products(self, name):
+        """The frame keeps, per relation, exactly the left columns of
+        degree within the relation's budget that the overlap rule does not
+        skip, in scan order; every skipped product is zero on every table,
+        PBW or not; and the rule skips products of both relation kinds."""
+        A = PBW_CONFIGS[name]()
+        frame = _frame(A)
+        degree = [sum(x < A.nvars for x in w) for w in frame.nwords]
+        skipped = {"kappa": [], "lambda": []}
+        for coord, free, budget, columns in frame.relations:
+            assert budget == ORACLE_DEGREE - (2 if coord[0] == "kappa" else 1)
+            scan = [a for d in range(budget + 1)
+                    for a, da in enumerate(degree) if da == d]
+            assert list(columns) == [a for a in scan
+                                     if not overlap_skips(A, coord, a)]
+            skipped[coord[0]] += [(coord, free, a) for a in scan
+                                  if overlap_skips(A, coord, a)]
+        assert skipped["kappa"] and skipped["lambda"]
+        for p in frame_tables(A, sum(map(ord, name))):
+            rows = _Rows(frame, p)
+            for coord, free, a in skipped["kappa"] + skipped["lambda"]:
+                assert rows.left(a, relation_element(A, coord, free, p)) \
+                    == {}, (p.kappa, p.lam, coord, frame.nwords[a])
 
 
 class TestTwistedSideCoboundary:
