@@ -31,6 +31,21 @@ alone, not on any cochain.  It is memoized on the algebra
 ``coboundary`` is not on that path (the decider evaluates d*(mu) on the
 twisted side, see :func:`skewchain.pbw.check_cohomological`) and computes
 each bar differential afresh.
+
+A twisted chain X that many cochains are evaluated on is read once into
+an :class:`Expansion`.  Evaluation is linear in the cochain's values:
+on a term c·t of X with split t = sum of c2·(a·E(key)·b), a cochain has
+the value c·c2·a·alpha(key)·b, so
+
+    alpha(X) = sum over keys and basis pairs p of alpha(key)[p]·E_X[key, p],
+    E_X[key, p] = sum of c·c2·a·p·b over the splits with that key.
+
+This is exact in any field: it regroups the sum ``eval_element`` forms
+term by term and multiplies nothing differently.  Each column E_X[key, p]
+is built on first use from the memoized split, so a cochain with values
+in kG (the PBW parameters lambda and kappa) reads at most |G| columns per
+key, and its value on X is a scalar times a stored column per nonzero
+coordinate, with no product in the algebra.
 """
 
 from __future__ import annotations
@@ -71,7 +86,10 @@ class Cochain:
         return hit
 
     def eval_element(self, x) -> dict:
-        """Value on a chain element or vector, extended by zero off-tag."""
+        """Value on a chain element, vector or :class:`Expansion`, extended
+        by zero off-tag."""
+        if isinstance(x, Expansion):
+            return x.contract(self)
         if isinstance(x, ChainVector):
             x = x.parts.get(self.tag)
             if x is None:
@@ -98,12 +116,7 @@ class Cochain:
                 v = alg.mul(v, {slots[-1]: 1})
             return v
         f = alg.field
-        memo = alg._free_decompose_memo
-        split = memo.get((self.tag, slots))
-        if split is None:
-            split = free_decompose(alg, self.tag, slots)
-            memo[(self.tag, slots)] = split
-        a, items, b = split
+        a, items, b = _split(alg, self.tag, slots)
         acc: dict = {}
         for c2, key in items:
             f.accumulate(acc, scaled_pairs(f, c2, self.value(key).items()))
@@ -132,6 +145,67 @@ class Cochain:
         f = self.alg.field
         return Cochain(self.alg, self.tag,
                        lambda key: vec_scale(f, c, self.value(key)))
+
+
+def _split(alg: SkewAlgebra, tag, slots):
+    """``free_decompose`` of a twisted term, memoized on the algebra."""
+    memo = alg._free_decompose_memo
+    split = memo.get((tag, slots))
+    if split is None:
+        split = memo[(tag, slots)] = free_decompose(alg, tag, slots)
+    return split
+
+
+class Expansion:
+    """A twisted chain, read once for evaluation by many cochains.
+
+    Per tag and free key, the splits (c·c2, a, b) of the chain's terms,
+    and the columns E_X[key, p] of the module docstring, filled on first
+    use as tuples of (pair, scalar).
+    """
+
+    __slots__ = ("alg", "parts")
+
+    def __init__(self, x: ChainVector):
+        alg = self.alg = x.alg
+        f = alg.field
+        self.parts: dict = {}
+        for tag, el in x.parts.items():
+            if tag[0] != "twisted":
+                raise ShapeMismatch(f"cannot expand a chain on {tag}")
+            part = self.parts[tag] = {}
+            for slots, c in el.terms.items():
+                a, items, b = _split(alg, tag, slots)
+                for c2, key in items:
+                    hit = part.get(key)
+                    if hit is None:
+                        hit = part[key] = ([], {})
+                    hit[0].append((f.mul(c, c2), a, b))
+
+    def contract(self, alpha: Cochain) -> dict:
+        """alpha on the chain: alpha(key)[p]·E_X[key, p], summed."""
+        part = self.parts.get(alpha.tag)
+        if part is None:
+            return {}
+        f = self.alg.field
+        out: dict = {}
+        for key, (splits, columns) in part.items():
+            for pair, s in alpha.value(key).items():
+                column = columns.get(pair)
+                if column is None:
+                    column = columns[pair] = self._column(splits, pair)
+                f.accumulate(out, scaled_pairs(f, s, column))
+        return out
+
+    def _column(self, splits, pair) -> tuple:
+        alg = self.alg
+        f = alg.field
+        p = {pair: 1}
+        acc: dict = {}
+        for s, a, b in splits:
+            f.accumulate(acc, scaled_pairs(
+                f, s, alg.mul(alg.mul(a, p), b).items()))
+        return tuple(acc.items())
 
 
 def coboundary(f: Cochain) -> Cochain:

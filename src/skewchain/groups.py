@@ -4,15 +4,17 @@ A group element is its index into the element list; index 0 is always the
 identity.  A group-algebra element over a field k is a dict mapping element
 indices to nonzero scalars (the zero element is the empty dict), so
 equality of dicts is equality in kG.  Addition, negation and scaling are
-the sparse-vector functions of :mod:`skewchain.fields`; this module adds
-the convolution product :func:`ga_mul`.
+the sparse-vector functions of :mod:`skewchain.fields`.  The package
+multiplies in kG only by a group element g, which relabels the support
+through a row or column of ``FiniteGroup.table`` (see
+:func:`skewchain.pbw.check_five`).
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .fields import Field, is_json_int
+from .fields import is_json_int
 
 
 class NotAssociative(ValueError):
@@ -202,13 +204,3 @@ def group_from_config(cfg: dict) -> FiniteGroup:
         return product_of_cyclic_groups(cfg["orders"])
     raise ValueError(f"unknown group config {cfg!r}")
 
-
-# -- group-algebra product (dicts {element: scalar}) ------------------------
-
-def ga_mul(field: Field, group: FiniteGroup, a: dict, b: dict) -> dict:
-    """Convolution product in kG."""
-    table = group.table
-    mul = field.mul
-    return field.accumulate({}, ((table[g][h], mul(cg, ch))
-                                 for g, cg in a.items()
-                                 for h, ch in b.items()))

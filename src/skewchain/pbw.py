@@ -40,7 +40,7 @@ import itertools
 from math import comb
 
 from .chainmaps import DegreeOutOfRange, iota, pi
-from .cochains import Cochain, circle, transport_up
+from .cochains import Cochain, Expansion, circle, transport_up
 from .complexes import (
     ChainElement,
     ChainVector,
@@ -50,7 +50,6 @@ from .complexes import (
     twisted_free_basis,
 )
 from .fields import scaled_pairs, vec_add, vec_neg, vec_scale, vec_sub
-from .groups import ga_mul
 from .linalg import IncrementalRank
 from .polynomials import var_exp, var_names
 from .skew import SkewAlgebra
@@ -249,17 +248,29 @@ def check_five(alg: SkewAlgebra, params: PBWParams) -> PBWReport:
     Every condition is multilinear in its V-arguments, so basis vectors
     (and, for the alternating conditions, strictly increasing index
     tuples) are sufficient.  The first failing tuple per condition is
-    reported as a witness.
+    reported as a witness.  The action columns ^g x_i are read once per
+    call, and a product in kG by a group element g is the relabelling
+    h -> gh or h -> hg of a table row.
     """
     f = alg.field
     group = alg.group
+    table = group.table
     nv = alg.nvars
     order = group.order
     pairs = list(itertools.combinations(range(nv), 2))
     triples = list(itertools.combinations(range(nv), 3))
+    columns = [[_basis_image(alg, g, i) for i in range(nv)]
+               for g in range(order)]
 
     def act(g, i):
-        return _basis_image(alg, g, i)
+        return columns[g][i]
+
+    def times(a, g):  # a·g in kG
+        return {table[h][g]: c for h, c in a.items()}
+
+    def g_times(g, a):  # g·a in kG
+        row = table[g]
+        return {row[h]: c for h, c in a.items()}
 
     def ga(a):  # a group-algebra dict {g: scalar}
         return alg.format_element(alg.of_group_algebra(a))
@@ -276,9 +287,8 @@ def check_five(alg: SkewAlgebra, params: PBWParams) -> PBWReport:
                 for i in range(nv):
                     rhs = vec_add(
                         f,
-                        ga_mul(f, group, params.lam_linear(g, act(h, i)),
-                               {h: 1}),
-                        ga_mul(f, group, {g: 1}, params.lam_of(h, i)),
+                        times(params.lam_linear(g, act(h, i)), h),
+                        g_times(g, params.lam_of(h, i)),
                     )
                     yield vec_sub(f, params.lam_of(gh, i), rhs), (g, h, i)
 
@@ -289,10 +299,8 @@ def check_five(alg: SkewAlgebra, params: PBWParams) -> PBWReport:
             for i, j in pairs:
                 lhs = vec_sub(
                     f,
-                    ga_mul(f, group,
-                           params.kappa_bilinear(act(g, i), act(g, j)),
-                           {g: 1}),
-                    ga_mul(f, group, {g: 1}, params.kappa_wedge(i, j)),
+                    times(params.kappa_bilinear(act(g, i), act(g, j)), g),
+                    g_times(g, params.kappa_wedge(i, j)),
                 )
                 rhs = vec_sub(
                     f,
@@ -352,22 +360,29 @@ def check_five(alg: SkewAlgebra, params: PBWParams) -> PBWReport:
 # -- method 2: cohomological conditions on the twisted complex --------------
 
 def _cached_pi(alg):
-    """pi on free bar generators, by inner slots, memoized on the algebra.
+    """pi on free bar generators, by inner slots, memoized on the algebra,
+    and its :class:`~skewchain.cochains.Expansion`, the ``pi_fn`` of mu1
+    and mu2, memoized beside it.
 
     The splitting maps do not depend on the deformation parameters, so
     their values are shared across parameter tables.
     """
-    cache = alg._pi_image_cache
+    images, expansions = alg._pi_image_cache, alg._pi_expansion_cache
 
     def pif(inner):
-        hit = cache.get(inner)
+        hit = images.get(inner)
         if hit is None:
-            hit = pi(ChainElement.basis(alg, ("barskew", len(inner)),
-                                        free_slots_barskew(alg, inner)))
-            cache[inner] = hit
+            hit = images[inner] = pi(ChainElement.basis(
+                alg, ("barskew", len(inner)), free_slots_barskew(alg, inner)))
         return hit
 
-    return pif
+    def expanded(inner):
+        hit = expansions.get(inner)
+        if hit is None:
+            hit = expansions[inner] = Expansion(pif(inner))
+        return hit
+
+    return pif, expanded
 
 
 def _iota_images(alg, i, j):
@@ -392,26 +407,29 @@ def _iota_images(alg, i, j):
 
 
 def _pi_of_boundary(alg, pif, i, j, index, image):
-    """Π(d y) for the iota image y of the X_{i,j} free basis element at
-    ``index``, memoized on the algebra.
+    """The :class:`~skewchain.cochains.Expansion` of Π(d y), y the iota
+    image of the X_{i,j} free basis element at ``index``, memoized on the
+    algebra.
 
     Π applies pi to the free part of each term and keeps the outer slots:
     Π(c · a·E·b) = c · a·pi(E)·b, the bimodule extension through which a
-    transported cochain is evaluated.  No parameter table enters it.
+    transported cochain is evaluated.  No parameter table enters it, and
+    lambda and kappa, with values in kG, are then evaluated on it by one
+    contraction each: a scalar times a stored column per coordinate.
     """
     cache = alg._pi_boundary_cache
     key = (i, j, index)
     hit = cache.get(key)
     if hit is None:
-        hit = ChainVector(alg)
+        chain = ChainVector(alg)
         unit = alg.unit_pair
         for el in diff(image).parts.values():
             for slots, c in el.terms.items():
                 a, b = slots[0], slots[-1]
-                hit.add_vector(bimodule_act(
+                chain.add_vector(bimodule_act(
                     None if a == unit else {a: 1}, pif(slots[1:-1]),
                     None if b == unit else {b: 1}), c)
-        cache[key] = hit
+        hit = cache[key] = Expansion(chain)
     return hit
 
 
@@ -422,7 +440,7 @@ def _defects(alg: SkewAlgebra, params: PBWParams):
     function of ``(i, j, index, image)`` for the iota image at ``index``
     of the X_{i,j} free basis, with values in the skew algebra.
     """
-    pif = _cached_pi(alg)
+    pif, expanded = _cached_pi(alg)
     f = alg.field
 
     def lam_fn(key):
@@ -435,8 +453,8 @@ def _defects(alg: SkewAlgebra, params: PBWParams):
 
     lam_x = Cochain(alg, ("twisted", 1, 1, "koszul"), lam_fn)
     kap_x = Cochain(alg, ("twisted", 0, 2, "koszul"), kap_fn)
-    mu1 = transport_up(lam_x, pif)
-    mu2 = transport_up(kap_x, pif)
+    mu1 = transport_up(lam_x, expanded)
+    mu2 = transport_up(kap_x, expanded)
     mu1_mu1 = circle(mu1, mu1)
     mu12 = circle(mu1, mu2) + circle(mu2, mu1)
 
@@ -483,8 +501,19 @@ def check_cohomological(alg: SkewAlgebra, params: PBWParams,
     values on free generators; pi itself is not a bimodule map.  Π(d y)
     does not depend on the table, so it is built once per algebra and
     image, the first time a scan reaches that image; d*(mu1)(y) is then
-    lambda's cochain on it and d*(mu2)(y) kappa's.  The circle products
-    are evaluated per table on the bar side.
+    lambda's cochain on it and d*(mu2)(y) kappa's.
+
+    Only the table's coordinates are per table.  lambda and kappa take
+    values in kG, and a cochain's value on a chain is linear in its values
+    on free keys, so Π(d y) and every pi image that mu1 and mu2 read are
+    expanded once per algebra (:class:`~skewchain.cochains.Expansion`,
+    from the memoized free_decompose splits).  A table then evaluates
+    d*(mu1), kappa's Π(d y) term and every value of mu1 and mu2 as one
+    contraction: per nonzero coordinate lambda(g, x_i)[h] or
+    kappa(x_i ∧ x_j)[h], a scalar times a stored column.  This is exact:
+    it sums the same field products as the term-by-term evaluation, in
+    another order.  The circle products keep their formula and are formed
+    per table on the bar side, from those values.
 
     A nonzero lambda(1, -) row cannot come from a bidegree-(1,1) cochain
     on the twisted complex; it is reported as a failure of condition (1)

@@ -132,6 +132,16 @@ def full_support_table(A, seed):
         {(g, i): ga() for g in range(1, order) for i in range(nv)})
 
 
+def ga_mul(field, group, a: dict, b: dict) -> dict:
+    """The convolution product in kG, the reference for the package's
+    relabellings by one group element."""
+    table = group.table
+    mul = field.mul
+    return field.accumulate({}, ((table[g][h], mul(cg, ch))
+                                 for g, cg in a.items()
+                                 for h, ch in b.items()))
+
+
 def pi_of_free(A):
     """pi on the free bar generator 1 ⊗ inner ⊗ 1, by its inner slots.
 

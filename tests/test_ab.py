@@ -1,11 +1,26 @@
-"""The A/B ledger's summary (``scripts/ab.py``) on synthetic run records."""
+"""The A/B ledger's summary (``scripts/ab.py``) on synthetic run records
+and on the committed ledgers."""
 
+import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
 
 import ab  # noqa: E402
+
+#: the end-to-end metrics every ledger summarizes
+END_TO_END = [m["name"] for m in json.loads(
+    (ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+#: the top-level keys of a ledger that ``ab.main`` writes
+LEDGER_KEYS = {"change", "parent", "parent_src_sha256", "change_src_sha256",
+               "src_sha256_method", "command", "method", "environment",
+               "summary", "runs"}
+LEDGERS = sorted(path for path in ROOT.glob("BENCH_*.json")
+                 if set(json.loads(path.read_text())) == LEDGER_KEYS)
 
 
 def record(workload, seed, side, wall, failed=0, trace=0):
@@ -68,3 +83,24 @@ def test_parse_run_reads_the_last_json_line():
         "environment": {"python": "3.11.7", "nproc": 2},
         "src_sha256": "ab", "correct": True, "attempted": 4, "failed": 0,
         "repetitions": {"p": 3}, "metrics": {"wall_s": 1.5}}
+
+
+def test_committed_ledgers_are_found():
+    assert {"BENCH_oracle_frame.json", "BENCH_oracle_rows.json",
+            "BENCH_oracle_overlaps.json"} <= {path.name for path in LEDGERS}
+
+
+@pytest.mark.parametrize("path", LEDGERS, ids=[p.name for p in LEDGERS])
+def test_committed_ledger_summary_is_its_runs_summary(path):
+    ledger = json.loads(path.read_text())
+    assert ledger["summary"] == ab.summarize(ledger["runs"], END_TO_END)
+
+
+def test_summary_reproduces_the_oracle_closure_ledger():
+    """The ledger written before ``ab.py`` existed, by the same method;
+    it lists its traced run apart, so ``per_layer_traced`` is left out."""
+    ledger = json.loads((ROOT / "BENCH_oracle_closure.json").read_text())
+    got = ab.summarize(ledger["runs"], END_TO_END)
+    for entry in got.values():
+        entry.pop("per_layer_traced", None)
+    assert got == ledger["summary"]

@@ -12,13 +12,12 @@ from skewchain.groups import (
     NotAssociative,
     NotLatinSquare,
     cyclic_group,
-    ga_mul,
     group_from_config,
     product_of_cyclic_groups,
     symmetric_group,
 )
 
-from helpers import NONASSOCIATIVE_TABLE
+from helpers import NONASSOCIATIVE_TABLE, ga_mul
 
 
 class TestConstruction:

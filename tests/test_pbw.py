@@ -562,10 +562,28 @@ class TestOracleFrame:
                     == {}, (p.kappa, p.lam, coord, frame.nwords[a])
 
 
+def all_defects(A, p):
+    """Every defect of check_cohomological for the table p, image by image
+    over the X_{2,1}, X_{1,2} and X_{0,3} bases."""
+    phis = _defects(A, p)
+    return [tuple(phi(i, j, index, y) for phi in phis)
+            for i, j in ((2, 1), (1, 2), (0, 3))
+            for index, (_key, y) in enumerate(_iota_images(A, i, j))]
+
+
 class TestTwistedSideCoboundary:
-    """check_cohomological evaluates d*(mu) on an image y as alpha(Π(d y)).
-    Every defect must equal the one the cochain code computes on the bar
-    side: coboundary and circle of the transported cochains."""
+    """check_cohomological evaluates d*(mu) on an image y as alpha(Π(d y)),
+    and lambda and kappa on the algebra's expansions of Π(d y) and of the
+    pi images.  Every defect must equal the one the cochain code computes
+    on the bar side: coboundary and circle of the transported cochains,
+    evaluated term by term on pi's chains.
+
+    The tables: random ones, full-support ones with and without kappa,
+    and on s3_refl_q the Drinfeld Hecke table kappa(x0 ∧ x1) = r - r²,
+    PBW, so that every image's defects are zero, with the three near
+    misses of TestDrinfeldHeckePins.  They are decided in turn on one
+    algebra, so the later ones meet expansions that earlier tables filled;
+    each must get the defects of a cold algebra."""
 
     @pytest.mark.parametrize("name", sorted(PBW_CONFIGS))
     def test_defects_match_the_bar_side_cochains(self, name):
@@ -573,10 +591,13 @@ class TestTwistedSideCoboundary:
         rng = random.Random(11)
         tables = [PBWParams.random(A, rng) for _ in range(3)]
         tables += [full_support_table(A, s) for s in range(2)]
+        tables.append(PBWParams(A, lam=full_support_table(A, 0).lam))
+        if name == "s3_refl_q":
+            tables += [PBWParams(A, kappa={(0, 1): value}) for value in (
+                {3: 1, 4: -1}, {3: 1}, {3: 1, 4: 1}, {0: 1, 3: 1, 4: -1})]
         pif = pi_of_free(A)
         for p in tables:
             p = p.without_identity_lambda()
-            d_mu1, phi2, phi3 = _defects(A, p)
 
             def lam_fn(key):
                 (g,), ((i,),) = key
@@ -593,12 +614,16 @@ class TestTwistedSideCoboundary:
             ref1 = coboundary(mu1)
             ref2 = circle(mu1, mu1) - coboundary(mu2)
             ref3 = circle(mu1, mu2) + circle(mu2, mu1)
-            for i, j in ((2, 1), (1, 2), (0, 3)):
-                for index, (_key, y) in enumerate(_iota_images(A, i, j)):
-                    at = (i, j, index, y)
-                    assert d_mu1(*at) == ref1.eval_element(y)
-                    assert phi2(*at) == ref2.eval_element(y)
-                    assert phi3(*at) == ref3.eval_element(y)
+            got = all_defects(A, p)
+            assert got == [
+                (ref1.eval_element(y), ref2.eval_element(y),
+                 ref3.eval_element(y))
+                for i, j in ((2, 1), (1, 2), (0, 3))
+                for _key, y in _iota_images(A, i, j)], (p.kappa, p.lam)
+            cold = PBW_CONFIGS[name]()
+            assert all_defects(cold, PBWParams(cold, p.kappa, p.lam)) == got
+            if p.kappa == {(0, 1): {3: 1, 4: -1}} and not p.lam:
+                assert not any(map(any, got))
 
 
 class TestEnumerate:
