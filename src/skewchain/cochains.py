@@ -32,20 +32,21 @@ alone, not on any cochain.  It is memoized on the algebra
 twisted side, see :func:`skewchain.pbw.check_cohomological`) and computes
 each bar differential afresh.
 
-A twisted chain X that many cochains are evaluated on is read once into
-an :class:`Expansion`.  Evaluation is linear in the cochain's values:
+A twisted chain X is evaluated through an :class:`Expansion`, and one
+that many cochains are evaluated on is read into it once.  Evaluation is
+linear in the cochain's values:
 on a term c·t of X with split t = sum of c2·(a·E(key)·b), a cochain has
 the value c·c2·a·alpha(key)·b, so
 
     alpha(X) = sum over keys and basis pairs p of alpha(key)[p]·E_X[key, p],
     E_X[key, p] = sum of c·c2·a·p·b over the splits with that key.
 
-This is exact in any field: it regroups the sum ``eval_element`` forms
-term by term and multiplies nothing differently.  Each column E_X[key, p]
-is built on first use from the memoized split, so a cochain with values
-in kG (the PBW parameters lambda and kappa) reads at most |G| columns per
-key, and its value on X is a scalar times a stored column per nonzero
-coordinate, with no product in the algebra.
+This is exact in any field: it regroups the term-by-term sum of the
+values c·c2·a·alpha(key)·b and multiplies nothing differently.  Each
+column E_X[key, p] is built on first use from the memoized split, so a
+cochain with values in kG (the PBW parameters lambda and kappa) reads at
+most |G| columns per key, and its value on X is a scalar times a stored
+column per nonzero coordinate, with no product in the algebra.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ from .complexes import (
     ChainElement,
     ChainVector,
     ShapeMismatch,
+    as_vector,
     bar_diff,
     free_decompose,
-    free_slots_barskew,
-    free_slots_twisted,
+    free_slots,
 )
 from .fields import scaled_pairs, vec_add, vec_scale, vec_sub
 from .skew import SkewAlgebra
@@ -87,7 +88,7 @@ class Cochain:
 
     def eval_element(self, x) -> dict:
         """Value on a chain element, vector or :class:`Expansion`, extended
-        by zero off-tag."""
+        by zero off-tag; a twisted chain is read through an Expansion."""
         if isinstance(x, Expansion):
             return x.contract(self)
         if isinstance(x, ChainVector):
@@ -96,31 +97,22 @@ class Cochain:
                 return {}
         if x.tag != self.tag:
             return {}
-        if self.tag[0] not in ("barskew", "twisted"):
+        if self.tag[0] == "twisted":
+            return Expansion(as_vector(x)).contract(self)
+        if self.tag[0] != "barskew":
             raise ShapeMismatch(f"cannot evaluate cochains on {self.tag}")
-        f = self.alg.field
+        alg = self.alg
+        f = alg.field
         out: dict = {}
         for slots, c in x.terms.items():
-            value = self._term_value(slots)
-            f.accumulate(out, scaled_pairs(f, c, value.items()))
-        return out
-
-    def _term_value(self, slots) -> dict:
-        """a * f(E) * b on one basis term a . E . b of the domain."""
-        alg = self.alg
-        if self.tag[0] == "barskew":
+            # a * f(E) * b on the basis term a . E . b
             v = self.value(slots[1:-1])
             if v and slots[0] != alg.unit_pair:
                 v = alg.mul({slots[0]: 1}, v)
             if v and slots[-1] != alg.unit_pair:
                 v = alg.mul(v, {slots[-1]: 1})
-            return v
-        f = alg.field
-        a, items, b = _split(alg, self.tag, slots)
-        acc: dict = {}
-        for c2, key in items:
-            f.accumulate(acc, scaled_pairs(f, c2, self.value(key).items()))
-        return alg.mul(alg.mul(a, acc), b) if acc else {}
+            f.accumulate(out, scaled_pairs(f, c, v.items()))
+        return out
 
     # pointwise vector-space structure (same domain required)
     def __add__(self, other: "Cochain") -> "Cochain":
@@ -147,15 +139,6 @@ class Cochain:
                        lambda key: vec_scale(f, c, self.value(key)))
 
 
-def _split(alg: SkewAlgebra, tag, slots):
-    """``free_decompose`` of a twisted term, memoized on the algebra."""
-    memo = alg._free_decompose_memo
-    split = memo.get((tag, slots))
-    if split is None:
-        split = memo[(tag, slots)] = free_decompose(alg, tag, slots)
-    return split
-
-
 class Expansion:
     """A twisted chain, read once for evaluation by many cochains.
 
@@ -169,13 +152,18 @@ class Expansion:
     def __init__(self, x: ChainVector):
         alg = self.alg = x.alg
         f = alg.field
+        memo = alg._free_decompose_memo
         self.parts: dict = {}
         for tag, el in x.parts.items():
             if tag[0] != "twisted":
                 raise ShapeMismatch(f"cannot expand a chain on {tag}")
             part = self.parts[tag] = {}
             for slots, c in el.terms.items():
-                a, items, b = _split(alg, tag, slots)
+                split = memo.get((tag, slots))
+                if split is None:
+                    split = memo[(tag, slots)] = free_decompose(alg, tag,
+                                                                slots)
+                a, items, b = split
                 for c2, key in items:
                     hit = part.get(key)
                     if hit is None:
@@ -215,7 +203,7 @@ def coboundary(f: Cochain) -> Cochain:
     alg = f.alg
     tag = ("barskew", f.tag[1] + 1)
     return Cochain(alg, tag, lambda inner: f.eval_element(bar_diff(
-        ChainElement.basis(alg, tag, free_slots_barskew(alg, inner)))))
+        ChainElement.basis(alg, tag, free_slots(alg, tag, inner)))))
 
 
 def circle(f: Cochain, g: Cochain) -> Cochain:
@@ -265,9 +253,7 @@ def transport_down(mu: Cochain, iota_fn, tag) -> Cochain:
 
     def fn(key):
         cbars, dmid = key
-        x = ChainElement.basis(
-            alg, tag, free_slots_twisted(alg, tag, cbars, dmid)
-        )
+        x = ChainElement.basis(alg, tag, free_slots(alg, tag, cbars + dmid))
         return mu.eval_element(iota_fn(x))
 
     return Cochain(alg, tag, fn)

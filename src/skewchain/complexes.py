@@ -1,25 +1,23 @@
 """Chain complexes over a skew group algebra A = S(V) ⋊ G.
 
 Five families of complexes share one term representation.  A complex is
-named by a tag tuple and a term is a tuple of slots:
+named by a tag tuple and a term is a tuple of slots, whose kinds and bar
+slots (inner slots, where the unit is struck out) :func:`layout` gives:
 
 ``("barskew", n)``
-    Reduced bar resolution of A.  Slots: n+2 basis pairs ``(exp, g)``;
-    positions 0 and n+1 are the unreduced outer tensor factors, positions
-    1..n are bar slots where the unit pair is struck out.
+    Reduced bar resolution of A: n+2 "pair" slots, basis pairs
+    ``(exp, g)``, positions 1..n bar slots.
 ``("barg", i)``
-    Reduced bar resolution of kG.  Slots: i+2 group indices; inner slots
-    exclude the identity.
+    Reduced bar resolution of kG: i+2 "group" slots, group indices.
 ``("bars", j)``
-    Reduced bar resolution of S.  Slots: j+2 exponent tuples; inner slots
-    exclude the constant monomial.
+    Reduced bar resolution of S: j+2 "exp" slots, exponent tuples.
 ``("koszul", j)``
-    Koszul resolution S ⊗ Λ^j V ⊗ S.  Slots: ``(exp, wedge, exp)`` with the
+    Koszul resolution S ⊗ Λ^j V ⊗ S: slots ``(exp, wedge, exp)`` with the
     wedge a strictly increasing tuple of j variable indices.
 ``("twisted", i, j, dkind)``
     Twisted product X_{i,j} of the kG bar resolution with a resolution of S
-    (``dkind`` is "bar" or "koszul").  Slots are the i+2 group slots
-    followed by the D-part slots.  The differential is slotwise,
+    (``dkind`` is "bar" or "koszul"): the ``("barg", i)`` slots followed by
+    the D-part slots.  The differential is slotwise,
     d_C ⊗ 1 + (-1)^i 1 ⊗ d_D, while the A-bimodule structure twists through
     the group degree of the C-part (see ``act_skew_left/right``).
 
@@ -46,55 +44,74 @@ class ShapeMismatch(ValueError):
     """Raised when slots do not match the shape demanded by a complex tag."""
 
 
-# -- tags ------------------------------------------------------------------
+# -- tags and slot layouts --------------------------------------------------
 
-def slot_count(tag) -> int:
+#: The slot kind of each bar complex.
+BAR_SLOTS = {"barskew": "pair", "barg": "group", "bars": "exp"}
+
+
+class Layout:
+    """The ``(kind, bar)`` of each slot of a complex's terms, in slot order.
+
+    Held as runs ``(kind, bar, length)``: the layout of a tag of any degree
+    is a few runs, and its length is known before any slot is read.
+    """
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs):
+        self.runs = runs
+
+    def __len__(self):
+        return sum(n for _kind, _bar, n in self.runs)
+
+    def __iter__(self):
+        for kind, bar, n in self.runs:
+            yield from itertools.repeat((kind, bar), n)
+
+
+@functools.lru_cache(maxsize=1024)
+def layout(tag) -> Layout:
+    """The slot layout of a complex, the one table that shapes, strikeouts,
+    S-degrees, free bases and the JSON codec read.
+
+    ``kind`` is "pair", "group", "exp" or "wedge"; ``bar`` marks an inner
+    slot of a reduced bar complex, where the unit is struck out.  Layouts
+    are cached by tag: a few runs each, whatever the degree.
+    """
     kind = tag[0]
-    if kind == "barskew":
-        return tag[1] + 2
-    if kind == "barg":
-        return tag[1] + 2
-    if kind == "bars":
-        return tag[1] + 2
-    if kind == "koszul":
-        return 3
     if kind == "twisted":
-        i, j, dkind = tag[1], tag[2], tag[3]
-        return i + 2 + (j + 2 if dkind == "bar" else 3)
-    raise ShapeMismatch(f"unknown complex tag {tag!r}")
+        return Layout(layout(("barg", tag[1])).runs + layout(_d_tag(tag)).runs)
+    if kind == "koszul":
+        return Layout((("exp", False, 1), ("wedge", False, 1),
+                       ("exp", False, 1)))
+    slot = BAR_SLOTS.get(kind)
+    if slot is None:
+        raise ShapeMismatch(f"unknown complex tag {tag!r}")
+    return Layout(((slot, False, 1), (slot, True, tag[1]), (slot, False, 1)))
+
+
+def wedge_degree(tag) -> int:
+    """The number of variables in the wedge slot of a Koszul-type tag."""
+    return tag[2] if tag[0] == "twisted" else tag[1]
 
 
 def homological_degree(tag) -> int:
-    kind = tag[0]
-    if kind in ("barskew", "barg", "bars", "koszul"):
-        return tag[1]
-    if kind == "twisted":
-        return tag[1] + tag[2]
-    raise ShapeMismatch(f"unknown complex tag {tag!r}")
+    return tag[1] + tag[2] if tag[0] == "twisted" else tag[1]
 
 
-def term_monomials(tag, slots) -> list:
-    """The exponent tuples in a term's polynomial slots (wedges excluded)."""
-    kind = tag[0]
-    if kind == "barskew":
-        return [m for m, _ in slots]
-    if kind == "barg":
-        return []
-    if kind == "bars":
-        return list(slots)
-    if kind == "koszul":
-        return [slots[0], slots[2]]
-    if kind == "twisted":
-        return term_monomials(_d_tag(tag), slots[tag[1] + 2:])
-    raise ShapeMismatch(f"unknown complex tag {tag!r}")
+#: The polynomial degree of a slot, by kind; a wedge of w variables has w.
+_S_DEGREE = {"pair": lambda s: total_degree(s[0]), "group": lambda s: 0,
+             "exp": total_degree, "wedge": len}
 
 
 def term_s_degree(alg: SkewAlgebra, tag, slots) -> int:
     """Total polynomial degree of a term (group slots contribute 0)."""
-    if tag[0] == "twisted":
-        return term_s_degree(alg, _d_tag(tag), slots[tag[1] + 2:])
-    wedge = len(slots[1]) if tag[0] == "koszul" else 0
-    return wedge + sum(total_degree(m) for m in term_monomials(tag, slots))
+    total = pos = 0
+    for kind, _bar, n in layout(tag).runs:
+        total += sum(map(_S_DEGREE[kind], slots[pos:pos + n]))
+        pos += n
+    return total
 
 
 def _d_tag(tag):
@@ -288,54 +305,39 @@ def expand_term(alg: SkewAlgebra, tag, slot_values, coeff=1) -> ChainElement:
     unit in a bar slot (the strikeout of the reduced complexes).  The
     expansion is linear in each slot and idempotent on already-basis input.
     """
-    kind = tag[0]
-    n_slots = slot_count(tag)
-    if len(slot_values) != n_slots:
+    lay = layout(tag)
+    if len(slot_values) != len(lay):
         raise ShapeMismatch(
-            f"{tag} expects {n_slots} slots, got {len(slot_values)}"
+            f"{tag} expects {len(lay)} slots, got {len(slot_values)}"
         )
+    units = alg.slot_units
 
-    def slot_items(pos, val):
+    def slot_items(kind, bar, val):
         # (basis_item, scalar) pairs for one slot, with the bar-slot strikeout.
         items = list(val.items()) if isinstance(val, dict) else [(val, 1)]
-        strike = None
-        if kind == "barskew" and 0 < pos < n_slots - 1:
-            strike = alg.unit_pair
-        elif kind == "barg" and 0 < pos < n_slots - 1:
-            strike = 0
-        elif kind == "bars" and 0 < pos < n_slots - 1:
-            strike = alg.zero_exp
-        elif kind == "twisted":
-            i = tag[1]
-            if 0 < pos < i + 1:
-                strike = 0
-            elif tag[3] == "bar" and i + 2 < pos < n_slots - 1:
-                strike = alg.zero_exp
-        if strike is None:
+        if not bar:
             return items
-        return [(item, c) for item, c in items if item != strike]
+        return [(item, c) for item, c in items if item != units[kind]]
 
     out = ChainElement(alg, tag)
     alg.field.accumulate(out.terms, tensor_expand(
         alg.field, [((), coeff)],
-        [slot_items(pos, val) for pos, val in enumerate(slot_values)]))
+        [slot_items(kind, bar, val)
+         for (kind, bar), val in zip(lay, slot_values)]))
     return out
 
 
 # -- differentials ---------------------------------------------------------
 
 def _bar_merge(alg: SkewAlgebra, kind):
-    """(merge, strike) of the bar complex of A, kG or S ("bars").
-
-    ``merge`` multiplies two adjacent slots into ``(item, scalar)`` pairs;
-    ``strike`` is the unit that an inner bar slot may not hold.
-    """
+    """The product of two adjacent slots of the bar complex of A, kG or S
+    ("bars"), as ``(item, scalar)`` pairs."""
     if kind == "barskew":
-        return alg.mul_pairs, alg.unit_pair
+        return alg.mul_pairs
     if kind == "barg":
         mul = alg.group.mul
-        return (lambda g, h: ((mul(g, h), 1),)), 0
-    return (lambda m1, m2: ((monomial_mul(m1, m2), 1),)), alg.zero_exp
+        return lambda g, h: ((mul(g, h), 1),)
+    return lambda m1, m2: ((monomial_mul(m1, m2), 1),)
 
 
 def bar_faces(alg: SkewAlgebra, kind, pairs, lo, n):
@@ -344,7 +346,8 @@ def bar_faces(alg: SkewAlgebra, kind, pairs, lo, n):
     Face t merges slots lo+t and lo+t+1 with sign (-1)^t and is dropped
     when an inner face (0 < t < n) merges to the unit.
     """
-    merge, strike = _bar_merge(alg, kind)
+    merge = _bar_merge(alg, kind)
+    strike = alg.slot_units[BAR_SLOTS[kind]]
     mul = alg.field.mul
     neg = alg.field.neg
     for slots, c in pairs:
@@ -385,7 +388,7 @@ def bar_diff(x: ChainElement) -> ChainElement:
     n = x.tag[1]
     if n == 0:
         raise ShapeMismatch("bar_diff needs homological degree >= 1")
-    if kind not in ("barskew", "barg", "bars"):
+    if kind not in BAR_SLOTS:
         raise ShapeMismatch(f"bar_diff does not apply to {x.tag}")
     out = ChainElement(x.alg, (kind, n - 1))
     x.alg.field.accumulate(out.terms,
@@ -487,8 +490,8 @@ def act_skew_right(x: ChainElement, b: dict) -> ChainElement:
     alg = x.alg
     f = alg.field
     act = alg.action.act_monomial
+    act_mid = act if x.tag[3] == "bar" else alg.action.act_wedge
     base = x.tag[1] + 2
-    koszul = x.tag[3] == "koszul"
 
     def terms():
         for (m, h), c in b.items():
@@ -500,14 +503,10 @@ def act_skew_right(x: ChainElement, b: dict) -> ChainElement:
                 if h == 0:
                     yield cpart + dslots, cv
                     continue
-                if koszul:
-                    m0, w, m1 = dslots
-                    images = [act(hinv, m0).items(),
-                              alg.action.act_wedge(hinv, w).items(),
-                              act(hinv, m1).items()]
-                else:
-                    images = [act(hinv, d).items() for d in dslots]
-                yield from tensor_expand(f, [(cpart, cv)], images)
+                mids = [act_mid(hinv, d).items() for d in dslots[1:-1]]
+                yield from tensor_expand(f, [(cpart, cv)], [
+                    act(hinv, dslots[0]).items(), *mids,
+                    act(hinv, dslots[-1]).items()])
 
     out = ChainElement(alg, x.tag)
     f.accumulate(out.terms, terms())
@@ -559,15 +558,13 @@ def bimodule_act(a, x, b):
 
 # -- free-basis bookkeeping ------------------------------------------------
 
-def free_slots_barskew(alg: SkewAlgebra, inner) -> tuple:
-    return (alg.unit_pair,) + tuple(inner) + (alg.unit_pair,)
-
-
-def free_slots_twisted(alg: SkewAlgebra, tag, cbars, dmid) -> tuple:
-    z = alg.zero_exp
-    if tag[3] == "bar":
-        return (0,) + tuple(cbars) + (0,) + (z,) + tuple(dmid) + (z,)
-    return (0,) + tuple(cbars) + (0,) + (z, dmid[0], z)
+def free_slots(alg: SkewAlgebra, tag, letters) -> tuple:
+    """The free generator whose bar and wedge slots hold the letters, in
+    order, and whose other slots hold units."""
+    units = alg.slot_units
+    letters = iter(letters)
+    return tuple(next(letters) if bar or kind == "wedge" else units[kind]
+                 for kind, bar in layout(tag))
 
 
 def free_decompose(alg: SkewAlgebra, tag, slots):
@@ -594,40 +591,28 @@ def free_decompose(alg: SkewAlgebra, tag, slots):
     act = alg.action.act_monomial
     a = {(m, g0): c for m, c in act(gamma, s0).items()}
     b = {(m, gR): c for m, c in act(gR, s1).items()}
-    if dkind == "bar":
-        combos = tensor_expand(alg.field, [((), 1)],
-                               [act(gR, m).items() for m in mids])
-    else:
-        combos = [((w2,), c)
-                  for w2, c in alg.action.act_wedge(gR, mids[0]).items()]
+    act_mid = act if dkind == "bar" else alg.action.act_wedge
+    combos = tensor_expand(alg.field, [((), 1)],
+                           [act_mid(gR, m).items() for m in mids])
     return a, [(c, (cbars, dmid)) for dmid, c in combos], b
 
 
 # -- deterministic basis enumeration ---------------------------------------
 
-def barskew_free_basis(alg: SkewAlgebra, n: int, max_poly_deg: int):
-    """Free basis slots of ("barskew", n): non-unit pairs in the bar slots."""
-    pairs = alg.pairs_up_to(max_poly_deg, include_unit=False)
-    unit = alg.unit_pair
-    for combo in itertools.product(pairs, repeat=n):
-        yield (unit,) + combo + (unit,)
+def free_terms(alg: SkewAlgebra, tag, dmax: int):
+    """The slots of every free generator of a complex, in a fixed order.
 
-
-def twisted_free_basis(alg: SkewAlgebra, i: int, j: int, dkind: str,
-                       max_poly_deg: int):
-    """Free basis slots of ("twisted", i, j, dkind)."""
-    z = alg.zero_exp
-    gbars = itertools.product(range(1, alg.group.order), repeat=i)
-    if dkind == "bar":
-        mids = alg.monomials_up_to(max_poly_deg, include_unit=False)
-        for cb in gbars:
-            for dm in itertools.product(mids, repeat=j):
-                yield (0,) + cb + (0,) + (z,) + dm + (z,)
-    else:
-        wedges = list(itertools.combinations(range(alg.nvars), j))
-        for cb in gbars:
-            for w in wedges:
-                yield (0,) + cb + (0,) + (z, w, z)
+    Outer slots hold the unit, bar slots the non-unit letters of polynomial
+    degree at most dmax, and a wedge slot every wedge of its degree.
+    """
+    units = alg.slot_units
+    letters = {"pair": alg.pairs_up_to(dmax, include_unit=False),
+               "group": range(1, alg.group.order),
+               "exp": alg.monomials_up_to(dmax, include_unit=False)}
+    return itertools.product(*(
+        itertools.combinations(range(alg.nvars), wedge_degree(tag))
+        if kind == "wedge" else letters[kind] if bar else (units[kind],)
+        for kind, bar in layout(tag)))
 
 
 def random_barskew_slots(alg: SkewAlgebra, n: int, max_poly_deg: int, rng,

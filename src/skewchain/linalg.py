@@ -1,7 +1,7 @@
-"""Small exact linear algebra over a Field: RREF, solving, incremental rank.
+"""Small exact linear algebra over a Field: solving and incremental rank.
 
-Everything here is dense-list or sparse-dict based and exact.  ``rref`` and
-``FactoredSolver`` eliminate over the field itself; ``IncrementalRank``,
+Everything here is dense-list or sparse-dict based and exact.
+``FactoredSolver`` eliminates over the field itself; ``IncrementalRank``,
 whose rational rows would otherwise fill with ever larger fractions, keeps
 them as primitive integer vectors and eliminates fraction-free.
 """
@@ -12,35 +12,6 @@ import itertools
 from math import gcd, lcm
 
 from .fields import Field, scaled_pairs
-
-
-def rref(field: Field, rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
-    R = [list(r) for r in rows]
-    m = len(R)
-    n = len(R[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if R[i][c] != 0), None)
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        inv = field.inv(R[r][c])
-        R[r] = [field.mul(inv, v) for v in R[r]]
-        for i in range(m):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return R, pivots
-
-
-def rank(field: Field, rows) -> int:
-    return len(rref(field, rows)[1])
 
 
 class InconsistentSystem(ValueError):

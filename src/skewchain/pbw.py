@@ -46,8 +46,8 @@ from .complexes import (
     ChainVector,
     bimodule_act,
     diff,
-    free_slots_barskew,
-    twisted_free_basis,
+    free_slots,
+    free_terms,
 )
 from .fields import scaled_pairs, vec_add, vec_neg, vec_scale, vec_sub
 from .linalg import IncrementalRank
@@ -372,8 +372,9 @@ def _cached_pi(alg):
     def pif(inner):
         hit = images.get(inner)
         if hit is None:
+            tag = ("barskew", len(inner))
             hit = images[inner] = pi(ChainElement.basis(
-                alg, ("barskew", len(inner)), free_slots_barskew(alg, inner)))
+                alg, tag, free_slots(alg, tag, inner)))
         return hit
 
     def expanded(inner):
@@ -397,7 +398,7 @@ def _iota_images(alg, i, j):
     if hit is None:
         hit = []
         tag = ("twisted", i, j, "koszul")
-        for slots in twisted_free_basis(alg, i, j, "koszul", 1):
+        for slots in free_terms(alg, tag, 1):
             x = ChainElement.basis(alg, tag, slots)
             cbars = slots[1: i + 1]
             wedge = slots[i + 3]

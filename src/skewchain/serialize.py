@@ -21,11 +21,12 @@ indices; matrices are row-major with column j the image of e_j.  A partial
 ``enumerate`` are optional; omitted budgets take the defaults above.
 
 Chain elements travel as ``{"complex": ..., degree keys ..., "terms":
-[{"slots": [...], "coeff": "..."}]}`` where the slot encoding follows the
-complex: a bar-of-(S x| G) slot is ``[[exponents], g]``, a bar-of-kG slot is a
-group index, a bar-of-S slot an exponent list, a Koszul factor
-``[[exponents], [wedge indices], [exponents]]``, and a twisted term lists its
-group slots first and then the D-factor slots.
+[{"slots": [...], "coeff": "..."}]}``.  The degree keys of each complex
+are listed in ``_DEGREE_KEYS`` ("n" for barskew, "i" and "j" with "D" for
+twisted, ...), and each slot is encoded by its kind in
+:func:`skewchain.complexes.layout`: a "pair" is ``[[exponents], g]``, a
+"group" slot a group index, an "exp" slot an exponent list and a "wedge"
+a list of strictly increasing variable indices.
 
 Reports are rendered with :func:`canonical_json` (sorted keys, no
 whitespace) so identical (config, seed) runs produce byte-identical output.
@@ -50,9 +51,9 @@ from .complexes import (
     ChainVector,
     ShapeMismatch,
     expand_term,
-    slot_count,
-    term_monomials,
+    layout,
     term_s_degree,
+    wedge_degree,
 )
 from .pbw import PBWParams
 
@@ -246,61 +247,58 @@ def params_to_config(params: PBWParams) -> dict:
 
 # -- chain elements --------------------------------------------------------
 
-_D_SLOT_OFFSET = 2  # twisted terms carry i+2 group slots before the D factor
+#: The JSON keys of each complex's degrees, in tag order.
+_DEGREE_KEYS = {"barskew": ("n",), "barg": ("i",), "bars": ("j",),
+                "koszul": ("j",), "twisted": ("i", "j")}
 
 
 def tag_to_json(tag) -> dict:
-    kind = tag[0]
-    if kind == "barskew":
-        return {"complex": "barskew", "n": tag[1]}
-    if kind == "barg":
-        return {"complex": "barg", "i": tag[1]}
-    if kind == "bars":
-        return {"complex": "bars", "j": tag[1]}
-    if kind == "koszul":
-        return {"complex": "koszul", "j": tag[1]}
-    if kind == "twisted":
-        return {"complex": "twisted", "i": tag[1], "j": tag[2], "D": tag[3]}
-    raise ShapeMismatch(f"unknown complex tag {tag!r}")
+    keys = _DEGREE_KEYS.get(tag[0])
+    if keys is None:
+        raise ShapeMismatch(f"unknown complex tag {tag!r}")
+    doc = {"complex": tag[0], **dict(zip(keys, tag[1:]))}
+    if tag[0] == "twisted":
+        doc["D"] = tag[3]
+    return doc
 
 
 def tag_from_json(doc: dict):
     try:
         kind = doc["complex"]
-        if kind == "barskew":
-            return ("barskew", _index(doc, "n"))
-        if kind == "barg":
-            return ("barg", _index(doc, "i"))
-        if kind == "bars":
-            return ("bars", _index(doc, "j"))
-        if kind == "koszul":
-            return ("koszul", _index(doc, "j"))
-        if kind == "twisted":
-            dkind = doc["D"]
-            if dkind not in ("bar", "koszul"):
-                raise ShapeMismatch(f"unknown D factor {dkind!r}")
-            return ("twisted", _index(doc, "i"), _index(doc, "j"), dkind)
+        keys = _DEGREE_KEYS.get(kind) if isinstance(kind, str) else None
+        if keys is not None:
+            tail = (doc["D"],) if kind == "twisted" else ()
+            if tail and tail[0] not in ("bar", "koszul"):
+                raise ShapeMismatch(f"unknown D factor {tail[0]!r}")
+            degrees = tuple(_index(doc, key) for key in keys)
+            for key, degree in zip(keys, degrees):
+                if degree < 0:
+                    raise ValueError(f"degree {key!r} must be nonnegative, "
+                                     f"got {degree}")
+            return (kind, *degrees, *tail)
     except (KeyError, TypeError, ValueError) as e:
         raise ShapeMismatch(f"bad complex tag in element JSON: {e}") from e
     raise ShapeMismatch(f"unknown complex kind {kind!r}")
 
 
-def _exps(alg, val, what):
-    if (not isinstance(val, list)) or len(val) != alg.nvars or \
-            any(not is_json_int(e) or e < 0 for e in val):
-        raise ShapeMismatch(
-            f"{what}: expected {alg.nvars} nonnegative exponents, got {val!r}"
-        )
-    return tuple(val)
-
-
-def _gidx(alg, val, what):
-    if not is_json_int(val) or not (0 <= val < alg.group.order):
-        raise ShapeMismatch(f"{what}: bad group index {val!r}")
-    return val
-
-
-def _wedge(alg, val, j, what):
+def _slot_from_json(alg, tag, pos, kind, val):
+    what = f"{tag} slot {pos}"
+    if kind == "pair":
+        if (not isinstance(val, list)) or len(val) != 2:
+            raise ShapeMismatch(f"{what}: expected [[exponents], g]")
+        return (_slot_from_json(alg, tag, pos, "exp", val[0]),
+                _slot_from_json(alg, tag, pos, "group", val[1]))
+    if kind == "group":
+        if not is_json_int(val) or not (0 <= val < alg.group.order):
+            raise ShapeMismatch(f"{what}: bad group index {val!r}")
+        return val
+    if kind == "exp":
+        if (not isinstance(val, list)) or len(val) != alg.nvars or \
+                any(not is_json_int(e) or e < 0 for e in val):
+            raise ShapeMismatch(f"{what}: expected {alg.nvars} nonnegative "
+                                f"exponents, got {val!r}")
+        return tuple(val)
+    j = wedge_degree(tag)
     if (not isinstance(val, list)) or len(val) != j or \
             any(not is_json_int(w) for w in val) or \
             any(not (0 <= w < alg.nvars) for w in val) or \
@@ -312,43 +310,10 @@ def _wedge(alg, val, j, what):
     return tuple(val)
 
 
-def _slot_from_json(alg, tag, pos, val):
-    kind = tag[0]
-    what = f"{tag} slot {pos}"
-    if kind == "barskew":
-        if (not isinstance(val, list)) or len(val) != 2:
-            raise ShapeMismatch(f"{what}: expected [[exponents], g]")
-        return (_exps(alg, val[0], what), _gidx(alg, val[1], what))
-    if kind == "barg":
-        return _gidx(alg, val, what)
-    if kind == "bars":
-        return _exps(alg, val, what)
-    if kind == "koszul":
-        if pos == 1:
-            return _wedge(alg, val, tag[1], what)
-        return _exps(alg, val, what)
-    if kind == "twisted":
-        i, j, dkind = tag[1], tag[2], tag[3]
-        if pos < i + _D_SLOT_OFFSET:
-            return _gidx(alg, val, what)
-        if dkind == "koszul" and pos == i + _D_SLOT_OFFSET + 1:
-            return _wedge(alg, val, j, what)
-        return _exps(alg, val, what)
-    raise ShapeMismatch(f"unknown complex tag {tag!r}")
-
-
-def _slot_to_json(tag, pos, val):
-    kind = tag[0]
-    if kind == "barskew":
+def _slot_to_json(kind, val):
+    if kind == "pair":
         return [list(val[0]), val[1]]
-    if kind == "barg":
-        return val
-    if kind in ("bars", "koszul"):
-        return list(val)
-    if kind == "twisted":
-        i = tag[1]
-        return val if pos < i + _D_SLOT_OFFSET else list(val)
-    raise ShapeMismatch(f"unknown complex tag {tag!r}")
+    return val if kind == "group" else list(val)
 
 
 def element_from_json(alg: SkewAlgebra, doc: dict) -> ChainElement:
@@ -357,7 +322,8 @@ def element_from_json(alg: SkewAlgebra, doc: dict) -> ChainElement:
     terms = doc.get("terms", [])
     if not isinstance(terms, list):
         raise ShapeMismatch("terms must be a list")
-    n_slots = slot_count(tag)
+    lay = layout(tag)
+    n_slots = len(lay)
     out = ChainElement(alg, tag)
     widths = [max(sum(1 for row in mat if row[i] != 0)
                   for mat in alg.action.matrices)
@@ -370,16 +336,18 @@ def element_from_json(alg: SkewAlgebra, doc: dict) -> ChainElement:
             raise ShapeMismatch(
                 f"{tag} expects {n_slots} slots, got {len(raw) if isinstance(raw, list) else raw!r}"
             )
-        slots = tuple(
-            _slot_from_json(alg, tag, pos, val) for pos, val in enumerate(raw)
-        )
+        slots = tuple(_slot_from_json(alg, tag, pos, kind, val)
+                      for pos, ((kind, _bar), val)
+                      in enumerate(zip(lay, raw)))
         degree = term_s_degree(alg, tag, slots)
         if degree > MAX_TERM_DEGREE:
             raise ShapeMismatch(f"term degree {degree} exceeds the cap of "
                                 f"{MAX_TERM_DEGREE}")
+        monomials = [s[0] if kind == "pair" else s
+                     for (kind, _bar), s in zip(lay, slots)
+                     if kind in ("pair", "exp")]
         bound = prod(comb(a + c - 1, c - 1)
-                     for m in term_monomials(tag, slots)
-                     for a, c in zip(m, widths))
+                     for m in monomials for a, c in zip(m, widths))
         if bound > MAX_ACTION_TERMS:
             raise ShapeMismatch(f"term action images of up to {bound} "
                                 f"monomials exceed the cap of "
@@ -398,8 +366,8 @@ def element_to_json(x: ChainElement) -> dict:
     field = x.alg.field
     doc["terms"] = [
         {
-            "slots": [_slot_to_json(x.tag, pos, v)
-                      for pos, v in enumerate(slots)],
+            "slots": [_slot_to_json(kind, v)
+                      for (kind, _bar), v in zip(layout(x.tag), slots)],
             "coeff": field.format(c),
         }
         for slots, c in x.sorted_terms()

@@ -45,6 +45,10 @@ class SkewAlgebra:
         self.zero_exp = (0,) * self.nvars
         #: basis pair acting as 1 = (constant monomial, identity element)
         self.unit_pair = (self.zero_exp, 0)
+        #: the unit of each slot kind of complexes.layout, which a bar slot
+        #: may not hold
+        self.slot_units = {"pair": self.unit_pair, "group": 0,
+                           "exp": self.zero_exp}
         self._pair_memo: dict = {}
         #: pi_s values on free bar tuples (see chainmaps._pi_s_term)
         self._psi_memo: dict = {}

@@ -18,15 +18,14 @@ from .complexes import (
     ChainElement,
     ChainVector,
     as_vector,
-    barskew_free_basis,
     bimodule_act,
     diff,
+    free_terms,
     homological_degree,
     random_barskew_slots,
     random_twisted_slots,
     term_s_degree,
     term_sort_key,
-    twisted_free_basis,
 )
 from .chainmaps import (
     MAP_DOMAINS,
@@ -56,26 +55,14 @@ def free_basis(alg: SkewAlgebra, family: str, n: int, dmax: int):
     Outer slots are units and bar letters have polynomial degree 1..dmax.
     A twisted family runs over every bidegree (i, n - i).
     """
-    z = alg.zero_exp
-    if family == "barskew":
-        for slots in barskew_free_basis(alg, n, dmax):
-            yield ("barskew", n), slots
-    elif family == "barg":
-        for mids in itertools.product(range(1, alg.group.order), repeat=n):
-            yield ("barg", n), (0,) + mids + (0,)
-    elif family == "bars":
-        letters = alg.monomials_up_to(dmax, include_unit=False)
-        for mids in itertools.product(letters, repeat=n):
-            yield ("bars", n), (z,) + mids + (z,)
-    elif family == "koszul":
-        for w in itertools.combinations(range(alg.nvars), n):
-            yield ("koszul", n), (z, w, z)
-    else:
+    if family.startswith("twisted"):
         dkind = family.split("_")[1]
-        for i in range(n + 1):
-            tag = ("twisted", i, n - i, dkind)
-            for slots in twisted_free_basis(alg, i, n - i, dkind, dmax):
-                yield tag, slots
+        tags = [("twisted", i, n - i, dkind) for i in range(n + 1)]
+    else:
+        tags = [(family, n)]
+    for tag in tags:
+        for slots in free_terms(alg, tag, dmax):
+            yield tag, slots
 
 
 def random_term(alg: SkewAlgebra, family: str, n: int, dmax: int, rng,

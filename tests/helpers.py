@@ -20,7 +20,7 @@ import itertools
 import random
 
 from skewchain.chainmaps import pi
-from skewchain.complexes import ChainElement, free_slots_barskew
+from skewchain.complexes import ChainElement, free_slots
 from skewchain.fields import GF, QQ
 from skewchain.groups import (
     cyclic_group,
@@ -148,7 +148,8 @@ def pi_of_free(A):
     This is the ``pi_fn`` that ``cochains.transport_up`` takes.
     """
     return lambda inner: pi(ChainElement.basis(
-        A, ("barskew", len(inner)), free_slots_barskew(A, inner)))
+        A, ("barskew", len(inner)),
+        free_slots(A, ("barskew", len(inner)), inner)))
 
 
 #: The configuration battery of the chain-map acceptance runs.

@@ -26,12 +26,11 @@ from skewchain.fields import vec_sub
 from skewchain.complexes import (
     ChainElement,
     as_vector,
-    barskew_free_basis,
     expand_term,
+    free_terms,
     random_barskew_slots,
     random_twisted_slots,
     term_s_degree,
-    twisted_free_basis,
 )
 from skewchain.pbw import PBWParams, check_all, oracle_pbw
 from skewchain.polynomials import var_exp
@@ -158,7 +157,7 @@ def test_criterion_3_koszul_splitting(name):
 def test_criterion_4_trivial_group_aw():
     A = trivial_group_q()
     for n in range(5):
-        for slots in barskew_free_basis(A, n, POLY_DEG):
+        for slots in free_terms(A, ("barskew", n), POLY_DEG):
             inner = tuple(m for m, _ in slots[1:-1])
             v = awg(ChainElement.basis(A, ("barskew", n), slots))
             want = classical_aw(A.nvars, inner)
@@ -178,7 +177,7 @@ def test_criterion_4_trivial_group_ez():
     A = trivial_group_q()
     z = A.zero_exp
     for j in range(5):
-        for slots in twisted_free_basis(A, 0, j, "bar", POLY_DEG):
+        for slots in free_terms(A, ("twisted", 0, j, "bar"), POLY_DEG):
             dmid = slots[3:-1]
             v = ezg(ChainElement.basis(A, ("twisted", 0, j, "bar"), slots))
             expect = {}

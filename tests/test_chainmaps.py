@@ -39,13 +39,12 @@ from skewchain.complexes import (
     ChainVector,
     ShapeMismatch,
     as_vector,
-    barskew_free_basis,
     bimodule_act,
     diff,
+    free_terms,
     random_barskew_slots,
     random_twisted_slots,
     term_s_degree,
-    twisted_free_basis,
 )
 from skewchain.serialize import DEFAULT_BUDGETS, RunConfig, canonical_json
 from skewchain.verify import verify_chainmap
@@ -339,7 +338,7 @@ class TestSplittingIdentities:
         for n in range(4):
             for i in range(n + 1):
                 tag = ("twisted", i, n - i, "bar")
-                for slots in twisted_free_basis(A, i, n - i, "bar", deg):
+                for slots in free_terms(A, tag, deg):
                     x = ChainElement.basis(A, tag, slots)
                     assert awg(ezg(x)) == as_vector(x)
 
@@ -355,7 +354,7 @@ class TestSplittingIdentities:
                 if n - i > A.nvars:
                     continue
                 tag = ("twisted", i, n - i, "koszul")
-                for slots in twisted_free_basis(A, i, n - i, "koszul", deg):
+                for slots in free_terms(A, tag, deg):
                     x = ChainElement.basis(A, tag, slots)
                     assert pi(iota(x)) == as_vector(x)
 
@@ -403,7 +402,7 @@ class TestClassicalDegeneration:
     def test_awg_is_classical(self):
         A = trivial_group_q()
         for n in range(4):
-            for slots in barskew_free_basis(A, n, 2):
+            for slots in free_terms(A, ("barskew", n), 2):
                 inner = tuple(m for m, _ in slots[1:-1])
                 x = ChainElement.basis(A, ("barskew", n), slots)
                 v = awg(x)
@@ -424,7 +423,7 @@ class TestClassicalDegeneration:
         A = trivial_group_q()
         z = A.zero_exp
         for j in range(4):
-            for slots in twisted_free_basis(A, 0, j, "bar", 2):
+            for slots in free_terms(A, ("twisted", 0, j, "bar"), 2):
                 dmid = slots[3:-1]
                 x = ChainElement.basis(A, ("twisted", 0, j, "bar"), slots)
                 v = ezg(x)
@@ -470,7 +469,7 @@ class TestAwgMemo:
         run_verify(warm, "all")
         # a caller that sums awg images in place, as user code may
         for n in (1, 2):
-            for slots in barskew_free_basis(warm.algebra, n, 1):
+            for slots in free_terms(warm.algebra, ("barskew", n), 1):
                 x = ChainElement.basis(warm.algebra, ("barskew", n), slots)
                 image = awg(x)
                 image.add_vector(awg(x))

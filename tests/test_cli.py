@@ -615,6 +615,59 @@ def test_hostile_config_value_is_a_setup_error(name, tmp_path, capsys):
     assert rep["error"]["type"] == "ConfigParseError"
 
 
+#: Chain elements with a negative degree in their tag.  The first three
+#: exited 4 (an IndexError); ezg made up a barskew(0) image and diff an
+#: empty one, both with exit 0.  Each must be a setup error.
+HOSTILE_ELEMENTS = {
+    "awg_barskew_n_-2": ("awg", {"complex": "barskew", "n": -2,
+                                 "terms": [{"slots": []}]}),
+    "pi_barskew_n_-2": ("pi", {"complex": "barskew", "n": -2,
+                               "terms": [{"slots": []}]}),
+    "pi_s_bars_j_-2": ("pi_s", {"complex": "bars", "j": -2,
+                                "terms": [{"slots": []}]}),
+    "ezg_twisted_j_-1": ("ezg", {"complex": "twisted", "i": 0, "j": -1,
+                                 "D": "bar",
+                                 "terms": [{"slots": [0, 0, [0, 0]]}]}),
+    "diff_barskew_n_-2": ("diff", {"complex": "barskew", "n": -2,
+                                   "terms": [{"slots": []}]}),
+    "iota_twisted_i_-1": ("iota", {"complex": "twisted", "i": -1, "j": 0,
+                                   "D": "koszul",
+                                   "terms": [{"slots": [0, [0, 0], [],
+                                                        [0, 0]]}]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_ELEMENTS))
+def test_hostile_element_is_a_setup_error(name, tmp_path, capsys):
+    map_name, doc = HOSTILE_ELEMENTS[name]
+    cfg = write_json(tmp_path / "c.json", swap_q_config_doc())
+    inp = write_json(tmp_path / "el.json", doc)
+    code, rep, _ = run_cli(capsys, ["apply", map_name, "--config", cfg,
+                                    "--input", inp])
+    assert code == 2
+    assert rep["error"]["type"] == "ShapeMismatch"
+    assert "must be nonnegative" in rep["error"]["detail"]
+
+
+@pytest.mark.parametrize("map_name", ["awg", "diff"])
+def test_tag_of_degree_1e9_is_a_fast_setup_error(map_name, tmp_path,
+                                                 capsys):
+    # the slot count is checked before any per-slot layout is built
+    unit = [[0, 0], 0]
+    cfg = write_json(tmp_path / "c.json", swap_q_config_doc())
+    inp = write_json(tmp_path / "el.json", {
+        "complex": "barskew", "n": 10 ** 9,
+        "terms": [{"slots": [unit, unit, unit]}]})
+    start = time.monotonic()
+    code, rep, _ = run_cli(capsys, ["apply", map_name, "--config", cfg,
+                                    "--input", inp])
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert rep["error"] == {
+        "type": "ShapeMismatch",
+        "detail": "('barskew', 1000000000) expects 1000000002 slots, got 3"}
+
+
 @pytest.mark.parametrize("cap", ["abc", 1.7, True])
 def test_enumerate_cap_must_be_an_integer(cap, tmp_path, capsys):
     cfg = write_json(tmp_path / "c.json", swap_q_config_doc(

@@ -11,6 +11,7 @@ Frozen differential values are the defining formulas evaluated by hand:
                 group degree g.
 """
 
+import itertools
 import random
 
 import pytest
@@ -20,20 +21,28 @@ from skewchain.complexes import (
     ChainVector,
     ShapeMismatch,
     bar_diff,
-    barskew_free_basis,
     bimodule_act,
     diff,
     expand_term,
     free_decompose,
-    free_slots_twisted,
+    free_slots,
+    free_terms,
     koszul_diff,
+    layout,
     random_twisted_slots,
     term_s_degree,
-    twisted_free_basis,
 )
 from skewchain.polynomials import poly_mul
 
-from helpers import s3_perm_q, swap_gf2, swap_q, v4_gf2, z3_unipotent_gf3
+from helpers import (
+    CHAINMAP_CONFIGS,
+    PBW_CONFIGS,
+    s3_perm_q,
+    swap_gf2,
+    swap_q,
+    v4_gf2,
+    z3_unipotent_gf3,
+)
 
 Z = (0, 0)  # the constant monomial for N = 2
 X0, X1 = (1, 0), (0, 1)
@@ -186,7 +195,7 @@ class TestTwistedDifferential:
                     if dkind == "koszul" and n - i > A.nvars:
                         continue
                     tag = ("twisted", i, n - i, dkind)
-                    for slots in twisted_free_basis(A, i, n - i, dkind, 1):
+                    for slots in free_terms(A, tag, 1):
                         x = ChainElement.basis(A, tag, slots)
                         assert diff(diff(x)).is_zero()
 
@@ -305,7 +314,7 @@ class TestBimoduleStructure:
         rng = random.Random(21)
         pool = A.pairs_up_to(1, include_unit=True)
         for n in (1, 2, 3):
-            for slots in barskew_free_basis(A, n, 1):
+            for slots in free_terms(A, ("barskew", n), 1):
                 x = ChainElement.basis(A, ("barskew", n), slots)
                 a = {rng.choice(pool): 1}
                 b = {rng.choice(pool): 1}
@@ -329,7 +338,7 @@ class TestFreeStructure:
             acc = ChainElement(A, tag)
             for c, (cbars, dmid) in items:
                 free = ChainElement.basis(
-                    A, tag, free_slots_twisted(A, tag, cbars, dmid)
+                    A, tag, free_slots(A, tag, cbars + dmid)
                 )
                 acc = acc + bimodule_act(a, free, b).scaled(c)
             assert acc == x
@@ -345,6 +354,86 @@ class TestFreeStructure:
     def test_basis_sizes(self):
         A = swap_q()
         # barskew degree 1, monomial degree ≤ 1: non-unit pairs (m, g)
-        basis = list(barskew_free_basis(A, 1, 1))
+        basis = list(free_terms(A, ("barskew", 1), 1))
         # pairs: m ∈ {1, x0, x1} × g ∈ {1, g} minus the unit pair
         assert len(basis) == 3 * 2 - 1
+
+
+def frozen_free_basis(alg, tag, dmax):
+    """The free generators of a tag as the per-complex loops that
+    ``free_terms`` replaced enumerated them, kept as its reference."""
+    kind, n = tag[0], tag[1]
+    z = alg.zero_exp
+    if kind == "barskew":
+        pairs = alg.pairs_up_to(dmax, include_unit=False)
+        unit = alg.unit_pair
+        for combo in itertools.product(pairs, repeat=n):
+            yield (unit,) + combo + (unit,)
+    elif kind == "barg":
+        for mids in itertools.product(range(1, alg.group.order), repeat=n):
+            yield (0,) + mids + (0,)
+    elif kind == "bars":
+        letters = alg.monomials_up_to(dmax, include_unit=False)
+        for mids in itertools.product(letters, repeat=n):
+            yield (z,) + mids + (z,)
+    elif kind == "koszul":
+        for w in itertools.combinations(range(alg.nvars), n):
+            yield (z, w, z)
+    else:
+        i, j, dkind = tag[1:]
+        gbars = itertools.product(range(1, alg.group.order), repeat=i)
+        if dkind == "bar":
+            mids = alg.monomials_up_to(dmax, include_unit=False)
+            for cb in gbars:
+                for dm in itertools.product(mids, repeat=j):
+                    yield (0,) + cb + (0,) + (z,) + dm + (z,)
+        else:
+            wedges = list(itertools.combinations(range(alg.nvars), j))
+            for cb in gbars:
+                for w in wedges:
+                    yield (0,) + cb + (0,) + (z, w, z)
+
+
+#: Every tag of homological degree at most 4.
+TAGS_THROUGH_DEGREE_4 = [
+    (kind, n) for kind in ("barskew", "barg", "bars", "koszul")
+    for n in range(5)
+] + [("twisted", i, n - i, dkind) for n in range(5) for i in range(n + 1)
+     for dkind in ("bar", "koszul")]
+
+LAYOUT_CONFIGS = {**CHAINMAP_CONFIGS, **PBW_CONFIGS}
+
+
+class TestLayout:
+    @pytest.mark.parametrize("name", sorted(LAYOUT_CONFIGS))
+    def test_free_terms_match_the_replaced_enumerators(self, name):
+        # sequences, not sets: the order fixes the reports' witnesses and
+        # the rng draws that follow an enumeration
+        A = LAYOUT_CONFIGS[name]()
+        end = object()
+        for dmax in (1, 2):
+            for tag in TAGS_THROUGH_DEGREE_4:
+                pairs = itertools.zip_longest(
+                    free_terms(A, tag, dmax), frozen_free_basis(A, tag, dmax),
+                    fillvalue=end)
+                assert all(new == old for new, old in pairs), (tag, dmax)
+
+    def test_layout_of_each_complex(self):
+        assert list(layout(("barskew", 2))) == [
+            ("pair", False), ("pair", True), ("pair", True), ("pair", False)]
+        assert list(layout(("koszul", 2))) == [
+            ("exp", False), ("wedge", False), ("exp", False)]
+        assert list(layout(("twisted", 1, 1, "bar"))) == [
+            ("group", False), ("group", True), ("group", False),
+            ("exp", False), ("exp", True), ("exp", False)]
+        assert list(layout(("twisted", 0, 3, "koszul"))) == \
+            list(layout(("barg", 0))) + list(layout(("koszul", 3)))
+        with pytest.raises(ShapeMismatch, match="unknown complex tag"):
+            layout(("spectral", 1))
+
+    def test_layout_length_needs_no_slots(self):
+        # a tag of any degree has a layout of a few runs
+        assert len(layout(("twisted", 10 ** 9, 10 ** 9, "bar"))) == \
+            2 * 10 ** 9 + 4
+        assert len(layout(("twisted", 10 ** 9, 10 ** 9, "koszul"))) == \
+            10 ** 9 + 5

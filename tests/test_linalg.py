@@ -1,8 +1,9 @@
 """Exact linear algebra over the scalar fields: rref, rank, solving.
 
-``rref``/``rank``/``FactoredSolver`` work on dense row lists;
-``IncrementalRank`` keeps a sparse row space over arbitrary orderable
-column keys (downstream: chain-element basis tuples).
+``rref``/``rank``, the dense Gauss-Jordan reference the other solvers are
+checked against, are defined here; ``FactoredSolver`` works on dense row
+lists; ``IncrementalRank`` keeps a sparse row space over arbitrary
+orderable column keys (downstream: chain-element basis tuples).
 """
 
 import random
@@ -15,9 +16,36 @@ from skewchain.linalg import (
     FactoredSolver,
     IncrementalRank,
     InconsistentSystem,
-    rank,
-    rref,
 )
+
+
+def rref(field, rows):
+    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
+    R = [list(r) for r in rows]
+    m = len(R)
+    n = len(R[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if R[i][c] != 0), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = field.inv(R[r][c])
+        R[r] = [field.mul(inv, v) for v in R[r]]
+        for i in range(m):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return R, pivots
+
+
+def rank(field, rows) -> int:
+    return len(rref(field, rows)[1])
 
 
 def mat_vec(field, rows, x):

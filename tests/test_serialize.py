@@ -1,11 +1,19 @@
 """Wire formats: run configurations, parameter tables, chain elements."""
 
+import itertools
 import json
 import random
 
 import pytest
 
-from skewchain.complexes import ChainElement, ShapeMismatch, expand_term
+from skewchain.complexes import (
+    ChainElement,
+    ShapeMismatch,
+    expand_term,
+    free_terms,
+    random_barskew_slots,
+    random_twisted_slots,
+)
 from skewchain.fields import NonPrimeModulus, QQ
 from skewchain.groups import NoIdentity, NotAssociative, NotLatinSquare
 from skewchain.pbw import PBWParams
@@ -23,11 +31,15 @@ from skewchain.serialize import (
     vector_to_json,
 )
 
+from skewchain.verify import random_term
+
 from helpers import (
     NONASSOCIATIVE_TABLE,
+    s3_perm_q,
     s3_refl_q,
     swap_q,
     swap_q_config_doc,
+    v4_gf2,
     z3_unipotent_gf3,
 )
 
@@ -203,6 +215,16 @@ class TestTags:
         with pytest.raises(ShapeMismatch):
             tag_from_json({"complex": "barskew"})
 
+    @pytest.mark.parametrize("doc", [
+        {"complex": "barskew", "n": -1}, {"complex": "barg", "i": -2},
+        {"complex": "bars", "j": -1}, {"complex": "koszul", "j": -1},
+        {"complex": "twisted", "i": -1, "j": 0, "D": "bar"},
+        {"complex": "twisted", "i": 0, "j": -1, "D": "koszul"},
+    ])
+    def test_negative_degrees(self, doc):
+        with pytest.raises(ShapeMismatch, match="must be nonnegative"):
+            tag_from_json(doc)
+
 
 class TestElements:
     def roundtrip(self, A, el):
@@ -237,6 +259,43 @@ class TestElements:
         self.roundtrip(A, ChainElement.basis(
             A, ("twisted", 1, 2, "koszul"), (2, 1, 0, X0, (0, 1), Z)
         ))
+
+    @pytest.mark.parametrize("make", [swap_q, s3_perm_q, v4_gf2],
+                             ids=["swap_q", "s3_perm_q", "v4_gf2"])
+    def test_round_trip_of_every_tag(self, make):
+        # free terms and random terms whose outer slots are not units
+        A = make()
+        rng = random.Random(7)
+        tags = [(kind, n) for kind in ("barskew", "barg", "bars", "koszul")
+                for n in range(4)]
+        tags += [("twisted", i, n - i, dkind) for n in range(4)
+                 for i in range(n + 1) for dkind in ("bar", "koszul")]
+        order = A.group.order
+        for tag in tags:
+            terms = list(itertools.islice(free_terms(A, tag, 2), 20))
+            if not terms:
+                continue
+            kind = tag[0]
+            for _ in range(10):
+                if kind == "barskew":
+                    slots = random_barskew_slots(A, tag[1], 2, rng,
+                                                 free=False)
+                elif kind == "twisted":
+                    slots = random_twisted_slots(A, *tag[1:], 2, rng,
+                                                 free=False)
+                elif kind == "barg":
+                    slots = ((rng.randrange(order),)
+                             + tuple(rng.randrange(1, order)
+                                     for _ in range(tag[1]))
+                             + (rng.randrange(order),))
+                else:
+                    slots = random_term(A, kind, tag[1], 2, rng,
+                                        free=False)[1]
+                terms.append(slots)
+            coeffs = [A.field.from_int(k % 3 + 1) for k in range(len(terms))]
+            el = ChainElement(A, tag, {slots: c for slots, c
+                                       in zip(terms, coeffs) if c != 0})
+            assert element_from_json(A, element_to_json(el)) == el, tag
 
     def test_unit_bar_slots_die_on_parse(self):
         A = swap_q()
