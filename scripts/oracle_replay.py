@@ -12,7 +12,10 @@ canonical JSON of every report of one kind, in order, goes into one
 sha256 per kind.  A change to the internals must leave each hash as it
 is: run the script on the parent tree and on the change and compare the
 lines it prints.  The first line, the oracle's, has the form it had
-before the condition deciders were added.
+before the condition deciders were added.  Each kind is one function of
+``KINDS``, which yields its reports in order, so ``digest`` can hash one
+kind alone: ``tests/test_oracle_replay.py`` pins the ``verify`` and
+``apply`` kinds that way.
 
     python3 scripts/oracle_replay.py [TREE]
 
@@ -33,59 +36,112 @@ from pathlib import Path
 SEEDS = (1, 2)
 
 
+def _tables(seed):
+    """(config, params) of every ``pbw-sweep`` and ``pbw-oracle`` table of
+    a seed: one algebra per ``pbw-sweep`` config, one per ``pbw-oracle``
+    table."""
+    from skewchain import serialize
+    import workloads
+
+    for _label, (text, blocks) in workloads.PBWSweep.generate(seed):
+        cfg = workloads.build(text)
+        for block in blocks:
+            yield cfg, serialize.params_from_config(cfg.algebra, block)
+    for _label, part in workloads.PBWOracle.generate(seed):
+        for text, _five in part:
+            cfg = workloads.build(text)
+            yield cfg, cfg.params
+
+
+def oracle_reports(seeds=SEEDS):
+    """``pbw.oracle_pbw`` on every table, with the full rank and with
+    early exit."""
+    from skewchain import pbw
+
+    for seed in seeds:
+        for cfg, params in _tables(seed):
+            for early in (False, True):
+                yield pbw.oracle_pbw(cfg.algebra, params,
+                                     early_exit=early).to_json_dict()
+
+
+def five_conditions_reports(seeds=SEEDS):
+    """``pbw.check_five`` on every table."""
+    from skewchain import pbw
+
+    for seed in seeds:
+        for cfg, params in _tables(seed):
+            yield pbw.check_five(cfg.algebra, params).to_json_dict()
+
+
+def cohomological_reports(seeds=SEEDS):
+    """``pbw.check_cohomological`` on every table."""
+    from skewchain import pbw
+
+    for seed in seeds:
+        for cfg, params in _tables(seed):
+            yield pbw.check_cohomological(
+                cfg.algebra, params, cfg.budgets["j_max"]).to_json_dict()
+
+
+def verify_reports(seeds=SEEDS):
+    """``cli.run_verify`` (suite ``all``) on every ``verify`` config."""
+    from skewchain import cli
+    import workloads
+
+    for seed in seeds:
+        for _label, part in workloads.Verify.generate(seed):
+            for _label, cfg in workloads.Verify.setup(part):
+                yield cli.run_verify(cfg, "all")[0]
+
+
+def apply_reports(seeds=SEEDS):
+    """``cli.run_apply`` of ``diff`` and of each map defined on every
+    ``splitting`` input, sent through the JSON codec."""
+    from skewchain import cli, complexes, serialize
+    import workloads
+
+    for seed in seeds:
+        for _label, part in workloads.Splitting.generate(seed):
+            for cfg, ops in workloads.Splitting.setup(part):
+                for tag, slots in ops:
+                    family = (f"twisted_{tag[3]}" if tag[0] == "twisted"
+                              else tag[0])
+                    doc = serialize.element_to_json(
+                        complexes.ChainElement.basis(cfg.algebra, tag, slots))
+                    for name in cli.MAP_NAMES:
+                        if name == "diff" or cli.MAP_DOMAINS[name] == family:
+                            yield cli.run_apply(cfg, name, doc)[0]
+
+
+#: Each report kind, in the order of the printed lines.
+KINDS = {"oracle": oracle_reports,
+         "five_conditions": five_conditions_reports,
+         "cohomological": cohomological_reports,
+         "verify": verify_reports,
+         "apply": apply_reports}
+
+
+def digest(reports) -> tuple:
+    """The count of the reports and the sha256 of their canonical JSON."""
+    from skewchain import serialize
+
+    h = hashlib.sha256()
+    count = 0
+    for doc in reports:
+        h.update(serialize.canonical_json(doc).encode())
+        count += 1
+    return count, h.hexdigest()
+
+
 def main(argv) -> int:
     tree = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
-    from skewchain import cli, complexes, pbw, serialize
-    import workloads
-
-    kinds = ("oracle", "five_conditions", "cohomological", "verify", "apply")
-    hashes = {name: hashlib.sha256() for name in kinds}
-    counts = dict.fromkeys(hashes, 0)
-
-    def add(name, doc):
-        hashes[name].update(serialize.canonical_json(doc).encode())
-        counts[name] += 1
-
-    def decide(cfg, params):
-        alg = cfg.algebra
-        for early in (False, True):
-            add("oracle",
-                pbw.oracle_pbw(alg, params, early_exit=early).to_json_dict())
-        add("five_conditions", pbw.check_five(alg, params).to_json_dict())
-        add("cohomological", pbw.check_cohomological(
-            alg, params, cfg.budgets["j_max"]).to_json_dict())
-
-    def apply_all(cfg, tag, slots):
-        family = f"twisted_{tag[3]}" if tag[0] == "twisted" else tag[0]
-        doc = serialize.element_to_json(
-            complexes.ChainElement.basis(cfg.algebra, tag, slots))
-        for name in cli.MAP_NAMES:
-            if name == "diff" or cli.MAP_DOMAINS[name] == family:
-                add("apply", cli.run_apply(cfg, name, doc)[0])
-
-    for seed in SEEDS:
-        for _label, (text, blocks) in workloads.PBWSweep.generate(seed):
-            cfg = workloads.build(text)
-            for block in blocks:
-                decide(cfg, serialize.params_from_config(cfg.algebra, block))
-        for _label, part in workloads.PBWOracle.generate(seed):
-            for text, _five in part:
-                cfg = workloads.build(text)
-                decide(cfg, cfg.params)
-    for seed in SEEDS:
-        for _label, part in workloads.Verify.generate(seed):
-            for _label, cfg in workloads.Verify.setup(part):
-                add("verify", cli.run_verify(cfg, "all")[0])
-        for _label, part in workloads.Splitting.generate(seed):
-            for cfg, ops in workloads.Splitting.setup(part):
-                for tag, slots in ops:
-                    apply_all(cfg, tag, slots)
-    print(f"reports {counts['oracle']} sha256 {hashes['oracle'].hexdigest()}")
-    for name in kinds[1:]:
-        print(f"{name} reports {counts[name]} sha256 "
-              f"{hashes[name].hexdigest()}")
+    for kind, reports in KINDS.items():
+        count, sha = digest(reports())
+        label = "reports" if kind == "oracle" else f"{kind} reports"
+        print(f"{label} {count} sha256 {sha}")
     return 0
 
 

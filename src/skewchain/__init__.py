@@ -37,12 +37,9 @@ from .complexes import (
     ChainElement,
     ChainVector,
     ShapeMismatch,
-    bar_diff,
     bimodule_act,
     diff,
     expand_term,
-    koszul_diff,
-    twisted_diff,
 )
 from .chainmaps import (
     DegreeOutOfRange,
@@ -81,7 +78,7 @@ __all__ = [
     "DimensionMismatch", "ActionTooLarge",
     "SkewAlgebra", "ContextMismatch",
     "ChainElement", "ChainVector", "ShapeMismatch", "expand_term",
-    "bar_diff", "koszul_diff", "twisted_diff", "diff", "bimodule_act",
+    "diff", "bimodule_act",
     "awg", "ezg", "iota_s", "pi_s", "iota", "pi",
     "verify_chainmap", "DegreeOutOfRange",
     "Cochain", "coboundary", "circle",

@@ -33,7 +33,12 @@ On top of these sit the Koszul comparison maps:
   splitting between the bar resolution of A and the twisted product with
   the Koszul resolution.
 
-All maps accept a ChainElement or ChainVector and return a ChainVector.
+All maps accept a ChainElement or ChainVector, read its ``(tag, element)``
+parts once, and return one ChainVector.  Their kernels (``_awg_free``,
+``_ezg_free``, ``_antisymmetrize``, ``_pi_s_terms``) yield ``(slots,
+coeff)`` pairs, which go through the ``act_*`` actions of
+:mod:`skewchain.complexes` when a term has outer coefficients, and then
+into the output through :meth:`ChainVector.add_terms`.
 """
 
 from __future__ import annotations
@@ -41,15 +46,14 @@ from __future__ import annotations
 import itertools
 
 from .complexes import (
-    ChainElement,
     ChainVector,
     ShapeMismatch,
-    bimodule_act,
+    act_barskew_left,
+    act_barskew_right,
+    add_moved,
     free_decompose,
-    linear_map,
     tensor_expand,
 )
-from .fields import scaled_pairs
 from .polynomials import monomial_mul, poly_mul, var_exp
 from .skew import SkewAlgebra
 
@@ -60,45 +64,41 @@ class DegreeOutOfRange(ValueError):
 
 # -- the twisted Alexander-Whitney map -------------------------------------
 
-@linear_map
 def awg(x) -> ChainVector:
-    """Twisted Alexander-Whitney map on bar-resolution elements."""
+    """Twisted Alexander-Whitney map on bar-resolution elements.
+
+    awg is a bimodule map, so each term a . E . b is the image of its free
+    generator E moved by its outer slots a and b.
+    """
     alg = x.alg
-    if x.tag[0] != "barskew":
-        raise ShapeMismatch(f"awg expects barskew elements, got {x.tag}")
-    unit = alg.unit_pair
     memo = alg._awg_memo
     out = ChainVector(alg)
-    for slots, c in x.terms.items():
-        inner = slots[1:-1]
-        # free images of at most 2 bar letters recur and are memoized;
-        # longer ones recur little and are many
-        shared = len(inner) <= 2
-        part = memo.get(inner)
-        if part is None:
-            part = _awg_free(alg, inner)
-            if shared:
-                memo[inner] = part
-        a = None if slots[0] == unit else {slots[0]: 1}
-        b = None if slots[-1] == unit else {slots[-1]: 1}
-        if a is not None or b is not None:
-            part = bimodule_act(a, part, b)  # awg is a bimodule map
-            shared = False
-        if c == 1 and len(x.terms) == 1:
-            # a stored image never reaches a caller
-            return part.copy() if shared else part
-        out.add_vector(part, c)
+    for tag, el in x.parts.items():
+        if tag[0] != "barskew":
+            raise ShapeMismatch(f"awg expects barskew elements, got {tag}")
+        for slots, c in el.terms.items():
+            inner = slots[1:-1]
+            image = memo.get(inner)
+            if image is None:
+                image = _awg_free(alg, inner)
+                # free images of at most 2 bar letters recur and are
+                # memoized, as tuples; longer ones recur little and are many
+                if len(inner) <= 2:
+                    image = memo[inner] = tuple(
+                        (ptag, tuple(pairs)) for ptag, pairs in image)
+            add_moved(out, c, slots[0], image, slots[-1])
     return out
 
 
-def _awg_free(alg: SkewAlgebra, inner) -> ChainVector:
+def _awg_free(alg: SkewAlgebra, inner):
+    """awg of the free generator with bar letters ``inner``, as
+    ``(tag, pairs)`` per summand."""
     n = len(inner)
     field = alg.field
     zero = alg.zero_exp
-    out = ChainVector(alg)
     if n == 0:
-        out.add_terms(("twisted", 0, 0, "bar"), [((0, 0, zero, zero), 1)])
-        return out
+        yield ("twisted", 0, 0, "bar"), [((0, 0, zero, zero), 1)]
+        return
     mlist = [p[0] for p in inner]
     glist = [p[1] for p in inner]
     gmul = alg.group.mul
@@ -130,13 +130,11 @@ def _awg_free(alg: SkewAlgebra, inner) -> ChainVector:
             if (ell * (n - ell)) % 2:
                 outer = [(mo, field.neg(co)) for mo, co in outer]
             cpart = (prefix,) + tuple(glist[ell:]) + (0, zero)
-            tag = ("twisted", n - ell, ell, "bar")
-            out.parts[tag] = ChainElement(alg, tag, {
-                cpart + mids + (mo,): mul(cc, co)
-                for mids, cc in combos for mo, co in outer})
+            yield ("twisted", n - ell, ell, "bar"), [
+                (cpart + mids + (mo,), mul(cc, co))
+                for mids, cc in combos for mo, co in outer]
         if ell < hi:
             combos = tensor_expand(field, combos, [twisted[ell].items()])
-    return out
 
 
 # -- the twisted Eilenberg-Zilber map --------------------------------------
@@ -173,51 +171,48 @@ def _shuffles(i: int, j: int):
     return table
 
 
-@linear_map
 def ezg(x) -> ChainVector:
     """Twisted Eilenberg-Zilber map on twisted-product elements (D = bar)."""
     alg = x.alg
-    if x.tag[0] != "twisted" or x.tag[3] != "bar":
-        raise ShapeMismatch(f"ezg expects twisted(bar) elements, got {x.tag}")
-    out = ChainVector(alg)
+    f = alg.field
     unit = alg.unit()
-    for slots, c in x.terms.items():
-        a, items, b = free_decompose(alg, x.tag, slots)
-        plain_a = a == unit
-        plain_b = b == unit
-        for c2, (cbars, dmid) in items:
-            el = _ezg_free(alg, cbars, dmid)
-            if not (plain_a and plain_b):
-                el = bimodule_act(None if plain_a else a, el,
-                                  None if plain_b else b)
-            out.add_element(el, alg.field.mul(c, c2))
+    out = ChainVector(alg)
+    for tag, el in x.parts.items():
+        if tag[0] != "twisted" or tag[3] != "bar":
+            raise ShapeMismatch(
+                f"ezg expects twisted(bar) elements, got {tag}")
+        btag = ("barskew", tag[1] + tag[2])
+        for slots, c in el.terms.items():
+            a, items, b = free_decompose(alg, tag, slots)
+            for c2, (cbars, dmid) in items:
+                pairs = _ezg_free(alg, cbars, dmid, f.mul(c, c2))
+                if a != unit:
+                    pairs = act_barskew_left(alg, btag, pairs, a)
+                if b != unit:
+                    pairs = act_barskew_right(alg, btag, pairs, b)
+                out.add_terms(btag, pairs)
     return out
 
 
-def _ezg_free(alg: SkewAlgebra, cbars, dmid) -> ChainElement:
+def _ezg_free(alg: SkewAlgebra, cbars, dmid, coeff):
+    """coeff times ezg of the free generator, as (slots, coeff) pairs."""
     i, j = len(cbars), len(dmid)
     field = alg.field
     unit = alg.unit_pair
     zero = alg.zero_exp
-
-    def terms():
-        for sign, word, twists in _shuffles(i, j):
-            acted = [
-                alg.action.act_monomial(
-                    alg.group.prod(cbars[r] for r in twists[t]),
-                    dmid[t]).items()
-                for t in range(j)
-            ]
-            for ms, cc in tensor_expand(field, [((), field.from_int(sign))],
-                                        acted):
-                yield ((unit,)
-                       + tuple((zero, cbars[r]) if kind == "g" else (ms[r], 0)
-                               for kind, r in word)
-                       + (unit,), cc)
-
-    out = ChainElement(alg, ("barskew", i + j))
-    field.accumulate(out.terms, terms())
-    return out
+    for sign, word, twists in _shuffles(i, j):
+        acted = [
+            alg.action.act_monomial(
+                alg.group.prod(cbars[r] for r in twists[t]),
+                dmid[t]).items()
+            for t in range(j)
+        ]
+        signed = coeff if sign == 1 else field.neg(coeff)
+        for ms, cc in tensor_expand(field, [((), signed)], acted):
+            yield ((unit,)
+                   + tuple((zero, cbars[r]) if kind == "g" else (ms[r], 0)
+                           for kind, r in word)
+                   + (unit,), cc)
 
 
 # -- Koszul <-> bar comparison over S --------------------------------------
@@ -231,46 +226,29 @@ def _perm_sign(perm) -> int:
     return -1 if inv % 2 else 1
 
 
-def _antisymmetrize(nvars: int, dslots):
-    """iota_s on one Koszul term (m0, w, m1), as (bars slots, sign) pairs.
-
-    The signs are the ints 1 and -1; accumulating them makes them
-    canonical scalars of the field.
-    """
-    m0, w, m1 = dslots
-    for perm in itertools.permutations(w):
-        yield ((m0,) + tuple(var_exp(nvars, v) for v in perm) + (m1,),
-               _perm_sign(perm))
-
-
-def _termwise(x: ChainElement, tag, base, kernel) -> ChainVector:
-    """Apply a per-term kernel to the slots from ``base`` on of each term.
-
-    ``kernel`` maps those slots to ``(slots, scalar)`` pairs; the slots
-    before ``base`` (none for a map of S, the C-part for id ⊗ f on the
-    twisted product) are kept as they are.
-    """
-    field = x.alg.field
-
-    def pairs():
-        for slots, c in x.terms.items():
-            head = slots[:base]
-            for key, v in scaled_pairs(field, c, kernel(slots[base:])):
-                yield head + key, v
-
-    out = ChainVector(x.alg)
-    out.add_terms(tag, pairs())
-    return out
+def _antisymmetrize(alg: SkewAlgebra, pairs, lo):
+    """iota_s on the Koszul slots (m0, w, m1) at lo of each ``(slots,
+    coeff)``: the signed permutations of w as bar letters."""
+    nv = alg.nvars
+    neg = alg.field.neg
+    for slots, c in pairs:
+        head = slots[:lo]
+        m0, w, m1 = slots[lo:]
+        signed = {1: c, -1: neg(c)}
+        for perm in itertools.permutations(w):
+            yield (head + (m0,) + tuple(var_exp(nv, v) for v in perm)
+                   + (m1,), signed[_perm_sign(perm)])
 
 
-@linear_map
 def iota_s(x) -> ChainVector:
     """Antisymmetrizer Koszul_j -> BarS_j (an S-bimodule chain map)."""
-    if x.tag[0] != "koszul":
-        raise ShapeMismatch(f"iota_s expects koszul elements, got {x.tag}")
-    nv = x.alg.nvars
-    return _termwise(x, ("bars", x.tag[1]), 0,
-                     lambda d: _antisymmetrize(nv, d))
+    out = ChainVector(x.alg)
+    for tag, el in x.parts.items():
+        if tag[0] != "koszul":
+            raise ShapeMismatch(f"iota_s expects koszul elements, got {tag}")
+        out.add_terms(("bars", tag[1]),
+                      _antisymmetrize(x.alg, el.terms.items(), 0))
+    return out
 
 
 def _psi(nvars: int, inner):
@@ -281,7 +259,7 @@ def _psi(nvars: int, inner):
     x^L ⊗ x_{j_n} ∧ ... ∧ x_{j_1} ⊗ x^R, where slot k gives L its variables
     below j_k and β_k copies of x_{j_k}, and gives R the other
     α^k_{j_k} - β_k - 1 copies and its variables above j_k.  The terms are
-    distinct; the signs are the ints 1 and -1, as in ``_antisymmetrize``.
+    distinct; the signs are the ints 1 and -1.
     """
     n = len(inner)
     zero = (0,) * nvars
@@ -299,54 +277,62 @@ def _psi(nvars: int, inner):
     return [((L, w, R), sign) for _, L, w, R in partial]
 
 
-def _pi_s_term(alg: SkewAlgebra, slots):
-    """pi_s of a bar term (m0, *inner, m1): Psi(inner) shifted by m0 and m1.
+def _pi_s_terms(alg: SkewAlgebra, pairs, lo):
+    """pi_s on the bar slots (m0, *inner, m1) from lo on of each ``(slots,
+    coeff)``: Psi(inner) shifted by m0 and m1.
 
     Psi values are memoized on the algebra by inner tuple.
     """
-    inner = slots[1:-1]
-    value = alg._psi_memo.get(inner)
-    if value is None:
-        value = alg.field.accumulate({}, _psi(alg.nvars, inner))
-        alg._psi_memo[inner] = value
-    m0, m1 = slots[0], slots[-1]
+    mul = alg.field.mul
     zero = alg.zero_exp
-    if m0 == zero and m1 == zero:
-        return value.items()
-    return [((monomial_mul(m0, a), w, monomial_mul(b, m1)), v)
-            for (a, w, b), v in value.items()]
+    memo = alg._psi_memo
+    for slots, c in pairs:
+        head, m0, m1 = slots[:lo], slots[lo], slots[-1]
+        inner = slots[lo + 1:-1]
+        value = memo.get(inner)
+        if value is None:
+            value = memo[inner] = alg.field.accumulate(
+                {}, _psi(alg.nvars, inner))
+        plain = m0 == zero and m1 == zero
+        for (a, w, b), v in value.items():
+            if not plain:
+                a, b = monomial_mul(m0, a), monomial_mul(b, m1)
+            yield head + (a, w, b), v if c == 1 else mul(c, v)
 
 
-@linear_map
 def pi_s(x) -> ChainVector:
     """The splitting BarS_j -> Koszul_j (an S-bimodule chain map)."""
-    if x.tag[0] != "bars":
-        raise ShapeMismatch(f"pi_s expects bars elements, got {x.tag}")
-    return _termwise(x, ("koszul", x.tag[1]), 0,
-                     lambda s: _pi_s_term(x.alg, s))
+    out = ChainVector(x.alg)
+    for tag, el in x.parts.items():
+        if tag[0] != "bars":
+            raise ShapeMismatch(f"pi_s expects bars elements, got {tag}")
+        out.add_terms(("koszul", tag[1]),
+                      _pi_s_terms(x.alg, el.terms.items(), 0))
+    return out
 
 
 # -- the induced maps on the twisted product -------------------------------
 
-@linear_map
 def id_tensor_iota_s(x) -> ChainVector:
     """Apply the antisymmetrizer to the D-part of twisted(koszul) terms."""
-    kind, i, j, dkind = x.tag
-    if kind != "twisted" or dkind != "koszul":
-        raise ShapeMismatch(f"expected twisted(koszul), got {x.tag}")
-    nv = x.alg.nvars
-    return _termwise(x, ("twisted", i, j, "bar"), i + 2,
-                     lambda d: _antisymmetrize(nv, d))
+    out = ChainVector(x.alg)
+    for tag, el in x.parts.items():
+        if tag[0] != "twisted" or tag[3] != "koszul":
+            raise ShapeMismatch(f"expected twisted(koszul), got {tag}")
+        out.add_terms(tag[:3] + ("bar",),
+                      _antisymmetrize(x.alg, el.terms.items(), tag[1] + 2))
+    return out
 
 
-@linear_map
 def id_tensor_pi_s(x) -> ChainVector:
     """Apply pi_s to the D-part of twisted(bar) terms."""
-    kind, i, j, dkind = x.tag
-    if kind != "twisted" or dkind != "bar":
-        raise ShapeMismatch(f"expected twisted(bar), got {x.tag}")
-    return _termwise(x, ("twisted", i, j, "koszul"), i + 2,
-                     lambda s: _pi_s_term(x.alg, s))
+    out = ChainVector(x.alg)
+    for tag, el in x.parts.items():
+        if tag[0] != "twisted" or tag[3] != "bar":
+            raise ShapeMismatch(f"expected twisted(bar), got {tag}")
+        out.add_terms(tag[:3] + ("koszul",),
+                      _pi_s_terms(x.alg, el.terms.items(), tag[1] + 2))
+    return out
 
 
 def iota(x) -> ChainVector:

@@ -24,7 +24,7 @@ from .fields import NonPrimeModulus
 from .groups import NoIdentity, NotAssociative, NotLatinSquare
 from .polynomials import DimensionMismatch
 from .skew import ContextMismatch
-from .complexes import ShapeMismatch, as_vector, diff
+from .complexes import ShapeMismatch, diff
 from .chainmaps import (
     MAP_DOMAINS,
     DegreeOutOfRange,
@@ -129,6 +129,37 @@ def run_pbw(cfg: RunConfig, method: str):
 
 # -- apply -----------------------------------------------------------------
 
+#: The cap on the terms a map makes from one input term by permuting a
+#: wedge (iota_s, iota) and shuffling letters (ezg, iota).
+MAX_MAP_FACTOR = 10 ** 5
+
+
+def map_factor(map_name: str, tag) -> int:
+    """j! for iota_s on koszul(j), C(i+j, i) for ezg on twisted(i, j, bar),
+    their product for iota on twisted(i, j, koszul), and 1 otherwise.
+
+    The product is built one factor at a time and reads
+    ``MAX_MAP_FACTOR + 1`` once it passes the cap, so a tag of huge degree
+    costs a few steps.
+    """
+    i, j = tag[1:3] if tag[0] == "twisted" else (0, tag[1])
+    factor = 1
+    if map_name in ("iota_s", "iota"):
+        for k in range(2, j + 1):
+            factor *= k
+            if factor > MAX_MAP_FACTOR:
+                return MAX_MAP_FACTOR + 1
+    if map_name in ("ezg", "iota"):
+        binom = 1
+        # C(i+j, k) for k = 1, 2, ...: it grows while k <= (i+j)/2
+        for k in range(1, min(i, j) + 1):
+            binom = binom * (i + j - k + 1) // k
+            if factor * binom > MAX_MAP_FACTOR:
+                return MAX_MAP_FACTOR + 1
+        factor *= binom
+    return factor
+
+
 def run_apply(cfg: RunConfig, map_name: str, input_doc: dict):
     alg = cfg.algebra
     x = element_from_json(alg, input_doc)
@@ -143,7 +174,12 @@ def run_apply(cfg: RunConfig, map_name: str, input_doc: dict):
         if map_name in ("pi_s", "pi") and x.tag[1] > bound:
             raise DegreeOutOfRange(f"{map_name} needs bar degree <= {bound}, "
                                    f"got {x.tag[1]}")
-        image = as_vector(map_by_name(map_name)(x))
+        # an empty input has an empty image, whatever its degrees
+        if x.terms and map_factor(map_name, x.tag) > MAX_MAP_FACTOR:
+            raise DegreeOutOfRange(
+                f"{map_name} on {x.tag} makes more than {MAX_MAP_FACTOR} "
+                f"terms per input term")
+        image = map_by_name(map_name)(x)
     report = {
         "command": "apply",
         "map": map_name,

@@ -53,10 +53,8 @@ from __future__ import annotations
 
 from .complexes import (
     ChainElement,
-    ChainVector,
     ShapeMismatch,
-    as_vector,
-    bar_diff,
+    diff,
     free_decompose,
     free_slots,
 )
@@ -91,14 +89,11 @@ class Cochain:
         by zero off-tag; a twisted chain is read through an Expansion."""
         if isinstance(x, Expansion):
             return x.contract(self)
-        if isinstance(x, ChainVector):
-            x = x.parts.get(self.tag)
-            if x is None:
-                return {}
-        if x.tag != self.tag:
+        x = x.parts.get(self.tag)
+        if x is None:
             return {}
         if self.tag[0] == "twisted":
-            return Expansion(as_vector(x)).contract(self)
+            return Expansion(x).contract(self)
         if self.tag[0] != "barskew":
             raise ShapeMismatch(f"cannot evaluate cochains on {self.tag}")
         alg = self.alg
@@ -149,7 +144,7 @@ class Expansion:
 
     __slots__ = ("alg", "parts")
 
-    def __init__(self, x: ChainVector):
+    def __init__(self, x):
         alg = self.alg = x.alg
         f = alg.field
         memo = alg._free_decompose_memo
@@ -202,7 +197,7 @@ def coboundary(f: Cochain) -> Cochain:
         raise ShapeMismatch("coboundary needs a bar-resolution cochain")
     alg = f.alg
     tag = ("barskew", f.tag[1] + 1)
-    return Cochain(alg, tag, lambda inner: f.eval_element(bar_diff(
+    return Cochain(alg, tag, lambda inner: f.eval_element(diff(
         ChainElement.basis(alg, tag, free_slots(alg, tag, inner)))))
 
 

@@ -21,13 +21,16 @@ slots (inner slots, where the unit is struck out) :func:`layout` gives:
     d_C ⊗ 1 + (-1)^i 1 ⊗ d_D, while the A-bimodule structure twists through
     the group degree of the C-part (see ``act_skew_left/right``).
 
-A :class:`ChainElement` is a dict of terms over a single tag; maps whose
-output spans several tags (the twisted differential, the AW/EZ family)
-return a :class:`ChainVector`, a tag-indexed sum of chain elements.
-:func:`linear_map` extends a map on chain elements to vectors, part by
-part.  The differentials share two kernels: :func:`bar_faces` for the bar
+A :class:`ChainElement` is a dict of terms over a single tag and a
+:class:`ChainVector` a tag-indexed sum of them; both show their
+``(tag, element)`` parts through ``parts``, so every map reads either
+input the same way.  A map application builds one ChainVector: for each
+output tag it sends a stream of ``(slots, coeff)`` pairs from a kernel
+into :meth:`ChainVector.add_terms`, and no intermediate chain is built.
+The kernels take and yield such pairs: :func:`bar_faces` for the bar
 complexes and the bar D-part, :func:`koszul_faces` for the Koszul complex
-and the Koszul D-part.
+and the Koszul D-part, and the four ``act_*`` actions of
+:func:`bimodule_act`.
 """
 
 from __future__ import annotations
@@ -159,6 +162,11 @@ class ChainElement:
             return cls(alg, tag)
         return cls(alg, tag, {slots: coeff})
 
+    @property
+    def parts(self) -> dict:
+        """This element as the one part of a vector: ``{tag: self}``."""
+        return {self.tag: self}
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -218,19 +226,11 @@ class ChainVector:
         elif el is None:
             self.parts[tag] = ChainElement(self.alg, tag, terms)
 
-    def add_element(self, el: ChainElement, scale=1):
-        self.add_terms(el.tag, scaled_pairs(self.alg.field, scale,
-                                            el.terms.items()))
-
-    def add_vector(self, other: "ChainVector", scale=1):
-        for el in other.parts.values():
-            self.add_element(el, scale)
-
-    def copy(self) -> "ChainVector":
-        """The same vector, sharing no terms dict with this one."""
-        return ChainVector(self.alg, {
-            tag: ChainElement(self.alg, tag, dict(el.terms))
-            for tag, el in self.parts.items()})
+    def add_scaled(self, x, c=1):
+        """Accumulate c times the chain element or vector x."""
+        for tag, el in x.parts.items():
+            self.add_terms(tag, scaled_pairs(self.alg.field, c,
+                                             el.terms.items()))
 
     def components(self):
         return [self.parts[t] for t in sorted(self.parts)]
@@ -249,35 +249,9 @@ class ChainVector:
 
 
 def as_vector(x) -> ChainVector:
-    """x as a ChainVector; a chain element becomes its only part, uncopied."""
-    if isinstance(x, ChainVector):
-        return x
-    return ChainVector(x.alg, {x.tag: x} if x.terms else {})
-
-
-def linear_map(fn):
-    """Extend a map on chain elements linearly to ChainVector inputs.
-
-    The map's first argument is the chain.  On a ChainVector the map is
-    applied part by part and its values, chain elements or vectors, are
-    summed into one ChainVector; other arguments pass through unchanged.
-    """
-    @functools.wraps(fn)
-    def lifted(x, *args):
-        if not isinstance(x, ChainVector):
-            return fn(x, *args)
-        values = [fn(el, *args) for el in x.parts.values()]
-        if len(values) == 1 and isinstance(values[0], ChainVector):
-            return values[0]  # a fresh vector: no need to copy it
-        out = ChainVector(x.alg)
-        for value in values:
-            if isinstance(value, ChainVector):
-                out.add_vector(value)
-            else:
-                out.add_element(value)
-        return out
-
-    return lifted
+    """x as a ChainVector; its nonzero parts are shared, not copied."""
+    return ChainVector(x.alg, {tag: el for tag, el in x.parts.items()
+                               if el.terms})
 
 
 # -- construction with normalization ---------------------------------------
@@ -382,178 +356,154 @@ def koszul_faces(alg: SkewAlgebra, pairs, lo):
             yield head + (m0, rest, monomial_mul(m1, e)), signed[1 - t % 2]
 
 
-def bar_diff(x: ChainElement) -> ChainElement:
-    """Reduced bar differential (alternating sum of slot merges)."""
-    kind = x.tag[0]
-    n = x.tag[1]
-    if n == 0:
-        raise ShapeMismatch("bar_diff needs homological degree >= 1")
-    if kind not in BAR_SLOTS:
-        raise ShapeMismatch(f"bar_diff does not apply to {x.tag}")
-    out = ChainElement(x.alg, (kind, n - 1))
-    x.alg.field.accumulate(out.terms,
-                           bar_faces(x.alg, kind, x.terms.items(), 0, n))
-    return out
+def diff(x) -> ChainVector:
+    """The differential of a chain element or vector, as one ChainVector.
 
-
-def koszul_diff(x: ChainElement) -> ChainElement:
-    """Koszul differential: contract each wedge factor into either side."""
-    j = x.tag[1]
-    if j == 0:
-        raise ShapeMismatch("koszul_diff needs wedge degree >= 1")
-    out = ChainElement(x.alg, ("koszul", j - 1))
-    x.alg.field.accumulate(out.terms,
-                           koszul_faces(x.alg, x.terms.items(), 0))
-    return out
-
-
-def twisted_diff(x: ChainElement) -> ChainVector:
-    """Total differential d_C ⊗ 1 + (-1)^i 1 ⊗ d_D of the twisted product.
-
-    d_C is the kG bar differential on the group slots and d_D the S bar or
-    Koszul differential on the D slots, the same kernels as
-    :func:`bar_diff` and :func:`koszul_diff`.
+    The bar complexes take the alternating sum of slot merges
+    (:func:`bar_faces`), the Koszul complex contracts each wedge factor
+    into either side (:func:`koszul_faces`), and a twisted tag takes
+    d_C ⊗ 1 + (-1)^i 1 ⊗ d_D, with d_C the kG bar differential on the group
+    slots and d_D the S bar or Koszul differential on the D slots.
     """
     alg = x.alg
-    kind, i, j, dkind = x.tag
-    if kind != "twisted":
-        raise ShapeMismatch(f"twisted_diff does not apply to {x.tag}")
     out = ChainVector(alg)
-    # horizontal part: bar faces on the group slots
-    if i > 0:
-        out.add_terms(("twisted", i - 1, j, dkind),
-                      bar_faces(alg, "barg", x.terms.items(), 0, i))
-    # vertical part: (-1)^i times the D-differential on the D slots
-    if j > 0:
-        terms = x.terms.items()
-        if i % 2:
-            neg = alg.field.neg
-            terms = [(slots, neg(c)) for slots, c in terms]
-        out.add_terms(("twisted", i, j - 1, dkind),
-                      bar_faces(alg, "bars", terms, i + 2, j)
-                      if dkind == "bar" else koszul_faces(alg, terms, i + 2))
+    for tag, el in x.parts.items():
+        kind, n = tag[0], tag[1]
+        terms = el.terms.items()
+        if kind == "twisted":
+            _kind, i, j, dkind = tag
+            # horizontal part: bar faces on the group slots
+            if i > 0:
+                out.add_terms(("twisted", i - 1, j, dkind),
+                              bar_faces(alg, "barg", terms, 0, i))
+            # vertical part: (-1)^i times the D-differential on the D slots
+            if j > 0:
+                if i % 2:
+                    neg = alg.field.neg
+                    terms = [(slots, neg(c)) for slots, c in terms]
+                out.add_terms(("twisted", i, j - 1, dkind),
+                              bar_faces(alg, "bars", terms, i + 2, j)
+                              if dkind == "bar"
+                              else koszul_faces(alg, terms, i + 2))
+        elif kind == "koszul":
+            if n > 0:
+                out.add_terms(("koszul", n - 1), koszul_faces(alg, terms, 0))
+        elif kind in BAR_SLOTS:
+            if n > 0:
+                out.add_terms((kind, n - 1),
+                              bar_faces(alg, kind, terms, 0, n))
+        else:
+            raise ShapeMismatch(f"unknown complex tag {tag}")
     return out
-
-
-@linear_map
-def diff(x) -> ChainVector:
-    """Uniform differential: ChainElement or ChainVector -> ChainVector."""
-    kind = x.tag[0]
-    if kind == "twisted":
-        return twisted_diff(x)
-    if kind not in ("barskew", "barg", "bars", "koszul"):
-        raise ShapeMismatch(f"unknown complex tag {x.tag}")
-    if x.tag[1] == 0:
-        return ChainVector(x.alg)
-    return as_vector(koszul_diff(x) if kind == "koszul" else bar_diff(x))
 
 
 # -- the bimodule structure ------------------------------------------------
+#
+# Each action maps the (slots, coeff) pairs of one tag, and the skew
+# element acting, to the pairs of the product.
 
-def act_skew_left(x: ChainElement, a: dict) -> ChainElement:
-    """Left action of a skew-algebra element on a twisted element.
+def act_skew_left(alg: SkewAlgebra, tag, pairs, a: dict):
+    """Left action of a skew-algebra element on twisted terms.
 
     A pair (m, g) multiplies g into the left outer group slot; then m
     passes through the C-part, twisted by the inverse of the C-part's new
     group degree, and multiplies into the left outer D slot.
     """
-    alg = x.alg
     f = alg.field
     gmul = alg.group.mul
-    base = x.tag[1] + 2
-
-    def terms():
+    base = tag[1] + 2
+    for slots, v in pairs:
         for (m, g), c in a.items():
-            for slots, v in x.terms.items():
-                cpart = (gmul(g, slots[0]),) + slots[1:base]
-                cv = f.mul(c, v)
-                if total_degree(m) == 0:
-                    yield cpart + slots[base:], cv
-                    continue
-                gamma = alg.group.inv(alg.group.prod(cpart))
-                for m2, cm in alg.action.act_monomial(gamma, m).items():
-                    yield (cpart + (monomial_mul(m2, slots[base]),)
-                           + slots[base + 1:], f.mul(cv, cm))
-
-    out = ChainElement(alg, x.tag)
-    f.accumulate(out.terms, terms())
-    return out
+            cpart = (gmul(g, slots[0]),) + slots[1:base]
+            cv = f.mul(c, v)
+            if total_degree(m) == 0:
+                yield cpart + slots[base:], cv
+                continue
+            gamma = alg.group.inv(alg.group.prod(cpart))
+            for m2, cm in alg.action.act_monomial(gamma, m).items():
+                yield (cpart + (monomial_mul(m2, slots[base]),)
+                       + slots[base + 1:], f.mul(cv, cm))
 
 
-def act_skew_right(x: ChainElement, b: dict) -> ChainElement:
-    """Right action of a skew-algebra element on a twisted element.
+def act_skew_right(alg: SkewAlgebra, tag, pairs, b: dict):
+    """Right action of a skew-algebra element on twisted terms.
 
     A pair (m, h) multiplies m into the right outer D slot; then h
     multiplies into the right outer group slot while h^-1 acts diagonally
     on every D slot (this is what makes the product "twisted").
     """
-    alg = x.alg
     f = alg.field
     act = alg.action.act_monomial
-    act_mid = act if x.tag[3] == "bar" else alg.action.act_wedge
-    base = x.tag[1] + 2
-
-    def terms():
-        for (m, h), c in b.items():
-            hinv = alg.group.inv(h)
-            for slots, v in x.terms.items():
-                cpart = slots[:base - 1] + (alg.group.mul(slots[base - 1], h),)
-                dslots = slots[base:-1] + (monomial_mul(slots[-1], m),)
-                cv = f.mul(c, v)
-                if h == 0:
-                    yield cpart + dslots, cv
-                    continue
-                mids = [act_mid(hinv, d).items() for d in dslots[1:-1]]
-                yield from tensor_expand(f, [(cpart, cv)], [
-                    act(hinv, dslots[0]).items(), *mids,
-                    act(hinv, dslots[-1]).items()])
-
-    out = ChainElement(alg, x.tag)
-    f.accumulate(out.terms, terms())
-    return out
+    act_mid = act if tag[3] == "bar" else alg.action.act_wedge
+    base = tag[1] + 2
+    b = [(m, h, alg.group.inv(h), c) for (m, h), c in b.items()]
+    for slots, v in pairs:
+        for m, h, hinv, c in b:
+            cpart = slots[:base - 1] + (alg.group.mul(slots[base - 1], h),)
+            dslots = slots[base:-1] + (monomial_mul(slots[-1], m),)
+            cv = f.mul(c, v)
+            if h == 0:
+                yield cpart + dslots, cv
+                continue
+            mids = [act_mid(hinv, d).items() for d in dslots[1:-1]]
+            yield from tensor_expand(f, [(cpart, cv)], [
+                act(hinv, dslots[0]).items(), *mids,
+                act(hinv, dslots[-1]).items()])
 
 
-def act_barskew_left(x: ChainElement, a: dict) -> ChainElement:
-    """Left multiplication into the outer slot of a bar-resolution element."""
-    alg = x.alg
+def act_barskew_left(alg: SkewAlgebra, tag, pairs, a: dict):
+    """Left multiplication into the outer slot of bar-resolution terms."""
     mul = alg.field.mul
-    out = ChainElement(alg, x.tag)
-    alg.field.accumulate(out.terms, (
-        ((pair,) + slots[1:], mul(mul(c, v), pc))
-        for p, c in a.items() for slots, v in x.terms.items()
-        for pair, pc in alg.mul_pairs(p, slots[0])))
-    return out
+    for slots, v in pairs:
+        for p, c in a.items():
+            for pair, pc in alg.mul_pairs(p, slots[0]):
+                yield (pair,) + slots[1:], mul(mul(c, v), pc)
 
 
-def act_barskew_right(x: ChainElement, b: dict) -> ChainElement:
-    alg = x.alg
+def act_barskew_right(alg: SkewAlgebra, tag, pairs, b: dict):
     mul = alg.field.mul
-    out = ChainElement(alg, x.tag)
-    alg.field.accumulate(out.terms, (
-        (slots[:-1] + (pair,), mul(mul(c, v), pc))
-        for p, c in b.items() for slots, v in x.terms.items()
-        for pair, pc in alg.mul_pairs(slots[-1], p)))
+    for slots, v in pairs:
+        for p, c in b.items():
+            for pair, pc in alg.mul_pairs(slots[-1], p):
+                yield slots[:-1] + (pair,), mul(mul(c, v), pc)
+
+
+#: The (left, right) actions of A on each complex that has them.
+_ACTIONS = {"twisted": (act_skew_left, act_skew_right),
+            "barskew": (act_barskew_left, act_barskew_right)}
+
+
+def bimodule_act(a, x, b) -> ChainVector:
+    """a . x . b for a, b skew elements (or None) and x a chain element or
+    vector, as one ChainVector."""
+    alg = x.alg
+    out = ChainVector(alg)
+    for tag, el in x.parts.items():
+        actions = _ACTIONS.get(tag[0])
+        if actions is None:
+            raise ShapeMismatch(f"no A-bimodule structure on {tag}")
+        terms = el.terms.items()
+        if a is not None:
+            terms = actions[0](alg, tag, terms, a)
+        if b is not None:
+            terms = actions[1](alg, tag, terms, b)
+        out.add_terms(tag, terms)
     return out
 
 
-@linear_map
-def _act(x, a, b):
-    """:func:`bimodule_act` with the chain as the first argument."""
-    kind = x.tag[0]
-    if kind not in ("twisted", "barskew"):
-        raise ShapeMismatch(f"no A-bimodule structure on {x.tag}")
-    left, right = ((act_skew_left, act_skew_right) if kind == "twisted"
-                   else (act_barskew_left, act_barskew_right))
-    if a is not None:
-        x = left(x, a)
-    if b is not None:
-        x = right(x, b)
-    return x
-
-
-def bimodule_act(a, x, b):
-    """a . x . b for a skew elements (or None) and x a chain element/vector."""
-    return _act(x, a, b)
+def add_moved(out: ChainVector, c, a, image, b):
+    """Accumulate c · a·E·b into ``out``, for E a twisted chain given by its
+    ``(tag, pairs)`` parts and a, b the outer slot pairs of a term."""
+    alg = out.alg
+    unit = alg.unit_pair
+    a = None if a == unit else {a: 1}
+    b = None if b == unit else {b: 1}
+    for tag, pairs in image:
+        if a is not None:
+            pairs = act_skew_left(alg, tag, pairs, a)
+        if b is not None:
+            pairs = act_skew_right(alg, tag, pairs, b)
+        out.add_terms(tag, scaled_pairs(alg.field, c, pairs))
 
 
 # -- free-basis bookkeeping ------------------------------------------------

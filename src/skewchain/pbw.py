@@ -44,7 +44,7 @@ from .cochains import Cochain, Expansion, circle, transport_up
 from .complexes import (
     ChainElement,
     ChainVector,
-    bimodule_act,
+    add_moved,
     diff,
     free_slots,
     free_terms,
@@ -423,13 +423,11 @@ def _pi_of_boundary(alg, pif, i, j, index, image):
     hit = cache.get(key)
     if hit is None:
         chain = ChainVector(alg)
-        unit = alg.unit_pair
         for el in diff(image).parts.values():
             for slots, c in el.terms.items():
-                a, b = slots[0], slots[-1]
-                chain.add_vector(bimodule_act(
-                    None if a == unit else {a: 1}, pif(slots[1:-1]),
-                    None if b == unit else {b: 1}), c)
+                add_moved(chain, c, slots[0],
+                          [(tag, part.terms.items()) for tag, part
+                           in pif(slots[1:-1]).parts.items()], slots[-1])
         hit = cache[key] = Expansion(chain)
     return hit
 

@@ -50,10 +50,10 @@ class SkewAlgebra:
         self.slot_units = {"pair": self.unit_pair, "group": 0,
                            "exp": self.zero_exp}
         self._pair_memo: dict = {}
-        #: pi_s values on free bar tuples (see chainmaps._pi_s_term)
+        #: pi_s values on free bar tuples (see chainmaps._pi_s_terms)
         self._psi_memo: dict = {}
         #: awg images of free generators with at most 2 bar letters, by
-        #: inner tuple (see chainmaps.awg)
+        #: inner tuple, as (tag, pairs) tuples (see chainmaps.awg)
         self._awg_memo: dict = {}
         #: pi and iota images shared by all parameter tables, and the
         #: cochains.Expansion of each pi image (see pbw.py)

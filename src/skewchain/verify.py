@@ -255,9 +255,8 @@ def _commutes(alg, fn, inputs):
         if lhs == rhs:
             yield True, None
             continue
-        defect = ChainVector(alg)
-        defect.add_vector(lhs)
-        defect.add_vector(rhs, alg.field.from_int(-1))
+        defect = lhs
+        defect.add_scaled(rhs, alg.field.from_int(-1))
         yield False, dict(
             _witness(tag, slots), degree=homological_degree(tag),
             defect_terms=sum(len(el.terms) for el in defect.parts.values()),

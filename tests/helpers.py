@@ -20,7 +20,7 @@ import itertools
 import random
 
 from skewchain.chainmaps import pi
-from skewchain.complexes import ChainElement, free_slots
+from skewchain.complexes import ChainElement, Layout, free_slots
 from skewchain.fields import GF, QQ
 from skewchain.groups import (
     cyclic_group,
@@ -169,6 +169,18 @@ PBW_CONFIGS = {
     "s3_refl_q": s3_refl_q,
     "v4_gf2": v4_gf2,
 }
+
+
+def forbid_slot_lists(monkeypatch):
+    """Make a walk over any layout's slots fail by assertion.
+
+    A test of a tag of degree 10**9 then fails at once, instead of by
+    exhausting memory, when the code under test builds the per-slot list.
+    """
+    def walk(_layout):
+        raise AssertionError("the layout's per-slot list was built")
+
+    monkeypatch.setattr(Layout, "__iter__", walk)
 
 
 # -- JSON config documents for the CLI -------------------------------------

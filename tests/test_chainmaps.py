@@ -230,7 +230,7 @@ class TestChainMapProperty:
             v = awg(x)
             out = ChainVector(v.alg)
             for tag, el in v.parts.items():
-                out.add_element(el, -1 if tag[1] % 2 else 1)
+                out.add_scaled(el, -1 if tag[1] % 2 else 1)
             return out
 
         rep = verify_chainmap(swap_q(), "awg", degrees=(1, 2),
@@ -250,13 +250,18 @@ class TestChainMapProperty:
             iota_s(bars)
         with pytest.raises(ShapeMismatch):
             pi_s(kosz)
+        # the D-part maps check the tag before reading its degrees
+        with pytest.raises(ShapeMismatch):
+            id_tensor_iota_s(kosz)
+        with pytest.raises(ShapeMismatch):
+            id_tensor_pi_s(bars)
 
 
 def _two_parts(A, *terms):
     """A ChainVector with one basis term in each of two tags."""
     vec = ChainVector(A)
     for tag, slots in terms:
-        vec.add_element(ChainElement.basis(A, tag, slots, 2))
+        vec.add_terms(tag, [(slots, 2)])
     assert len(vec.parts) == 2
     return vec
 
@@ -293,7 +298,7 @@ def test_map_of_a_vector_is_the_sum_over_its_parts(name):
     vec = _two_parts(A, *terms)
     want = ChainVector(A)
     for el in vec.parts.values():
-        want.add_vector(as_vector(fn(el)))
+        want.add_scaled(fn(el))
     assert not want.is_zero()
     assert fn(vec) == want
 
@@ -472,7 +477,7 @@ class TestAwgMemo:
             for slots in free_terms(warm.algebra, ("barskew", n), 1):
                 x = ChainElement.basis(warm.algebra, ("barskew", n), slots)
                 image = awg(x)
-                image.add_vector(awg(x))
+                image.add_scaled(awg(x))
         assert warm.algebra._awg_memo
         warm.budgets["seed"] = 2
         fresh = self.verify_config(make, seed=2)
@@ -485,3 +490,7 @@ class TestAwgMemo:
         run_verify(cfg, "all")
         memo = cfg.algebra._awg_memo
         assert memo and max(len(inner) for inner in memo) <= 2
+        # held as tuples, so no caller can change a stored image
+        assert all(isinstance(image, tuple)
+                   and all(isinstance(pairs, tuple) for _tag, pairs in image)
+                   for image in memo.values())

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from skewchain.cli import main
+from skewchain.cli import MAX_MAP_FACTOR, main, map_factor
 from skewchain.pbw import PBWReport
 from skewchain.polynomials import MAX_ACTION_DIM
 from skewchain.serialize import (
@@ -23,6 +23,7 @@ from skewchain.serialize import (
 
 from helpers import (
     NONASSOCIATIVE_TABLE,
+    forbid_slot_lists,
     neg_id_q_config_doc,
     swap_q_config_doc,
 )
@@ -355,6 +356,88 @@ class TestApply:
         assert rep["error"] == {"type": "DegreeOutOfRange",
                                 "detail": "pi_s needs bar degree <= 4, got 5"}
 
+    @pytest.mark.parametrize("dim,code", [(9, 2), (7, 0)])
+    def test_iota_s_past_the_factor_cap_is_a_fast_setup_error(
+            self, dim, code, tmp_path, capsys):
+        # iota_s makes j! terms from 1 (x) x0^...^x_{j-1} (x) 1: 7! = 5,040
+        # is within the cap of 10**5 and 9! = 362,880 is not
+        cfg = write_json(tmp_path / "c.json", {
+            "field": "GF(2)", "group": {"family": "cyclic", "n": 1},
+            "action": {"dim": dim}})
+        zero = [0] * dim
+        inp = write_json(tmp_path / "el.json", {
+            "complex": "koszul", "j": dim,
+            "terms": [{"slots": [zero, list(range(dim)), zero]}]})
+        start = time.monotonic()
+        got, rep, _ = run_cli(capsys, ["apply", "iota_s", "--config", cfg,
+                                       "--input", inp])
+        assert got == code
+        if code == 2:
+            assert time.monotonic() - start < 1.0
+            assert rep["error"] == {
+                "type": "DegreeOutOfRange",
+                "detail": f"iota_s on ('koszul', {dim}) makes more than "
+                          f"100000 terms per input term"}
+        else:
+            (part,) = rep["output"]["components"]
+            assert len(part["terms"]) == 5040
+
+    def test_ezg_past_the_factor_cap_is_a_fast_setup_error(self, tmp_path,
+                                                           capsys):
+        # C(20, 10) = 184,756 shuffles of ten group and ten S letters
+        cfg = write_json(tmp_path / "c.json", swap_q_config_doc())
+        inp = write_json(tmp_path / "el.json", {
+            "complex": "twisted", "i": 10, "j": 10, "D": "bar",
+            "terms": [{"slots": [0] + [1] * 10 + [0, [0, 0]]
+                       + [[1, 0]] * 10 + [[0, 0]]}]})
+        start = time.monotonic()
+        code, rep, _ = run_cli(capsys, ["apply", "ezg", "--config", cfg,
+                                        "--input", inp])
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert rep["error"]["type"] == "DegreeOutOfRange"
+        assert "makes more than 100000 terms" in rep["error"]["detail"]
+
+    def test_map_factor(self):
+        assert map_factor("iota_s", ("koszul", 4)) == 24
+        assert map_factor("ezg", ("twisted", 3, 2, "bar")) == 10
+        assert map_factor("iota", ("twisted", 3, 2, "koszul")) == 20
+        assert map_factor("awg", ("barskew", 12)) == 1
+        assert map_factor("pi_s", ("bars", 3)) == 1
+        # past the cap the factor reads cap + 1 after a few steps, however
+        # large the degrees: 10**9! is never formed
+        cap = MAX_MAP_FACTOR
+        assert map_factor("iota_s", ("koszul", 9)) == cap + 1
+        assert map_factor("ezg", ("twisted", 10, 10, "bar")) == cap + 1
+        assert map_factor("iota", ("twisted", 2, 8, "koszul")) == cap + 1
+        huge = 10 ** 9
+        start = time.monotonic()
+        assert map_factor("iota_s", ("koszul", huge)) == cap + 1
+        assert map_factor("ezg", ("twisted", huge, huge, "bar")) == cap + 1
+        assert map_factor("iota", ("twisted", huge, huge, "koszul")) == cap + 1
+        assert time.monotonic() - start < 0.1
+
+    @pytest.mark.parametrize("map_name,doc", [
+        ("iota_s", {"complex": "koszul", "j": 2000}),
+        ("iota_s", {"complex": "koszul", "j": 10 ** 9, "terms": []}),
+        ("ezg", {"complex": "twisted", "i": 10 ** 9, "j": 10 ** 9,
+                 "D": "bar", "terms": []}),
+        ("iota", {"complex": "twisted", "i": 8000, "j": 8000,
+                  "D": "koszul"}),
+    ])
+    def test_empty_input_of_huge_degree_has_an_empty_image(
+            self, map_name, doc, tmp_path, capsys):
+        # the factor cap bounds the terms made per input term, so an input
+        # without terms passes it at once
+        cfg = write_json(tmp_path / "c.json", swap_q_config_doc())
+        inp = write_json(tmp_path / "el.json", doc)
+        start = time.monotonic()
+        code, rep, _ = run_cli(capsys, ["apply", map_name, "--config", cfg,
+                                        "--input", inp])
+        assert time.monotonic() - start < 1.0
+        assert code == 0
+        assert rep["output"]["components"] == []
+
     @pytest.mark.parametrize("mids,terms", [
         (([40, 0], [0, 40]), 0),
         (([0, 40], [40, 0]), 1600),
@@ -651,8 +734,9 @@ def test_hostile_element_is_a_setup_error(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("map_name", ["awg", "diff"])
 def test_tag_of_degree_1e9_is_a_fast_setup_error(map_name, tmp_path,
-                                                 capsys):
+                                                 capsys, monkeypatch):
     # the slot count is checked before any per-slot layout is built
+    forbid_slot_lists(monkeypatch)
     unit = [[0, 0], 0]
     cfg = write_json(tmp_path / "c.json", swap_q_config_doc())
     inp = write_json(tmp_path / "el.json", {

@@ -49,7 +49,7 @@ def test_chainmap_witnesses_are_capped_and_name_the_defect():
         v = awg(x)
         out = ChainVector(v.alg)
         for tag, el in v.parts.items():
-            out.add_element(el, -1 if tag[1] % 2 else 1)
+            out.add_scaled(el, -1 if tag[1] % 2 else 1)
         return out
 
     rep = verify.verify_chainmap(swap_q(), "awg", degrees=(1, 2),
@@ -69,7 +69,7 @@ def test_chainmap_witness_renders_the_defect():
         v = awg(x)
         out = ChainVector(v.alg)
         for tag, el in v.parts.items():
-            out.add_element(el, tag[1] + 1)
+            out.add_scaled(el, tag[1] + 1)
         return out
 
     alg = swap_q()
