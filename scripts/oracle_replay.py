@@ -107,8 +107,8 @@ def apply_reports(seeds=SEEDS):
                 for tag, slots in ops:
                     family = (f"twisted_{tag[3]}" if tag[0] == "twisted"
                               else tag[0])
-                    doc = serialize.element_to_json(
-                        complexes.ChainElement.basis(cfg.algebra, tag, slots))
+                    x = complexes.ChainElement.basis(cfg.algebra, tag, slots)
+                    doc = serialize.element_to_json(tag, x)
                     for name in cli.MAP_NAMES:
                         if name == "diff" or cli.MAP_DOMAINS[name] == family:
                             yield cli.run_apply(cfg, name, doc)[0]

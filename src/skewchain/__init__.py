@@ -35,7 +35,6 @@ from .polynomials import (
 from .skew import ContextMismatch, SkewAlgebra
 from .complexes import (
     ChainElement,
-    ChainVector,
     ShapeMismatch,
     bimodule_act,
     diff,
@@ -77,7 +76,7 @@ __all__ = [
     "LinearAction", "poly_mul",
     "DimensionMismatch", "ActionTooLarge",
     "SkewAlgebra", "ContextMismatch",
-    "ChainElement", "ChainVector", "ShapeMismatch", "expand_term",
+    "ChainElement", "ShapeMismatch", "expand_term",
     "diff", "bimodule_act",
     "awg", "ezg", "iota_s", "pi_s", "iota", "pi",
     "verify_chainmap", "DegreeOutOfRange",

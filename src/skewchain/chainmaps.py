@@ -33,12 +33,12 @@ On top of these sit the Koszul comparison maps:
   splitting between the bar resolution of A and the twisted product with
   the Koszul resolution.
 
-All maps accept a ChainElement or ChainVector, read its ``(tag, element)``
-parts once, and return one ChainVector.  Their kernels (``_awg_free``,
+All maps read the ``{tag: {slots: coeff}}`` parts of a ChainElement once
+and return one ChainElement.  Their kernels (``_awg_free``,
 ``_ezg_free``, ``_antisymmetrize``, ``_pi_s_terms``) yield ``(slots,
 coeff)`` pairs, which go through the ``act_*`` actions of
 :mod:`skewchain.complexes` when a term has outer coefficients, and then
-into the output through :meth:`ChainVector.add_terms`.
+into the output through :meth:`ChainElement.add_terms`.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 
 from .complexes import (
-    ChainVector,
+    ChainElement,
     ShapeMismatch,
     act_barskew_left,
     act_barskew_right,
@@ -64,7 +64,7 @@ class DegreeOutOfRange(ValueError):
 
 # -- the twisted Alexander-Whitney map -------------------------------------
 
-def awg(x) -> ChainVector:
+def awg(x) -> ChainElement:
     """Twisted Alexander-Whitney map on bar-resolution elements.
 
     awg is a bimodule map, so each term a . E . b is the image of its free
@@ -72,11 +72,11 @@ def awg(x) -> ChainVector:
     """
     alg = x.alg
     memo = alg._awg_memo
-    out = ChainVector(alg)
-    for tag, el in x.parts.items():
+    out = ChainElement(alg)
+    for tag, terms in x.parts.items():
         if tag[0] != "barskew":
             raise ShapeMismatch(f"awg expects barskew elements, got {tag}")
-        for slots, c in el.terms.items():
+        for slots, c in terms.items():
             inner = slots[1:-1]
             image = memo.get(inner)
             if image is None:
@@ -171,18 +171,18 @@ def _shuffles(i: int, j: int):
     return table
 
 
-def ezg(x) -> ChainVector:
+def ezg(x) -> ChainElement:
     """Twisted Eilenberg-Zilber map on twisted-product elements (D = bar)."""
     alg = x.alg
     f = alg.field
     unit = alg.unit()
-    out = ChainVector(alg)
-    for tag, el in x.parts.items():
+    out = ChainElement(alg)
+    for tag, terms in x.parts.items():
         if tag[0] != "twisted" or tag[3] != "bar":
             raise ShapeMismatch(
                 f"ezg expects twisted(bar) elements, got {tag}")
         btag = ("barskew", tag[1] + tag[2])
-        for slots, c in el.terms.items():
+        for slots, c in terms.items():
             a, items, b = free_decompose(alg, tag, slots)
             for c2, (cbars, dmid) in items:
                 pairs = _ezg_free(alg, cbars, dmid, f.mul(c, c2))
@@ -240,14 +240,14 @@ def _antisymmetrize(alg: SkewAlgebra, pairs, lo):
                    + (m1,), signed[_perm_sign(perm)])
 
 
-def iota_s(x) -> ChainVector:
+def iota_s(x) -> ChainElement:
     """Antisymmetrizer Koszul_j -> BarS_j (an S-bimodule chain map)."""
-    out = ChainVector(x.alg)
-    for tag, el in x.parts.items():
+    out = ChainElement(x.alg)
+    for tag, terms in x.parts.items():
         if tag[0] != "koszul":
             raise ShapeMismatch(f"iota_s expects koszul elements, got {tag}")
         out.add_terms(("bars", tag[1]),
-                      _antisymmetrize(x.alg, el.terms.items(), 0))
+                      _antisymmetrize(x.alg, terms.items(), 0))
     return out
 
 
@@ -300,47 +300,47 @@ def _pi_s_terms(alg: SkewAlgebra, pairs, lo):
             yield head + (a, w, b), v if c == 1 else mul(c, v)
 
 
-def pi_s(x) -> ChainVector:
+def pi_s(x) -> ChainElement:
     """The splitting BarS_j -> Koszul_j (an S-bimodule chain map)."""
-    out = ChainVector(x.alg)
-    for tag, el in x.parts.items():
+    out = ChainElement(x.alg)
+    for tag, terms in x.parts.items():
         if tag[0] != "bars":
             raise ShapeMismatch(f"pi_s expects bars elements, got {tag}")
         out.add_terms(("koszul", tag[1]),
-                      _pi_s_terms(x.alg, el.terms.items(), 0))
+                      _pi_s_terms(x.alg, terms.items(), 0))
     return out
 
 
 # -- the induced maps on the twisted product -------------------------------
 
-def id_tensor_iota_s(x) -> ChainVector:
+def id_tensor_iota_s(x) -> ChainElement:
     """Apply the antisymmetrizer to the D-part of twisted(koszul) terms."""
-    out = ChainVector(x.alg)
-    for tag, el in x.parts.items():
+    out = ChainElement(x.alg)
+    for tag, terms in x.parts.items():
         if tag[0] != "twisted" or tag[3] != "koszul":
             raise ShapeMismatch(f"expected twisted(koszul), got {tag}")
         out.add_terms(tag[:3] + ("bar",),
-                      _antisymmetrize(x.alg, el.terms.items(), tag[1] + 2))
+                      _antisymmetrize(x.alg, terms.items(), tag[1] + 2))
     return out
 
 
-def id_tensor_pi_s(x) -> ChainVector:
+def id_tensor_pi_s(x) -> ChainElement:
     """Apply pi_s to the D-part of twisted(bar) terms."""
-    out = ChainVector(x.alg)
-    for tag, el in x.parts.items():
+    out = ChainElement(x.alg)
+    for tag, terms in x.parts.items():
         if tag[0] != "twisted" or tag[3] != "bar":
             raise ShapeMismatch(f"expected twisted(bar), got {tag}")
         out.add_terms(tag[:3] + ("koszul",),
-                      _pi_s_terms(x.alg, el.terms.items(), tag[1] + 2))
+                      _pi_s_terms(x.alg, terms.items(), tag[1] + 2))
     return out
 
 
-def iota(x) -> ChainVector:
+def iota(x) -> ChainElement:
     """The section X_{i,j} -> BarSkew_{i+j} (ezg after id ⊗ iota_s)."""
     return ezg(id_tensor_iota_s(x))
 
 
-def pi(x) -> ChainVector:
+def pi(x) -> ChainElement:
     """The retraction BarSkew_n -> sum of X_{i,j} (id ⊗ pi_s after awg)."""
     return id_tensor_pi_s(awg(x))
 

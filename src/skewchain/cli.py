@@ -162,29 +162,29 @@ def map_factor(map_name: str, tag) -> int:
 
 def run_apply(cfg: RunConfig, map_name: str, input_doc: dict):
     alg = cfg.algebra
-    x = element_from_json(alg, input_doc)
-    family = f"twisted_{x.tag[3]}" if x.tag[0] == "twisted" else x.tag[0]
+    tag, x = element_from_json(alg, input_doc)
+    family = f"twisted_{tag[3]}" if tag[0] == "twisted" else tag[0]
     if map_name == "diff":
         image = diff(x)
     elif family != MAP_DOMAINS[map_name]:
-        raise ShapeMismatch(f"{map_name} is not defined on {x.tag}; "
+        raise ShapeMismatch(f"{map_name} is not defined on {tag}; "
                             f"expected a {MAP_DOMAINS[map_name]} element")
     else:
         bound = max(cfg.budgets["j_max"], 4)
-        if map_name in ("pi_s", "pi") and x.tag[1] > bound:
+        if map_name in ("pi_s", "pi") and tag[1] > bound:
             raise DegreeOutOfRange(f"{map_name} needs bar degree <= {bound}, "
-                                   f"got {x.tag[1]}")
+                                   f"got {tag[1]}")
         # an empty input has an empty image, whatever its degrees
-        if x.terms and map_factor(map_name, x.tag) > MAX_MAP_FACTOR:
+        if x.parts and map_factor(map_name, tag) > MAX_MAP_FACTOR:
             raise DegreeOutOfRange(
-                f"{map_name} on {x.tag} makes more than {MAX_MAP_FACTOR} "
+                f"{map_name} on {tag} makes more than {MAX_MAP_FACTOR} "
                 f"terms per input term")
         image = map_by_name(map_name)(x)
     report = {
         "command": "apply",
         "map": map_name,
         "seed": cfg.budgets["seed"],
-        "input": element_to_json(x),
+        "input": element_to_json(tag, x),
         "output": vector_to_json(image),
     }
     return report, EXIT_PASS

@@ -19,8 +19,8 @@ The operations implemented on bar-resolution cochains:
   maps pi and iota, moving cochains between the twisted-product complex
   and the bar resolution.
 
-Evaluating a cochain on an element whose tag differs from the cochain's
-domain gives zero (cochains are extended by zero to other degrees and
+A cochain evaluated on a chain reads only the chain's part on its own
+domain tag (cochains are extended by zero to other degrees and
 bidegrees), which is what makes evaluation against the mixed-degree
 outputs of pi well defined.
 
@@ -85,21 +85,22 @@ class Cochain:
         return hit
 
     def eval_element(self, x) -> dict:
-        """Value on a chain element, vector or :class:`Expansion`, extended
-        by zero off-tag; a twisted chain is read through an Expansion."""
+        """Value on a chain or :class:`Expansion`, extended by zero off-tag;
+        a twisted chain is read through an Expansion."""
         if isinstance(x, Expansion):
             return x.contract(self)
-        x = x.parts.get(self.tag)
-        if x is None:
+        terms = x.parts.get(self.tag)
+        if terms is None:
             return {}
         if self.tag[0] == "twisted":
-            return Expansion(x).contract(self)
+            part = ChainElement(x.alg, {self.tag: terms})
+            return Expansion(part).contract(self)
         if self.tag[0] != "barskew":
             raise ShapeMismatch(f"cannot evaluate cochains on {self.tag}")
         alg = self.alg
         f = alg.field
         out: dict = {}
-        for slots, c in x.terms.items():
+        for slots, c in terms.items():
             # a * f(E) * b on the basis term a . E . b
             v = self.value(slots[1:-1])
             if v and slots[0] != alg.unit_pair:
@@ -149,11 +150,11 @@ class Expansion:
         f = alg.field
         memo = alg._free_decompose_memo
         self.parts: dict = {}
-        for tag, el in x.parts.items():
+        for tag, terms in x.parts.items():
             if tag[0] != "twisted":
                 raise ShapeMismatch(f"cannot expand a chain on {tag}")
             part = self.parts[tag] = {}
-            for slots, c in el.terms.items():
+            for slots, c in terms.items():
                 split = memo.get((tag, slots))
                 if split is None:
                     split = memo[(tag, slots)] = free_decompose(alg, tag,

@@ -21,12 +21,13 @@ slots (inner slots, where the unit is struck out) :func:`layout` gives:
     d_C ⊗ 1 + (-1)^i 1 ⊗ d_D, while the A-bimodule structure twists through
     the group degree of the C-part (see ``act_skew_left/right``).
 
-A :class:`ChainElement` is a dict of terms over a single tag and a
-:class:`ChainVector` a tag-indexed sum of them; both show their
-``(tag, element)`` parts through ``parts``, so every map reads either
-input the same way.  A map application builds one ChainVector: for each
-output tag it sends a stream of ``(slots, coeff)`` pairs from a kernel
-into :meth:`ChainVector.add_terms`, and no intermediate chain is built.
+A :class:`ChainElement` is a sum over tags of terms, held as
+``parts = {tag: {slots: coeff}}``: a basis term has one part, and a map
+such as awg, whose image spreads over several bidegrees, gives several.
+A map application reads the parts of its input and builds one chain: for
+each output tag it sends a stream of ``(slots, coeff)`` pairs from a
+kernel into :meth:`ChainElement.add_terms`, and no intermediate chain is
+built.
 The kernels take and yield such pairs: :func:`bar_faces` for the bar
 complexes and the bar D-part, :func:`koszul_faces` for the Koszul complex
 and the Koszul D-part, and the four ``act_*`` actions of
@@ -38,7 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .fields import scaled_pairs, vec_add, vec_scale
+from .fields import scaled_pairs
 from .polynomials import monomial_mul, total_degree, var_exp
 from .skew import SkewAlgebra
 
@@ -140,74 +141,14 @@ def term_sort_key(slots):
     return tuple(out)
 
 
-# -- elements --------------------------------------------------------------
+# -- chains ----------------------------------------------------------------
 
 class ChainElement:
-    """A finite k-linear combination of basis terms of a single complex."""
+    """A finite k-linear combination of basis terms, over one complex or
+    several: ``parts`` maps each tag to its ``{slots: coeff}`` terms.
 
-    __slots__ = ("alg", "tag", "terms")
-
-    def __init__(self, alg: SkewAlgebra, tag, terms=None):
-        self.alg = alg
-        self.tag = tag
-        self.terms = {} if terms is None else terms
-
-    @classmethod
-    def zero(cls, alg, tag):
-        return cls(alg, tag)
-
-    @classmethod
-    def basis(cls, alg, tag, slots, coeff=1):
-        if coeff == 0:
-            return cls(alg, tag)
-        return cls(alg, tag, {slots: coeff})
-
-    @property
-    def parts(self) -> dict:
-        """This element as the one part of a vector: ``{tag: self}``."""
-        return {self.tag: self}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def scaled(self, c) -> "ChainElement":
-        return ChainElement(self.alg, self.tag,
-                            vec_scale(self.alg.field, c, self.terms))
-
-    def __add__(self, other: "ChainElement") -> "ChainElement":
-        self.alg.require_same(other.alg)
-        if self.tag != other.tag:
-            raise ShapeMismatch(
-                f"cannot add elements of {self.tag} and {other.tag}"
-            )
-        return ChainElement(self.alg, self.tag,
-                            vec_add(self.alg.field, self.terms, other.terms))
-
-    def __sub__(self, other: "ChainElement") -> "ChainElement":
-        return self + other.scaled(self.alg.field.from_int(-1))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChainElement)
-            and self.tag == other.tag
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):  # pragma: no cover - elements are not dict keys
-        raise TypeError("ChainElement is unhashable")
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"<ChainElement {self.tag} with {len(self.terms)} terms>"
-
-
-class ChainVector:
-    """A tag-indexed sum of chain elements (inhomogeneous map output).
-
-    A part is present only while it has terms, so a vector whose terms
-    cancel equals the empty vector.
+    A part is present only while it has terms, so a chain whose terms
+    cancel equals the empty chain.
     """
 
     __slots__ = ("alg", "parts")
@@ -216,42 +157,41 @@ class ChainVector:
         self.alg = alg
         self.parts: dict = {} if parts is None else parts
 
+    @classmethod
+    def basis(cls, alg, tag, slots, coeff=1):
+        return cls(alg, {tag: {slots: coeff}} if coeff != 0 else {})
+
     def add_terms(self, tag, pairs):
         """Accumulate the ``(slots, coeff)`` pairs into the part of a tag."""
-        el = self.parts.get(tag)
-        terms = self.alg.field.accumulate({} if el is None else el.terms,
-                                          pairs)
-        if not terms:
-            self.parts.pop(tag, None)
-        elif el is None:
-            self.parts[tag] = ChainElement(self.alg, tag, terms)
+        parts = self.parts
+        terms = self.alg.field.accumulate(parts.get(tag) or {}, pairs)
+        if terms:
+            parts[tag] = terms
+        else:
+            parts.pop(tag, None)
 
     def add_scaled(self, x, c=1):
-        """Accumulate c times the chain element or vector x."""
-        for tag, el in x.parts.items():
+        """Accumulate c times the chain x, which must share the algebra."""
+        self.alg.require_same(x.alg)
+        for tag, terms in x.parts.items():
             self.add_terms(tag, scaled_pairs(self.alg.field, c,
-                                             el.terms.items()))
-
-    def components(self):
-        return [self.parts[t] for t in sorted(self.parts)]
+                                             terms.items()))
 
     def is_zero(self) -> bool:
         return not self.parts
 
     def __eq__(self, other):
-        return isinstance(other, ChainVector) and self.parts == other.parts
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("ChainVector is unhashable")
+        return isinstance(other, ChainElement) and self.parts == other.parts
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        return f"<ChainVector tags={sorted(self.parts)}>"
+        return f"<ChainElement tags={sorted(self.parts)}>"
 
 
-def as_vector(x) -> ChainVector:
-    """x as a ChainVector; its nonzero parts are shared, not copied."""
-    return ChainVector(x.alg, {tag: el for tag, el in x.parts.items()
-                               if el.terms})
+def as_vector(x) -> ChainElement:
+    """x itself: every chain is one ChainElement, whatever its tags.  Kept
+    because ``perfbench/workloads.py`` compares ``pi(iota(x))`` against
+    ``as_vector(x)``."""
+    return x
 
 
 # -- construction with normalization ---------------------------------------
@@ -293,8 +233,8 @@ def expand_term(alg: SkewAlgebra, tag, slot_values, coeff=1) -> ChainElement:
             return items
         return [(item, c) for item, c in items if item != units[kind]]
 
-    out = ChainElement(alg, tag)
-    alg.field.accumulate(out.terms, tensor_expand(
+    out = ChainElement(alg)
+    out.add_terms(tag, tensor_expand(
         alg.field, [((), coeff)],
         [slot_items(kind, bar, val)
          for (kind, bar), val in zip(lay, slot_values)]))
@@ -356,8 +296,8 @@ def koszul_faces(alg: SkewAlgebra, pairs, lo):
             yield head + (m0, rest, monomial_mul(m1, e)), signed[1 - t % 2]
 
 
-def diff(x) -> ChainVector:
-    """The differential of a chain element or vector, as one ChainVector.
+def diff(x) -> ChainElement:
+    """The differential of a chain, as one chain.
 
     The bar complexes take the alternating sum of slot merges
     (:func:`bar_faces`), the Koszul complex contracts each wedge factor
@@ -366,10 +306,10 @@ def diff(x) -> ChainVector:
     slots and d_D the S bar or Koszul differential on the D slots.
     """
     alg = x.alg
-    out = ChainVector(alg)
-    for tag, el in x.parts.items():
+    out = ChainElement(alg)
+    for tag, terms in x.parts.items():
         kind, n = tag[0], tag[1]
-        terms = el.terms.items()
+        terms = terms.items()
         if kind == "twisted":
             _kind, i, j, dkind = tag
             # horizontal part: bar faces on the group slots
@@ -473,16 +413,16 @@ _ACTIONS = {"twisted": (act_skew_left, act_skew_right),
             "barskew": (act_barskew_left, act_barskew_right)}
 
 
-def bimodule_act(a, x, b) -> ChainVector:
-    """a . x . b for a, b skew elements (or None) and x a chain element or
-    vector, as one ChainVector."""
+def bimodule_act(a, x, b) -> ChainElement:
+    """a . x . b for a, b skew elements (or None) and x a chain, as one
+    chain."""
     alg = x.alg
-    out = ChainVector(alg)
-    for tag, el in x.parts.items():
+    out = ChainElement(alg)
+    for tag, terms in x.parts.items():
         actions = _ACTIONS.get(tag[0])
         if actions is None:
             raise ShapeMismatch(f"no A-bimodule structure on {tag}")
-        terms = el.terms.items()
+        terms = terms.items()
         if a is not None:
             terms = actions[0](alg, tag, terms, a)
         if b is not None:
@@ -491,7 +431,7 @@ def bimodule_act(a, x, b) -> ChainVector:
     return out
 
 
-def add_moved(out: ChainVector, c, a, image, b):
+def add_moved(out: ChainElement, c, a, image, b):
     """Accumulate c · a·E·b into ``out``, for E a twisted chain given by its
     ``(tag, pairs)`` parts and a, b the outer slot pairs of a term."""
     alg = out.alg

@@ -43,7 +43,6 @@ from .chainmaps import DegreeOutOfRange, iota, pi
 from .cochains import Cochain, Expansion, circle, transport_up
 from .complexes import (
     ChainElement,
-    ChainVector,
     add_moved,
     diff,
     free_slots,
@@ -422,11 +421,11 @@ def _pi_of_boundary(alg, pif, i, j, index, image):
     key = (i, j, index)
     hit = cache.get(key)
     if hit is None:
-        chain = ChainVector(alg)
-        for el in diff(image).parts.values():
-            for slots, c in el.terms.items():
+        chain = ChainElement(alg)
+        for terms in diff(image).parts.values():
+            for slots, c in terms.items():
                 add_moved(chain, c, slots[0],
-                          [(tag, part.terms.items()) for tag, part
+                          [(tag, part.items()) for tag, part
                            in pif(slots[1:-1]).parts.items()], slots[-1])
         hit = cache[key] = Expansion(chain)
     return hit

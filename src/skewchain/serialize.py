@@ -26,7 +26,11 @@ are listed in ``_DEGREE_KEYS`` ("n" for barskew, "i" and "j" with "D" for
 twisted, ...), and each slot is encoded by its kind in
 :func:`skewchain.complexes.layout`: a "pair" is ``[[exponents], g]``, a
 "group" slot a group index, an "exp" slot an exponent list and a "wedge"
-a list of strictly increasing variable indices.
+a list of strictly increasing variable indices.  The codec reads such a
+document into ``(tag, chain)`` and writes the part of a chain on one tag,
+so an input whose terms are empty or cancel keeps its tag; a chain over
+several tags, such as a map's output, travels as ``{"components": [...]}``,
+one element per tag in tag order.
 
 Reports are rendered with :func:`canonical_json` (sorted keys, no
 whitespace) so identical (config, seed) runs produce byte-identical output.
@@ -48,11 +52,11 @@ from .polynomials import LinearAction
 from .skew import SkewAlgebra
 from .complexes import (
     ChainElement,
-    ChainVector,
     ShapeMismatch,
     expand_term,
     layout,
     term_s_degree,
+    term_sort_key,
     wedge_degree,
 )
 from .pbw import PBWParams
@@ -316,15 +320,16 @@ def _slot_to_json(kind, val):
     return val if kind == "group" else list(val)
 
 
-def element_from_json(alg: SkewAlgebra, doc: dict) -> ChainElement:
-    """Parse element JSON; terms are normalized (unit bar entries die)."""
+def element_from_json(alg: SkewAlgebra, doc: dict) -> tuple:
+    """Parse element JSON into ``(tag, chain)``; terms are normalized (unit
+    bar entries die), so the chain may have no part of the tag."""
     tag = tag_from_json(doc)
     terms = doc.get("terms", [])
     if not isinstance(terms, list):
         raise ShapeMismatch("terms must be a list")
     lay = layout(tag)
     n_slots = len(lay)
-    out = ChainElement(alg, tag)
+    out = ChainElement(alg)
     widths = [max(sum(1 for row in mat if row[i] != 0)
                   for mat in alg.action.matrices)
               for i in range(alg.nvars)]
@@ -356,27 +361,29 @@ def element_from_json(alg: SkewAlgebra, doc: dict) -> ChainElement:
             coeff = alg.field.parse(entry.get("coeff", "1"))
         except (TypeError, ValueError) as e:
             raise ShapeMismatch(f"bad coefficient in term {entry!r}: {e}")
-        piece = expand_term(alg, tag, slots, coeff)
-        alg.field.accumulate(out.terms, piece.terms.items())
-    return out
+        out.add_scaled(expand_term(alg, tag, slots, coeff))
+    return tag, out
 
 
-def element_to_json(x: ChainElement) -> dict:
-    doc = tag_to_json(x.tag)
+def element_to_json(tag, x: ChainElement) -> dict:
+    """The part of the chain x on one tag, as element JSON."""
+    doc = tag_to_json(tag)
     field = x.alg.field
     doc["terms"] = [
         {
             "slots": [_slot_to_json(kind, v)
-                      for (kind, _bar), v in zip(layout(x.tag), slots)],
+                      for (kind, _bar), v in zip(layout(tag), slots)],
             "coeff": field.format(c),
         }
-        for slots, c in x.sorted_terms()
+        for slots, c in sorted(x.parts.get(tag, {}).items(),
+                               key=lambda kv: term_sort_key(kv[0]))
     ]
     return doc
 
 
-def vector_to_json(vec: ChainVector) -> dict:
-    return {"components": [element_to_json(el) for el in vec.components()]}
+def vector_to_json(x: ChainElement) -> dict:
+    """Every part of the chain x, by tag, as element JSON."""
+    return {"components": [element_to_json(tag, x) for tag in sorted(x.parts)]}
 
 
 # -- canonical output ------------------------------------------------------

@@ -424,11 +424,15 @@ class TestApply:
                  "D": "bar", "terms": []}),
         ("iota", {"complex": "twisted", "i": 8000, "j": 8000,
                   "D": "koszul"}),
+        # two terms that cancel
+        ("awg", {"complex": "barskew", "n": 1, "terms": [
+            {"slots": [[[0, 0], 0], [[1, 0], 1], [[0, 0], 0]], "coeff": c}
+            for c in ("1", "-1")]}),
     ])
     def test_empty_input_of_huge_degree_has_an_empty_image(
             self, map_name, doc, tmp_path, capsys):
         # the factor cap bounds the terms made per input term, so an input
-        # without terms passes it at once
+        # without terms passes it at once; its echo keeps the tag
         cfg = write_json(tmp_path / "c.json", swap_q_config_doc())
         inp = write_json(tmp_path / "el.json", doc)
         start = time.monotonic()
@@ -436,6 +440,7 @@ class TestApply:
                                         "--input", inp])
         assert time.monotonic() - start < 1.0
         assert code == 0
+        assert rep["input"] == {**doc, "terms": []}
         assert rep["output"]["components"] == []
 
     @pytest.mark.parametrize("mids,terms", [

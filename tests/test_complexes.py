@@ -18,9 +18,7 @@ import pytest
 
 from skewchain.complexes import (
     ChainElement,
-    ChainVector,
     ShapeMismatch,
-    as_vector,
     bimodule_act,
     diff,
     expand_term,
@@ -32,6 +30,7 @@ from skewchain.complexes import (
     term_s_degree,
 )
 from skewchain.polynomials import poly_mul
+from skewchain.skew import ContextMismatch
 
 from helpers import (
     CHAINMAP_CONFIGS,
@@ -49,34 +48,41 @@ X0, X1 = (1, 0), (0, 1)
 UNIT = (Z, 0)
 
 
-class TestChainVector:
+class TestChainElement:
     def test_cancelled_terms_leave_no_empty_part(self):
         A = swap_q()
-        x = ChainElement.basis(A, ("bars", 1), (Z, X0, Z), 3)
-        y = ChainElement.basis(A, ("barg", 1), (0, 1, 0))
-        vec = ChainVector(A)
-        vec.add_terms(x.tag, x.terms.items())
-        vec.add_terms(y.tag, y.terms.items())
-        vec.add_terms(x.tag, [((Z, X0, Z), -3)])
+        vec = ChainElement(A)
+        vec.add_terms(("bars", 1), [((Z, X0, Z), 3)])
+        vec.add_terms(("barg", 1), [((0, 1, 0), 1)])
+        vec.add_terms(("bars", 1), [((Z, X0, Z), -3)])
         assert list(vec.parts) == [("barg", 1)]
         vec.add_terms(("barg", 1), [((0, 1, 0), -1)])
         assert vec.parts == {}
-        assert vec == ChainVector(A)
+        assert vec == ChainElement(A)
         assert vec.is_zero()
 
     def test_add_scaled_reads_every_part(self):
         A = swap_q()
         x = ChainElement.basis(A, ("bars", 1), (Z, X0, Z), 3)
         y = ChainElement.basis(A, ("barg", 1), (0, 1, 0))
-        vec = ChainVector(A)
+        vec = ChainElement(A)
         vec.add_scaled(x)
         vec.add_scaled(y, 2)
-        assert vec.parts[("bars", 1)] == x
-        assert vec.parts[("barg", 1)].terms == {(0, 1, 0): 2}
-        other = ChainVector(A)
+        assert vec.parts == {("bars", 1): {(Z, X0, Z): 3},
+                             ("barg", 1): {(0, 1, 0): 2}}
+        other = ChainElement(A)
         other.add_scaled(vec, -1)
         vec.add_scaled(other)
         assert vec.is_zero()
+        assert x.parts == {("bars", 1): {(Z, X0, Z): 3}}
+
+    def test_add_scaled_rejects_a_chain_of_another_algebra(self):
+        # equal slots mean different terms over different algebras
+        x = ChainElement.basis(swap_q(), ("barg", 1), (0, 1, 0))
+        y = ChainElement.basis(s3_perm_q(), ("barg", 1), (0, 2, 0))
+        with pytest.raises(ContextMismatch):
+            x.add_scaled(y)
+        assert x.parts == {("barg", 1): {(0, 1, 0): 1}}
 
 
 class TestExpandTerm:
@@ -84,30 +90,30 @@ class TestExpandTerm:
         A = swap_q()
         # 1 ⊗ (3 + x0) ⊗ 1 in the bar of S -> 1 ⊗ x0 ⊗ 1
         el = expand_term(A, ("bars", 1), (Z, {Z: 3, X0: 1}, Z))
-        assert el.terms == {(Z, X0, Z): 1}
+        assert el.parts == {("bars", 1): {(Z, X0, Z): 1}}
 
     def test_bar_group_slot_identity_dies(self):
         A = swap_q()
         el = expand_term(A, ("barg", 1), (0, 0, 0))
-        assert el.terms == {}
+        assert el.parts == {}
 
     def test_outer_slot_unreduced(self):
         A = swap_q()
         el = expand_term(A, ("bars", 1), ({Z: 3, X0: 1}, X1, Z))
-        assert el.terms == {(Z, X1, Z): 3, (X0, X1, Z): 1}
+        assert el.parts == {("bars", 1): {(Z, X1, Z): 3, (X0, X1, Z): 1}}
 
     def test_multilinear(self):
         A = swap_q()
         el = expand_term(
             A, ("bars", 1), ({Z: 2}, {X0: 1, X1: -1}, Z), coeff=3
         )
-        assert el.terms == {(Z, X0, Z): 6, (Z, X1, Z): -6}
+        assert el.parts == {("bars", 1): {(Z, X0, Z): 6, (Z, X1, Z): -6}}
 
     def test_idempotent_on_basis(self):
         A = swap_q()
         slots = (UNIT, (X0, 1), UNIT)
         el = expand_term(A, ("barskew", 1), slots)
-        assert el.terms == {slots: 1}
+        assert el.parts == {("barskew", 1): {slots: 1}}
 
     def test_shape_mismatch(self):
         A = swap_q()
@@ -119,7 +125,7 @@ def d_terms(x):
     """The terms of the differential of a basis element of a bar or
     Koszul complex, all in one tag."""
     (part,) = diff(x).parts.values()
-    return part.terms
+    return part
 
 
 class TestBarDifferential:
@@ -181,7 +187,7 @@ class TestTwistedDifferential:
         x = ChainElement.basis(A, ("twisted", 1, 0, "bar"), (0, 1, 0, Z, Z))
         d = diff(x)
         comp = d.parts[("twisted", 0, 0, "bar")]
-        assert comp.terms == {(1, 0, Z, Z): 1, (0, 1, Z, Z): -1}
+        assert comp == {(1, 0, Z, Z): 1, (0, 1, Z, Z): -1}
         assert len(d.parts) == 1
 
     def test_vertical_only_in_bidegree_0_1(self):
@@ -189,7 +195,7 @@ class TestTwistedDifferential:
         x = ChainElement.basis(A, ("twisted", 0, 1, "bar"), (0, 0, Z, X0, Z))
         d = diff(x)
         comp = d.parts[("twisted", 0, 0, "bar")]
-        assert comp.terms == {(0, 0, X0, Z): 1, (0, 0, Z, X0): -1}
+        assert comp == {(0, 0, X0, Z): 1, (0, 0, Z, X0): -1}
 
     def test_vertical_sign_alternates(self):
         # on X_{1,1} the vertical differential carries (−1)^i = −1
@@ -198,7 +204,7 @@ class TestTwistedDifferential:
             A, ("twisted", 1, 1, "bar"), (0, 1, 0, Z, X0, Z)
         )
         vert = diff(x).parts[("twisted", 1, 0, "bar")]
-        assert vert.terms == {
+        assert vert == {
             (0, 1, 0, X0, Z): -1,
             (0, 1, 0, Z, X0): 1,
         }
@@ -239,7 +245,8 @@ class TestBimoduleStructure:
         A = swap_q()
         x = ChainElement.basis(A, ("twisted", 0, 1, "bar"), (0, 0, Z, X0, Z))
         moved = bimodule_act({(X1, 0): 1}, x, None)
-        assert moved.parts[x.tag].terms == {(0, 0, X1, X0, Z): 1}
+        assert moved.parts[("twisted", 0, 1, "bar")] == {
+            (0, 0, X1, X0, Z): 1}
 
     def test_right_group_action(self):
         # s = 1: (c⊗d)·h = ch ⊗ ʰ⁻¹d
@@ -247,7 +254,8 @@ class TestBimoduleStructure:
         x = ChainElement.basis(A, ("twisted", 1, 1, "bar"), (0, 1, 0, Z, X0, Z))
         moved = bimodule_act(None, x, {(Z, 1): 1})
         # right outer C slot picks up h; every D entry is twisted by h⁻¹ = g
-        assert moved.parts[x.tag].terms == {(0, 1, 1, Z, X1, Z): 1}
+        assert moved.parts[("twisted", 1, 1, "bar")] == {
+            (0, 1, 1, Z, X1, Z): 1}
 
     def test_formula_against_direct_evaluation(self):
         # s·(c⊗d)·h with c of group degree g: ch ⊗ ^{(gh)^{-1}}s · ^{h^{-1}}d
@@ -281,15 +289,15 @@ class TestBimoduleStructure:
                 wd = act.act_wedge(hinv, w)
                 m0h = act.act_monomial(hinv, m0)
                 m1h = act.act_monomial(hinv, m1)
-                want = ChainElement(A, tag)
+                want = ChainElement(A)
                 for wslots, wc in wd.items():
-                    want = want + expand_term(
+                    want.add_scaled(expand_term(
                         A, tag,
                         new_c
                         + (poly_mul(A.field, tw, m0h), wslots, m1h),
                         coeff=wc,
-                    )
-            assert got == as_vector(want)
+                    ))
+            assert got == want
 
     def test_module_axioms(self):
         A = z3_unipotent_gf3()
@@ -355,13 +363,13 @@ class TestFreeStructure:
             slots = random_twisted_slots(A, i, j, dkind, 2, rng, free=False)
             x = ChainElement.basis(A, tag, slots)
             a, items, b = free_decompose(A, tag, slots)
-            acc = ChainVector(A)
+            acc = ChainElement(A)
             for c, (cbars, dmid) in items:
                 free = ChainElement.basis(
                     A, tag, free_slots(A, tag, cbars + dmid)
                 )
                 acc.add_scaled(bimodule_act(a, free, b), c)
-            assert acc == as_vector(x)
+            assert acc == x
 
     def test_s_degree(self):
         A = swap_q()

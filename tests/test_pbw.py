@@ -682,11 +682,11 @@ class TestConditionsOnNonBasisVectors:
         rng = random.Random(37)
         tag = ("twisted", 1, 2, "koszul")
         for _ in range(10):
-            x = ChainElement.zero(A, tag)
+            x = ChainElement(A)
             for _ in range(rng.randrange(1, 4)):
                 slots = random_twisted_slots(A, 1, 2, "koszul", 1, rng,
                                              free=False)
-                x = x + ChainElement.basis(
+                x.add_scaled(ChainElement.basis(
                     A, tag, slots, coeff=A.field.from_int(rng.choice([1, 2]))
-                )
+                ))
             assert phi1.eval_element(iota(x)) == {}
