@@ -110,7 +110,7 @@ def apply_reports(seeds=SEEDS):
                     x = complexes.ChainElement.basis(cfg.algebra, tag, slots)
                     doc = serialize.element_to_json(tag, x)
                     for name in cli.MAP_NAMES:
-                        if name == "diff" or cli.MAP_DOMAINS[name] == family:
+                        if name == "diff" or cli.MAPS[name][0] == family:
                             yield cli.run_apply(cfg, name, doc)[0]
 
 

@@ -33,6 +33,10 @@ On top of these sit the Koszul comparison maps:
   splitting between the bar resolution of A and the twisted product with
   the Koszul resolution.
 
+:data:`MAPS` gives each named map its domain family and its stages, the
+maps it applies first to last; the ``verify`` chain-map check applies
+the stages, so ``pi`` there shares ``awg``'s images.
+
 All maps read the ``{tag: {slots: coeff}}`` parts of a ChainElement once
 and return one ChainElement.  Their kernels (``_awg_free``,
 ``_ezg_free``, ``_antisymmetrize``, ``_pi_s_terms``) yield ``(slots,
@@ -345,19 +349,26 @@ def pi(x) -> ChainElement:
     return id_tensor_pi_s(awg(x))
 
 
-#: The domain complex family of each named map, in report order.
-MAP_DOMAINS = {
-    "awg": "barskew",
-    "ezg": "twisted_bar",
-    "iota_s": "koszul",
-    "pi_s": "bars",
-    "iota": "twisted_koszul",
-    "pi": "barskew",
+#: Each named map, in report order: its domain family and the maps it
+#: applies, first to last.  ``pi`` and ``iota`` above are these chains.
+MAPS = {
+    "awg": ("barskew", ("awg",)),
+    "ezg": ("twisted_bar", ("ezg",)),
+    "iota_s": ("koszul", ("iota_s",)),
+    "pi_s": ("bars", ("pi_s",)),
+    "iota": ("twisted_koszul", ("id_tensor_iota_s", "ezg")),
+    "pi": ("barskew", ("awg", "id_tensor_pi_s")),
 }
 
 
 def map_by_name(name: str):
-    # each key of MAP_DOMAINS is the name of a map defined in this module
-    if name not in MAP_DOMAINS:
+    """The named map of :data:`MAPS`."""
+    if name not in MAPS:
         raise ValueError(f"unknown map {name!r}")
     return globals()[name]
+
+
+def map_stages(name: str) -> tuple:
+    """The stages of the named map, looked up by name when called, so a
+    patched module attribute is the one applied."""
+    return tuple(globals()[stage] for stage in MAPS[name][1])

@@ -25,11 +25,7 @@ from .groups import NoIdentity, NotAssociative, NotLatinSquare
 from .polynomials import DimensionMismatch
 from .skew import ContextMismatch
 from .complexes import ShapeMismatch, diff
-from .chainmaps import (
-    MAP_DOMAINS,
-    DegreeOutOfRange,
-    map_by_name,
-)
+from .chainmaps import MAPS, DegreeOutOfRange, map_by_name
 from .pbw import (
     MissingParams,
     SearchSpaceTooLarge,
@@ -76,7 +72,7 @@ CONFIG_ERRORS = (
 
 VERIFY_SUITES = (*SUITES, "all")
 PBW_METHODS = ("five", "cohomological", "oracle", "all")
-MAP_NAMES = (*MAP_DOMAINS, "diff")
+MAP_NAMES = (*MAPS, "diff")
 
 
 # -- verify ----------------------------------------------------------------
@@ -166,9 +162,9 @@ def run_apply(cfg: RunConfig, map_name: str, input_doc: dict):
     family = f"twisted_{tag[3]}" if tag[0] == "twisted" else tag[0]
     if map_name == "diff":
         image = diff(x)
-    elif family != MAP_DOMAINS[map_name]:
+    elif family != MAPS[map_name][0]:
         raise ShapeMismatch(f"{map_name} is not defined on {tag}; "
-                            f"expected a {MAP_DOMAINS[map_name]} element")
+                            f"expected a {MAPS[map_name][0]} element")
     else:
         bound = max(cfg.budgets["j_max"], 4)
         if map_name in ("pi_s", "pi") and tag[1] > bound:

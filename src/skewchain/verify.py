@@ -3,9 +3,12 @@
 A check is a function ``check(alg, budgets, rng)`` returning one record
 ``{"name", "checked", "passed", "failures"}`` that keeps the first
 :data:`MAX_WITNESSES` failure witnesses, each naming the input that broke
-the identity.  A suite runs its checks in a fixed order and passes them one
-rng seeded by ``budgets["seed"]``.  Every input comes from
-:func:`free_basis` or :func:`random_term`.
+the identity.  A witness is built only for a failure the record keeps.  A
+suite gives its records in a fixed order and passes its checks one rng
+seeded by ``budgets["seed"]``.  The chainmaps suite checks all the maps of
+one domain family (:data:`~skewchain.chainmaps.MAPS`) in one pass over
+that family's inputs (:func:`check_maps`), so ``pi`` reuses ``awg``'s
+images.  Every input comes from :func:`free_basis` or :func:`random_term`.
 """
 
 from __future__ import annotations
@@ -25,16 +28,7 @@ from .complexes import (
     term_s_degree,
     term_sort_key,
 )
-from .chainmaps import (
-    MAP_DOMAINS,
-    awg,
-    ezg,
-    iota,
-    iota_s,
-    map_by_name,
-    pi,
-    pi_s,
-)
+from .chainmaps import MAPS, awg, ezg, iota, iota_s, map_stages, pi, pi_s
 from .polynomials import var_exp
 from .skew import SkewAlgebra
 
@@ -124,22 +118,22 @@ def _witness(tag, slots) -> dict:
     return {"tag": list(tag), "input": _slots_json(slots)}
 
 
-def _record(name, results) -> dict:
-    """The record of a stream of (ok, witness) pairs, one per input."""
-    checked, failures = 0, []
-    for ok, witness in results:
-        checked += 1
-        if not ok and len(failures) < MAX_WITNESSES:
-            failures.append(witness)
+def _record(name, checked, failures) -> dict:
     return {"name": name, "checked": checked, "passed": not failures,
             "failures": failures}
 
 
-def _check(body):
-    """A check from a generator of (ok, witness) pairs, named after it."""
+def _check(body, witness=_witness):
+    """A check from a generator of ``(ok, *args)`` tuples, one per input,
+    named after it; a kept failure's witness is ``witness(*args)``."""
     @functools.wraps(body)
     def check(alg, budgets, rng):
-        return _record(body.__name__, body(alg, budgets, rng))
+        checked, failures = 0, []
+        for ok, *args in body(alg, budgets, rng):
+            checked += 1
+            if not ok and len(failures) < MAX_WITNESSES:
+                failures.append(witness(*args))
+        return _record(body.__name__, checked, failures)
     return check
 
 
@@ -158,7 +152,7 @@ def _d2_family(family):
                     (a,) + free[1:-1] + (b,) for a in outer for b in outer]
                 for slots in variants:
                     x = ChainElement.basis(alg, tag, slots)
-                    yield diff(diff(x)).is_zero(), _witness(tag, slots)
+                    yield diff(diff(x)).is_zero(), tag, slots
 
     body.__name__ = f"d2_{family}"
     return _check(body)
@@ -177,7 +171,7 @@ def d2_random_degree4(alg, budgets, rng):
         tag, slots = random_term(alg, family, 4, budgets["max_poly_degree"],
                                  rng, free=False)
         x = ChainElement.basis(alg, tag, slots)
-        yield diff(diff(x)).is_zero(), _witness(tag, slots)
+        yield diff(diff(x)).is_zero(), tag, slots
 
 
 @_check
@@ -193,7 +187,7 @@ def bimodule_axioms(alg, budgets, rng):
             bimodule_act(None, bimodule_act(None, x, b1), b2)
         two_ok = bimodule_act(None, bimodule_act(a1, x, None), b1) == \
             bimodule_act(a1, bimodule_act(None, x, b1), None)
-        yield left_ok and right_ok and two_ok, _witness(tag, slots)
+        yield left_ok and right_ok and two_ok, tag, slots
 
 
 @_check
@@ -204,10 +198,11 @@ def diff_commutes_with_action(alg, budgets, rng):
         x = ChainElement.basis(alg, tag, slots)
         a, b = _random_skew_pair(alg, rng), _random_skew_pair(alg, rng)
         yield (diff(bimodule_act(a, x, b)) == bimodule_act(a, diff(x), b),
-               _witness(tag, slots))
+               tag, slots)
 
 
-@_check
+@functools.partial(
+    _check, witness=lambda tag, slots, g: dict(_witness(tag, slots), g=g))
 def group_scalar_compat(alg, budgets, rng):
     """g (s x) = (^g s)(g x) for s in S."""
     for _ in range(budgets["samples"]):
@@ -220,7 +215,7 @@ def group_scalar_compat(alg, budgets, rng):
         lhs = bimodule_act(ge, bimodule_act(s, x, None), None)
         gs = {(m, 0): c for (m, _h), c in alg.mul(ge, s).items()}
         rhs = bimodule_act(gs, bimodule_act(ge, x, None), None)
-        yield lhs == rhs, dict(_witness(tag, slots), g=g)
+        yield lhs == rhs, tag, slots, g
 
 
 # -- the chainmaps suite ---------------------------------------------------
@@ -241,24 +236,47 @@ def _render_defect(defect: ChainElement) -> str:
     return shown + f" +{rest} more" if rest > 0 else shown
 
 
-def _commutes(alg, fn, inputs):
-    """(d f(x) == f(d x), witness) for each (tag, slots) input.
+def check_maps(alg, family, maps, degrees, max_poly_deg, samples,
+               sample_degree, seed) -> dict:
+    """Check d ∘ f = f ∘ d for the maps on one domain family in one pass.
 
-    A failure's witness carries the defect d f(x) - f(d x): its term count
-    and a rendering of its first terms.
+    ``maps`` takes each map's name to its stages, applied first to last.
+    The inputs are the free bases of ``family`` in ``degrees``, then
+    ``samples`` random terms of ``sample_degree`` drawn from an rng seeded
+    by ``seed``.  Each input x and d x are built once, and each prefix of
+    stages is applied to them once, so a map shares the images of the
+    stages it begins with (``pi`` uses ``awg``'s).  Returns each map's
+    (inputs checked, witnesses of its first MAX_WITNESSES failures).  A
+    witness carries the defect d f(x) - f(d x): its term count and a
+    rendering of its first terms.
     """
+    rng = random.Random(seed)
+    inputs = itertools.chain(
+        (term for n in degrees
+         for term in free_basis(alg, family, n, max_poly_deg)),
+        (random_term(alg, family, sample_degree, max_poly_deg, rng)
+         for _ in range(samples)),
+    )
+    checked, failures = 0, {name: [] for name in maps}
     for tag, slots in inputs:
+        checked += 1
         x = ChainElement.basis(alg, tag, slots)
-        lhs, rhs = diff(fn(x)), fn(diff(x))
-        if lhs == rhs:
-            yield True, None
-            continue
-        defect = lhs
-        defect.add_scaled(rhs, alg.field.from_int(-1))
-        yield False, dict(
-            _witness(tag, slots), degree=homological_degree(tag),
-            defect_terms=sum(map(len, defect.parts.values())),
-            defect=_render_defect(defect))
+        images = {(): (x, diff(x))}
+        for name, stages in maps.items():
+            for k in range(len(stages)):
+                if stages[:k + 1] not in images:
+                    images[stages[:k + 1]] = tuple(
+                        map(stages[k], images[stages[:k]]))
+            fx, rhs = images[stages]
+            lhs = diff(fx)
+            if lhs == rhs or len(failures[name]) == MAX_WITNESSES:
+                continue
+            lhs.add_scaled(rhs, alg.field.from_int(-1))
+            failures[name].append(dict(
+                _witness(tag, slots), degree=homological_degree(tag),
+                defect_terms=sum(map(len, lhs.parts.values())),
+                defect=_render_defect(lhs)))
+    return {name: (checked, failures[name]) for name in maps}
 
 
 def verify_chainmap(
@@ -273,42 +291,39 @@ def verify_chainmap(
 ):
     """Check d ∘ f = f ∘ d on enumerated free bases plus random samples.
 
-    ``f`` is the named map, or ``map_fn``.  Returns a report dict with the
-    number of inputs checked and up to MAX_WITNESSES counterexamples.
+    ``f`` is the named map, as its stages in :data:`MAPS`, or ``map_fn``
+    as one stage.  Returns a report dict with the number of inputs checked
+    and up to MAX_WITNESSES counterexamples.
     """
-    if name not in MAP_DOMAINS:
+    if name not in MAPS:
         raise ValueError(f"unknown map {name!r}")
-    fn = map_fn if map_fn is not None else map_by_name(name)
-    family = MAP_DOMAINS[name]
-    rng = random.Random(seed)
-    inputs = itertools.chain(
-        (term for n in degrees
-         for term in free_basis(alg, family, n, max_poly_deg)),
-        (random_term(alg, family, sample_degree, max_poly_deg, rng)
-         for _ in range(samples)),
-    )
-    rec = _record(name, _commutes(alg, fn, inputs))
-    return {"map": name, "degrees": list(degrees),
-            "checked": rec["checked"], "failures": rec["failures"]}
+    stages = (map_fn,) if map_fn is not None else map_stages(name)
+    checked, failures = check_maps(
+        alg, MAPS[name][0], {name: stages}, degrees, max_poly_deg, samples,
+        sample_degree, seed)[name]
+    return {"map": name, "degrees": list(degrees), "checked": checked,
+            "failures": failures}
 
 
-def _chainmap_check(name):
-    def check(alg, budgets, rng):
-        # Each map draws its samples from its own stream seeded by ``seed``,
-        # as verify_chainmap does, so they do not depend on the maps checked
-        # before it.
-        rep = verify_chainmap(
-            alg,
-            name,
+def chainmap_records(alg, budgets, rng) -> list:
+    """The ``chainmap_*`` records in :data:`MAPS` order, from one
+    :func:`check_maps` pass per domain family.
+
+    A family's samples come from one stream seeded by ``seed``, the one
+    each of its maps draws in verify_chainmap, so they do not depend on the
+    maps checked before.
+    """
+    results = {}
+    for family in dict.fromkeys(domain for domain, _ in MAPS.values()):
+        results.update(check_maps(
+            alg, family, {name: map_stages(name)
+                          for name, (domain, _) in MAPS.items()
+                          if domain == family},
             degrees=tuple(range(budgets["max_bar_degree"] + 1)),
             max_poly_deg=budgets["max_poly_degree"],
-            samples=budgets["degree4_samples"],
-            sample_degree=4,
-            seed=budgets["seed"],
-        )
-        return {"name": f"chainmap_{name}", "checked": rep["checked"],
-                "passed": not rep["failures"], "failures": rep["failures"]}
-    return check
+            samples=budgets["degree4_samples"], sample_degree=4,
+            seed=budgets["seed"]))
+    return [_record(f"chainmap_{name}", *results[name]) for name in MAPS]
 
 
 # -- the splitting suite ---------------------------------------------------
@@ -332,7 +347,7 @@ def _graded(tag, slots, image) -> bool:
 def awg_ezg_identity(alg, budgets, rng):
     """AW ∘ EZ = id on twisted(bar) generators through total degree 4."""
     for tag, slots, x in _generators(alg, budgets, "twisted_bar", range(5)):
-        yield awg(ezg(x)) == x, _witness(tag, slots)
+        yield awg(ezg(x)) == x, tag, slots
 
 
 @_check
@@ -342,7 +357,7 @@ def splitting_worked_degree2(alg, budgets, rng):
         tag = ("twisted", 1, 1, "bar")
         slots = (0, 1, 0, alg.zero_exp, var_exp(alg.nvars, 0), alg.zero_exp)
         x = ChainElement.basis(alg, tag, slots)
-        yield awg(ezg(x)) == x, _witness(tag, slots)
+        yield awg(ezg(x)) == x, tag, slots
 
 
 @_check
@@ -350,16 +365,17 @@ def pi_iota_identity(alg, budgets, rng):
     """π ∘ ι = id on twisted(koszul) generators through total degree 3."""
     degrees = range(min(3, budgets["max_bar_degree"]) + 1)
     for tag, slots, x in _generators(alg, budgets, "twisted_koszul", degrees):
-        yield pi(iota(x)) == x, _witness(tag, slots)
+        yield pi(iota(x)) == x, tag, slots
 
 
-@_check
+@functools.partial(
+    _check, witness=lambda tag, slots: {"tag": list(tag),
+                                        "wedge": list(slots[1])})
 def pi_s_iota_s_identity(alg, budgets, rng):
     """π_S ∘ ι_S = id on the Koszul generators 1 ⊗ w ⊗ 1."""
     degrees = range(budgets["max_bar_degree"] + 1)
     for tag, slots, x in _generators(alg, budgets, "koszul", degrees):
-        yield (pi_s(iota_s(x)) == x,
-               {"tag": list(tag), "wedge": list(slots[1])})
+        yield pi_s(iota_s(x)) == x, tag, slots
 
 
 @_check
@@ -367,7 +383,7 @@ def iota_graded(alg, budgets, rng):
     """ι keeps the S-degree of twisted(koszul) generators."""
     degrees = range(min(3, budgets["max_bar_degree"]) + 1)
     for tag, slots, x in _generators(alg, budgets, "twisted_koszul", degrees):
-        yield _graded(tag, slots, iota(x)), _witness(tag, slots)
+        yield _graded(tag, slots, iota(x)), tag, slots
 
 
 @_check
@@ -375,26 +391,31 @@ def pi_graded(alg, budgets, rng):
     """π keeps the S-degree of barskew generators."""
     degrees = range(budgets["max_bar_degree"] + 1)
     for tag, slots, x in _generators(alg, budgets, "barskew", degrees):
-        yield _graded(tag, slots, pi(x)), _witness(tag, slots)
+        yield _graded(tag, slots, pi(x)), tag, slots
 
 
 # -- suites ----------------------------------------------------------------
 
-#: suite name -> its checks, in report order.
+def _checks(*checks):
+    """A suite that runs ``checks`` in order, one record each."""
+    return lambda alg, budgets, rng: [check(alg, budgets, rng)
+                                      for check in checks]
+
+
+#: suite name -> the function giving its records, in report order.
 SUITES = {
-    "complexes": D2_CHECKS + (d2_random_degree4, bimodule_axioms,
-                              diff_commutes_with_action, group_scalar_compat),
-    "chainmaps": tuple(_chainmap_check(name) for name in MAP_DOMAINS),
-    "splitting": (awg_ezg_identity, splitting_worked_degree2,
-                  pi_iota_identity, pi_s_iota_s_identity, iota_graded,
-                  pi_graded),
+    "complexes": _checks(*D2_CHECKS, d2_random_degree4, bimodule_axioms,
+                         diff_commutes_with_action, group_scalar_compat),
+    "chainmaps": chainmap_records,
+    "splitting": _checks(awg_ezg_identity, splitting_worked_degree2,
+                         pi_iota_identity, pi_s_iota_s_identity, iota_graded,
+                         pi_graded),
 }
 
 
 def run_suites(alg: SkewAlgebra, budgets: dict, suite: str) -> list:
-    """The records of one suite's checks, or of all three for ``"all"``."""
+    """The records of one suite, or of all three for ``"all"``."""
     records = []
     for name in SUITES if suite == "all" else (suite,):
-        rng = random.Random(budgets["seed"])
-        records += [check(alg, budgets, rng) for check in SUITES[name]]
+        records += SUITES[name](alg, budgets, random.Random(budgets["seed"]))
     return records

@@ -23,6 +23,7 @@ import random
 import pytest
 
 from skewchain.chainmaps import (
+    MAPS,
     _shuffles,
     awg,
     ezg,
@@ -30,6 +31,8 @@ from skewchain.chainmaps import (
     id_tensor_pi_s,
     iota,
     iota_s,
+    map_by_name,
+    map_stages,
     pi,
     pi_s,
 )
@@ -45,7 +48,7 @@ from skewchain.complexes import (
     term_s_degree,
 )
 from skewchain.serialize import DEFAULT_BUDGETS, RunConfig, canonical_json
-from skewchain.verify import verify_chainmap
+from skewchain.verify import random_term, verify_chainmap
 
 from helpers import (
     classical_aw,
@@ -299,6 +302,21 @@ def test_map_of_a_vector_is_the_sum_over_its_parts(name):
         want.add_scaled(fn(ChainElement(A, {tag: terms})))
     assert not want.is_zero()
     assert fn(vec) == want
+
+
+@pytest.mark.parametrize("name", list(MAPS))
+def test_each_map_is_the_chain_of_its_stages(name):
+    # verify checks a map by applying its stages in MAPS; the map the CLI
+    # and the deciders call must be that chain
+    A = swap_q()
+    rng = random.Random(5)
+    for n in (0, 1, 2, 3):
+        tag, slots = random_term(A, MAPS[name][0], n, 2, rng, free=False)
+        x = ChainElement.basis(A, tag, slots)
+        image = x
+        for stage in map_stages(name):
+            image = stage(image)
+        assert map_by_name(name)(x) == image
 
 
 class TestBimoduleProperty:

@@ -117,11 +117,10 @@ class TestVerify:
                                           monkeypatch):
         # Fault injection: make the chain-map verifier report a failure so
         # the exit-1 path is exercised without breaking any real map.
-        def broken(alg, name, **kw):
-            return {"map": name, "degrees": (0,), "checked": 1,
-                    "failures": [{"injected": True}]}
+        def broken(alg, family, maps, *args, **kw):
+            return {name: (1, [{"injected": True}]) for name in maps}
 
-        monkeypatch.setattr("skewchain.verify.verify_chainmap", broken)
+        monkeypatch.setattr("skewchain.verify.check_maps", broken)
         cfg = write_json(tmp_path / "c.json",
                          swap_q_config_doc(budgets=SMALL_BUDGETS))
         code, rep, _ = run_cli(capsys, ["verify", "chainmaps",

@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from skewchain.chainmaps import MAP_DOMAINS
+from skewchain.chainmaps import MAPS
 from skewchain.cli import MAP_NAMES, main
 from skewchain.polynomials import MAX_ACTION_DIM
 from skewchain.serialize import MAX_TERM_DEGREE, canonical_json
@@ -205,7 +205,7 @@ def apply_cases(draw):
     """A map name and an element document, mostly of the map's domain."""
     map_name = draw(st.sampled_from(MAP_NAMES))
     # "twisted_bar" -> ("twisted", "bar"); diff is defined everywhere
-    kind, _, dkind = MAP_DOMAINS.get(map_name, "").partition("_")
+    kind, _, dkind = MAPS.get(map_name, ("",))[0].partition("_")
     if not kind or draw(st.integers(0, 4)) == 4:
         kind = draw(st.sampled_from(KINDS))
     dkind = dkind or draw(st.sampled_from(["bar", "koszul"]))

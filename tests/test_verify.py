@@ -1,13 +1,19 @@
-"""skewchain.verify: its sampled inputs and its failure witnesses."""
+"""skewchain.verify: its sampled inputs, its failure witnesses and the
+one-pass check of the chain maps."""
 
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
 
-from skewchain import verify
+from skewchain import chainmaps, verify
 from skewchain.chainmaps import awg
+from skewchain.complexes import ChainElement
+from skewchain.serialize import canonical_json
 
-from helpers import swap_q
+from helpers import s3_perm_q, swap_q, v4_gf2
 
 BUDGETS = {"max_bar_degree": 2, "max_poly_degree": 2, "j_max": 4,
            "samples": 20, "degree4_samples": 20, "seed": 0}
@@ -90,3 +96,121 @@ def test_chainmap_witness_renders_the_defect():
         if w["defect_terms"] <= verify.MAX_DEFECT_TERMS:
             assert w["defect"].count(")*") == w["defect_terms"]
 
+
+SMALL = {"max_bar_degree": 2, "max_poly_degree": 1, "j_max": 4,
+         "samples": 5, "degree4_samples": 5, "seed": 3}
+
+
+def test_a_passing_run_builds_no_witness(monkeypatch):
+    def forbidden(slots):
+        raise AssertionError("a witness was built for a passing input")
+
+    monkeypatch.setattr(verify, "_slots_json", forbidden)
+    records = verify.run_suites(swap_q(), SMALL, "all")
+    assert all(r["passed"] for r in records)
+
+
+def test_a_failing_run_keeps_its_witnesses(monkeypatch):
+    """With every identity broken, each record keeps the witnesses of its
+    first inputs; the canonical records are pinned by their sha256, taken
+    when every input's witness was built eagerly."""
+    def odd_columns_negated(x):
+        v = real_awg(x)
+        for tag, terms in v.parts.items():
+            if tag[1] % 2:
+                v.parts[tag] = {s: -c for s, c in terms.items()}
+        return v
+
+    real_awg = chainmaps.awg
+    monkeypatch.setattr(chainmaps, "awg", odd_columns_negated)
+    monkeypatch.setattr(ChainElement, "__eq__", lambda self, other: False)
+    monkeypatch.setattr(ChainElement, "is_zero", lambda self: False)
+    monkeypatch.setattr(verify, "term_s_degree", lambda alg, tag, s: s)
+    alg = swap_q()
+    records = verify.run_suites(alg, SMALL, "all")
+    for r in records:
+        assert len(r["failures"]) == min(r["checked"], verify.MAX_WITNESSES)
+    d2 = next(r for r in records if r["name"] == "d2_barskew")
+    assert d2["failures"] == [
+        {"tag": list(tag), "input": json.loads(json.dumps(slots))}
+        for tag, slots in itertools.islice(
+            verify.free_basis(alg, "barskew", 2, 1), verify.MAX_WITNESSES)]
+    scalar = next(r for r in records if r["name"] == "group_scalar_compat")
+    assert all(set(w) == {"tag", "input", "g"} for w in scalar["failures"])
+    assert hashlib.sha256(canonical_json(records).encode()).hexdigest() == (
+        "b6e7ac82620b2f9152d106959168cd6df5c453c3c50563d7f0ead7d78b564dc0")
+
+
+@pytest.mark.parametrize("config", [swap_q, v4_gf2, s3_perm_q],
+                         ids=lambda c: c.__name__)
+def test_the_suite_pass_equals_one_check_per_map(config):
+    alg = config()
+    records = verify.run_suites(alg, SMALL, "chainmaps")
+    assert [r["name"] for r in records] == [
+        f"chainmap_{name}" for name in chainmaps.MAPS]
+    for name, record in zip(chainmaps.MAPS, records):
+        rep = verify.verify_chainmap(
+            alg, name, degrees=(0, 1, 2), max_poly_deg=1, samples=5,
+            sample_degree=4, seed=3)
+        assert record == {"name": f"chainmap_{name}",
+                          "checked": rep["checked"],
+                          "passed": not rep["failures"],
+                          "failures": rep["failures"]}
+
+
+def _records(alg):
+    return {r["name"]: r for r in verify.run_suites(alg, SMALL, "chainmaps")}
+
+
+def test_a_broken_last_stage_fails_only_its_map(monkeypatch):
+    def scaled(x):  # id ⊗ pi_s with its X_{i,j} part scaled by j + 1
+        v = real(x)
+        for tag, terms in v.parts.items():
+            v.parts[tag] = {s: (tag[2] + 1) * c for s, c in terms.items()}
+        return v
+
+    real = chainmaps.id_tensor_pi_s
+    monkeypatch.setattr(chainmaps, "id_tensor_pi_s", scaled)
+    records = _records(swap_q())
+    assert records["chainmap_awg"]["passed"]
+    assert not records["chainmap_pi"]["passed"]
+    witness = records["chainmap_pi"]["failures"][0]
+    assert witness["tag"][0] == "barskew" and witness["defect_terms"] > 0
+
+
+def test_a_broken_first_stage_fails_every_map_that_applies_it(monkeypatch):
+    def odd_columns_negated(x):
+        v = real(x)
+        for tag, terms in v.parts.items():
+            if tag[1] % 2:
+                v.parts[tag] = {s: -c for s, c in terms.items()}
+        return v
+
+    real = chainmaps.awg
+    monkeypatch.setattr(chainmaps, "awg", odd_columns_negated)
+    records = _records(swap_q())
+    assert not records["chainmap_awg"]["passed"]
+    assert not records["chainmap_pi"]["passed"]
+    assert all(records[f"chainmap_{name}"]["passed"]
+               for name in ("ezg", "iota_s", "pi_s", "iota"))
+
+
+def test_each_family_draws_the_samples_of_its_maps_own_stream(monkeypatch):
+    drawn = []
+    original = verify.random_term
+
+    def recording(alg, family, *args):
+        term = original(alg, family, *args)
+        drawn.append((family, term))
+        return term
+
+    monkeypatch.setattr(verify, "random_term", recording)
+    alg = swap_q()
+    verify.run_suites(alg, SMALL, "chainmaps")
+    families = list(dict.fromkeys(d for d, _ in chainmaps.MAPS.values()))
+    want = []
+    for family in families:
+        rng = random.Random(SMALL["seed"])
+        want += [(family, original(alg, family, 4, 1, rng))
+                 for _ in range(SMALL["degree4_samples"])]
+    assert drawn == want
