@@ -5,17 +5,18 @@ For seeds 1 and 2, every table of the ``pbw-sweep`` and ``pbw-oracle``
 workloads of ``perfbench/workloads.py`` (read, never changed) is decided
 by ``pbw.oracle_pbw`` with the full rank and with early exit, by
 ``pbw.check_five`` and by ``pbw.check_cohomological``.  The configs of the
-``verify`` workload are run through ``cli.run_verify`` (suite ``all``),
-and every input of the ``splitting`` workload goes through the JSON codec
-to ``cli.run_apply`` of each map defined on it and of ``diff``.  The
+``verify`` workload are run through ``cli.run_verify``, with suite
+``all`` and with each suite alone (the last line), and every input of the
+``splitting`` workload goes through the JSON codec to ``cli.run_apply``
+of each map defined on it and of ``diff``.  The
 canonical JSON of every report of one kind, in order, goes into one
 sha256 per kind.  A change to the internals must leave each hash as it
 is: run the script on the parent tree and on the change and compare the
 lines it prints.  The first line, the oracle's, has the form it had
 before the condition deciders were added.  Each kind is one function of
 ``KINDS``, which yields its reports in order, so ``digest`` can hash one
-kind alone: ``tests/test_oracle_replay.py`` pins the ``verify`` and
-``apply`` kinds that way.
+kind alone: ``tests/test_oracle_replay.py`` pins the ``verify``,
+``verify_suites`` and ``apply`` kinds that way.
 
     python3 scripts/oracle_replay.py [TREE]
 
@@ -95,6 +96,18 @@ def verify_reports(seeds=SEEDS):
                 yield cli.run_verify(cfg, "all")[0]
 
 
+def verify_suites_reports(seeds=SEEDS):
+    """``cli.run_verify`` of each suite alone on every ``verify`` config."""
+    from skewchain import cli
+    import workloads
+
+    for seed in seeds:
+        for _label, part in workloads.Verify.generate(seed):
+            for _label, cfg in workloads.Verify.setup(part):
+                for suite in ("complexes", "chainmaps", "splitting"):
+                    yield cli.run_verify(cfg, suite)[0]
+
+
 def apply_reports(seeds=SEEDS):
     """``cli.run_apply`` of ``diff`` and of each map defined on every
     ``splitting`` input, sent through the JSON codec."""
@@ -119,7 +132,8 @@ KINDS = {"oracle": oracle_reports,
          "five_conditions": five_conditions_reports,
          "cohomological": cohomological_reports,
          "verify": verify_reports,
-         "apply": apply_reports}
+         "apply": apply_reports,
+         "verify_suites": verify_suites_reports}
 
 
 def digest(reports) -> tuple:

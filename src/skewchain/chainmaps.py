@@ -34,8 +34,7 @@ On top of these sit the Koszul comparison maps:
   the Koszul resolution.
 
 :data:`MAPS` gives each named map its domain family and its stages, the
-maps it applies first to last; the ``verify`` chain-map check applies
-the stages, so ``pi`` there shares ``awg``'s images.
+maps it applies first to last; ``verify`` applies the stages, by name.
 
 All maps read the ``{tag: {slots: coeff}}`` parts of a ChainElement once
 and return one ChainElement.  Their kernels (``_awg_free``,
@@ -359,16 +358,3 @@ MAPS = {
     "iota": ("twisted_koszul", ("id_tensor_iota_s", "ezg")),
     "pi": ("barskew", ("awg", "id_tensor_pi_s")),
 }
-
-
-def map_by_name(name: str):
-    """The named map of :data:`MAPS`."""
-    if name not in MAPS:
-        raise ValueError(f"unknown map {name!r}")
-    return globals()[name]
-
-
-def map_stages(name: str) -> tuple:
-    """The stages of the named map, looked up by name when called, so a
-    patched module attribute is the one applied."""
-    return tuple(globals()[stage] for stage in MAPS[name][1])

@@ -25,7 +25,8 @@ from .groups import NoIdentity, NotAssociative, NotLatinSquare
 from .polynomials import DimensionMismatch
 from .skew import ContextMismatch
 from .complexes import ShapeMismatch, diff
-from .chainmaps import MAPS, DegreeOutOfRange, map_by_name
+from . import chainmaps
+from .chainmaps import MAPS, DegreeOutOfRange
 from .pbw import (
     MissingParams,
     SearchSpaceTooLarge,
@@ -175,7 +176,7 @@ def run_apply(cfg: RunConfig, map_name: str, input_doc: dict):
             raise DegreeOutOfRange(
                 f"{map_name} on {tag} makes more than {MAX_MAP_FACTOR} "
                 f"terms per input term")
-        image = map_by_name(map_name)(x)
+        image = getattr(chainmaps, map_name)(x)
     report = {
         "command": "apply",
         "map": map_name,

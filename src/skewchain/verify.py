@@ -1,14 +1,12 @@
 """The invariant checks behind ``skewchain verify`` and the acceptance tests.
 
-A check is a function ``check(alg, budgets, rng)`` returning one record
-``{"name", "checked", "passed", "failures"}`` that keeps the first
-:data:`MAX_WITNESSES` failure witnesses, each naming the input that broke
-the identity.  A witness is built only for a failure the record keeps.  A
-suite gives its records in a fixed order and passes its checks one rng
-seeded by ``budgets["seed"]``.  The chainmaps suite checks all the maps of
-one domain family (:data:`~skewchain.chainmaps.MAPS`) in one pass over
-that family's inputs (:func:`check_maps`), so ``pi`` reuses ``awg``'s
-images.  Every input comes from :func:`free_basis` or :func:`random_term`.
+A check gives one record ``{"name", "checked", "passed", "failures"}`` that
+keeps its first :data:`MAX_WITNESSES` failure witnesses, each naming the
+input that broke the identity.  A check over free generators is a row of
+:data:`ROWS`; :func:`check_family` runs a family's rows in one pass, which
+applies each stage chain to an input once, so ``d x``, ``awg x`` and
+``pi x`` serve every row that reads them.  The other checks are generator
+bodies on random inputs.
 """
 
 from __future__ import annotations
@@ -16,19 +14,24 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from math import comb, prod
+from typing import NamedTuple
 
+from . import chainmaps, complexes
 from .complexes import (
     ChainElement,
     bimodule_act,
     diff,
     free_terms,
     homological_degree,
+    layout,
     random_barskew_slots,
     random_twisted_slots,
     term_s_degree,
     term_sort_key,
+    wedge_degree,
 )
-from .chainmaps import MAPS, awg, ezg, iota, iota_s, map_stages, pi, pi_s
+from .chainmaps import MAPS, DegreeOutOfRange, awg, ezg
 from .polynomials import var_exp
 from .skew import SkewAlgebra
 
@@ -38,23 +41,24 @@ MAX_WITNESSES = 5
 #: Terms of a chain-map defect rendered in its failure witness.
 MAX_DEFECT_TERMS = 5
 
+#: Inputs one check may run on; a run past it is refused before any check.
+MAX_CHECK_INPUTS = 10 ** 6
+
 
 # -- inputs ----------------------------------------------------------------
 
-def free_basis(alg: SkewAlgebra, family: str, n: int, dmax: int):
-    """(tag, slots) of every free generator of one family in degree n.
+def _tags(family: str, n: int):
+    """The tags of a family in degree n: if twisted, each bidegree."""
+    if not family.startswith("twisted"):
+        return [(family, n)]
+    return (("twisted", i, n - i, family.split("_")[1]) for i in range(n + 1))
 
-    Outer slots are units and bar letters have polynomial degree 1..dmax.
-    A twisted family runs over every bidegree (i, n - i).
-    """
-    if family.startswith("twisted"):
-        dkind = family.split("_")[1]
-        tags = [("twisted", i, n - i, dkind) for i in range(n + 1)]
-    else:
-        tags = [(family, n)]
-    for tag in tags:
-        for slots in free_terms(alg, tag, dmax):
-            yield tag, slots
+
+def free_basis(alg: SkewAlgebra, family: str, n: int, dmax: int):
+    """(tag, slots) of every free generator of a family in degree n: outer
+    slots are units and bar letters have polynomial degree 1..dmax."""
+    return ((tag, slots) for tag in _tags(family, n)
+            for slots in free_terms(alg, tag, dmax))
 
 
 def random_term(alg: SkewAlgebra, family: str, n: int, dmax: int, rng,
@@ -123,9 +127,10 @@ def _record(name, checked, failures) -> dict:
             "failures": failures}
 
 
-def _check(body, witness=_witness):
+def _check(body, witness=_witness, draws="samples"):
     """A check from a generator of ``(ok, *args)`` tuples, one per input,
-    named after it; a kept failure's witness is ``witness(*args)``."""
+    named after it; a kept failure's witness is ``witness(*args)``.  The
+    body draws ``budgets[draws]`` inputs, or one if ``draws`` is None."""
     @functools.wraps(body)
     def check(alg, budgets, rng):
         checked, failures = 0, []
@@ -134,36 +139,13 @@ def _check(body, witness=_witness):
             if not ok and len(failures) < MAX_WITNESSES:
                 failures.append(witness(*args))
         return _record(body.__name__, checked, failures)
+    check.draws = draws
     return check
 
 
-# -- the complexes suite ---------------------------------------------------
+# -- checks on random inputs ----------------------------------------------
 
-def _d2_family(family):
-    # The group-bar and Koszul checks also run over every pair of outer
-    # coefficients, not just the units.
-    def body(alg, budgets, rng):
-        dmax = budgets["max_poly_degree"]
-        outer = {"barg": range(alg.group.order),
-                 "koszul": alg.monomials_up_to(dmax)}.get(family)
-        for n in range(2, budgets["max_bar_degree"] + 1):
-            for tag, free in free_basis(alg, family, n, dmax):
-                variants = [free] if outer is None else [
-                    (a,) + free[1:-1] + (b,) for a in outer for b in outer]
-                for slots in variants:
-                    x = ChainElement.basis(alg, tag, slots)
-                    yield diff(diff(x)).is_zero(), tag, slots
-
-    body.__name__ = f"d2_{family}"
-    return _check(body)
-
-
-#: d² = 0 on each family in bar degrees 2..max_bar_degree.
-D2_CHECKS = tuple(_d2_family(family) for family in (
-    "barskew", "barg", "bars", "koszul", "twisted_bar", "twisted_koszul"))
-
-
-@_check
+@functools.partial(_check, draws="degree4_samples")
 def d2_random_degree4(alg, budgets, rng):
     """d² = 0 on random degree-4 terms with random outer slots."""
     for _ in range(budgets["degree4_samples"]):
@@ -218,139 +200,7 @@ def group_scalar_compat(alg, budgets, rng):
         yield lhs == rhs, tag, slots, g
 
 
-# -- the chainmaps suite ---------------------------------------------------
-
-def _render_defect(defect: ChainElement) -> str:
-    """The first MAX_DEFECT_TERMS terms of a defect, by tag and then
-    :func:`term_sort_key`, as ``(c)*tag(args)(slots)``, with ``+N more``
-    when there are more."""
-    fmt = defect.alg.field.format
-    terms = sorted(((tag, slots, c) for tag, part in defect.parts.items()
-                    for slots, c in part.items()),
-                   key=lambda t: (t[0], term_sort_key(t[1])))
-    shown = " + ".join(
-        f"({fmt(c)})*{tag[0]}({','.join(map(str, tag[1:]))})"
-        + repr(slots).replace(" ", "")
-        for tag, slots, c in terms[:MAX_DEFECT_TERMS])
-    rest = len(terms) - MAX_DEFECT_TERMS
-    return shown + f" +{rest} more" if rest > 0 else shown
-
-
-def check_maps(alg, family, maps, degrees, max_poly_deg, samples,
-               sample_degree, seed) -> dict:
-    """Check d ∘ f = f ∘ d for the maps on one domain family in one pass.
-
-    ``maps`` takes each map's name to its stages, applied first to last.
-    The inputs are the free bases of ``family`` in ``degrees``, then
-    ``samples`` random terms of ``sample_degree`` drawn from an rng seeded
-    by ``seed``.  Each input x and d x are built once, and each prefix of
-    stages is applied to them once, so a map shares the images of the
-    stages it begins with (``pi`` uses ``awg``'s).  Returns each map's
-    (inputs checked, witnesses of its first MAX_WITNESSES failures).  A
-    witness carries the defect d f(x) - f(d x): its term count and a
-    rendering of its first terms.
-    """
-    rng = random.Random(seed)
-    inputs = itertools.chain(
-        (term for n in degrees
-         for term in free_basis(alg, family, n, max_poly_deg)),
-        (random_term(alg, family, sample_degree, max_poly_deg, rng)
-         for _ in range(samples)),
-    )
-    checked, failures = 0, {name: [] for name in maps}
-    for tag, slots in inputs:
-        checked += 1
-        x = ChainElement.basis(alg, tag, slots)
-        images = {(): (x, diff(x))}
-        for name, stages in maps.items():
-            for k in range(len(stages)):
-                if stages[:k + 1] not in images:
-                    images[stages[:k + 1]] = tuple(
-                        map(stages[k], images[stages[:k]]))
-            fx, rhs = images[stages]
-            lhs = diff(fx)
-            if lhs == rhs or len(failures[name]) == MAX_WITNESSES:
-                continue
-            lhs.add_scaled(rhs, alg.field.from_int(-1))
-            failures[name].append(dict(
-                _witness(tag, slots), degree=homological_degree(tag),
-                defect_terms=sum(map(len, lhs.parts.values())),
-                defect=_render_defect(lhs)))
-    return {name: (checked, failures[name]) for name in maps}
-
-
-def verify_chainmap(
-    alg: SkewAlgebra,
-    name: str,
-    degrees=(0, 1, 2, 3),
-    max_poly_deg: int = 2,
-    samples: int = 0,
-    sample_degree: int = 4,
-    seed: int = 0,
-    map_fn=None,
-):
-    """Check d ∘ f = f ∘ d on enumerated free bases plus random samples.
-
-    ``f`` is the named map, as its stages in :data:`MAPS`, or ``map_fn``
-    as one stage.  Returns a report dict with the number of inputs checked
-    and up to MAX_WITNESSES counterexamples.
-    """
-    if name not in MAPS:
-        raise ValueError(f"unknown map {name!r}")
-    stages = (map_fn,) if map_fn is not None else map_stages(name)
-    checked, failures = check_maps(
-        alg, MAPS[name][0], {name: stages}, degrees, max_poly_deg, samples,
-        sample_degree, seed)[name]
-    return {"map": name, "degrees": list(degrees), "checked": checked,
-            "failures": failures}
-
-
-def chainmap_records(alg, budgets, rng) -> list:
-    """The ``chainmap_*`` records in :data:`MAPS` order, from one
-    :func:`check_maps` pass per domain family.
-
-    A family's samples come from one stream seeded by ``seed``, the one
-    each of its maps draws in verify_chainmap, so they do not depend on the
-    maps checked before.
-    """
-    results = {}
-    for family in dict.fromkeys(domain for domain, _ in MAPS.values()):
-        results.update(check_maps(
-            alg, family, {name: map_stages(name)
-                          for name, (domain, _) in MAPS.items()
-                          if domain == family},
-            degrees=tuple(range(budgets["max_bar_degree"] + 1)),
-            max_poly_deg=budgets["max_poly_degree"],
-            samples=budgets["degree4_samples"], sample_degree=4,
-            seed=budgets["seed"]))
-    return [_record(f"chainmap_{name}", *results[name]) for name in MAPS]
-
-
-# -- the splitting suite ---------------------------------------------------
-
-def _generators(alg, budgets, family, degrees):
-    """(tag, slots, basis element) of each free generator in the degrees."""
-    for n in degrees:
-        for tag, slots in free_basis(alg, family, n,
-                                     budgets["max_poly_degree"]):
-            yield tag, slots, ChainElement.basis(alg, tag, slots)
-
-
-def _graded(tag, slots, image) -> bool:
-    """Every term of the image has the S-degree of the basis term."""
-    want = term_s_degree(image.alg, tag, slots)
-    return all(term_s_degree(image.alg, otag, s) == want
-               for otag, part in image.parts.items() for s in part)
-
-
-@_check
-def awg_ezg_identity(alg, budgets, rng):
-    """AW ∘ EZ = id on twisted(bar) generators through total degree 4."""
-    for tag, slots, x in _generators(alg, budgets, "twisted_bar", range(5)):
-        yield awg(ezg(x)) == x, tag, slots
-
-
-@_check
+@functools.partial(_check, draws=None)
 def splitting_worked_degree2(alg, budgets, rng):
     """awg(ezg((1 ⊗ g ⊗ 1) ⊗ (1 ⊗ x_0 ⊗ 1))) reproduces the input."""
     if alg.group.order > 1 and alg.nvars > 0:
@@ -360,62 +210,222 @@ def splitting_worked_degree2(alg, budgets, rng):
         yield awg(ezg(x)) == x, tag, slots
 
 
-@_check
-def pi_iota_identity(alg, budgets, rng):
-    """π ∘ ι = id on twisted(koszul) generators through total degree 3."""
-    degrees = range(min(3, budgets["max_bar_degree"]) + 1)
-    for tag, slots, x in _generators(alg, budgets, "twisted_koszul", degrees):
-        yield pi(iota(x)) == x, tag, slots
+# -- rows: the checks over enumerated free generators ----------------------
+
+class Row(NamedTuple):
+    """A check over the free generators x of a family: that its stages
+    (names of :mod:`.chainmaps` maps or ``"diff"``, first to last) send x to 0
+    (kind ``zero``) or to x (``identity``), keep its S-degree (``graded``)
+    or commute with d (``commutes``, also on seeded samples).  ``degrees``
+    maps ``max_bar_degree`` to the degrees of x (0 through it by default;
+    :func:`check_family` takes the degrees themselves), and an ``outer``
+    row also varies the outer coefficients of x."""
+
+    family: str
+    stages: tuple
+    kind: str
+    degrees: object = lambda top: range(top + 1)
+    outer: bool = False
+    witness: object = _witness
 
 
-@functools.partial(
-    _check, witness=lambda tag, slots: {"tag": list(tag),
-                                        "wedge": list(slots[1])})
-def pi_s_iota_s_identity(alg, budgets, rng):
-    """π_S ∘ ι_S = id on the Koszul generators 1 ⊗ w ⊗ 1."""
-    degrees = range(budgets["max_bar_degree"] + 1)
-    for tag, slots, x in _generators(alg, budgets, "koszul", degrees):
-        yield pi_s(iota_s(x)) == x, tag, slots
+#: Each check over enumerated inputs, by name.
+ROWS = {
+    # d² = 0; the group-bar and Koszul rows vary the outer coefficients too
+    **{f"d2_{family}": Row(family, ("diff", "diff"), "zero",
+                           lambda top: range(2, top + 1),
+                           outer=family in ("barg", "koszul"))
+       for family in ("barskew", "barg", "bars", "koszul", "twisted_bar",
+                      "twisted_koszul")},
+    **{f"chainmap_{name}": Row(domain, stages, "commutes")
+       for name, (domain, stages) in MAPS.items()},
+    # AW ∘ EZ = id through total degree 4, π ∘ ι = id through 3
+    "awg_ezg_identity": Row("twisted_bar", ("ezg", "awg"), "identity",
+                            lambda top: range(5)),
+    "pi_iota_identity": Row("twisted_koszul", MAPS["iota"][1] + MAPS["pi"][1],
+                            "identity", lambda top: range(min(3, top) + 1)),
+    "pi_s_iota_s_identity": Row(
+        "koszul", ("iota_s", "pi_s"), "identity",
+        witness=lambda tag, slots: {"tag": list(tag),
+                                    "wedge": list(slots[1])}),
+    "iota_graded": Row("twisted_koszul", MAPS["iota"][1], "graded",
+                       lambda top: range(min(3, top) + 1)),
+    "pi_graded": Row("barskew", MAPS["pi"][1], "graded"),
+}
 
 
-@_check
-def iota_graded(alg, budgets, rng):
-    """ι keeps the S-degree of twisted(koszul) generators."""
-    degrees = range(min(3, budgets["max_bar_degree"]) + 1)
-    for tag, slots, x in _generators(alg, budgets, "twisted_koszul", degrees):
-        yield _graded(tag, slots, iota(x)), tag, slots
+def _defect_witness(tag, slots, lhs, rhs) -> dict:
+    """The witness of d f(x) = lhs != rhs = f(d x): the input, its degree,
+    and the defect lhs - rhs, as its term count and its first
+    MAX_DEFECT_TERMS terms, by tag and then :func:`term_sort_key`, as
+    ``(c)*tag(args)(slots)``, with ``+N more`` when there are more."""
+    defect = ChainElement(lhs.alg)
+    defect.add_scaled(lhs)
+    defect.add_scaled(rhs, lhs.alg.field.from_int(-1))
+    fmt = lhs.alg.field.format
+    terms = sorted(((otag, s, c) for otag, part in defect.parts.items()
+                    for s, c in part.items()),
+                   key=lambda t: (t[0], term_sort_key(t[1])))
+    shown = " + ".join(
+        f"({fmt(c)})*{t[0]}({','.join(map(str, t[1:]))})"
+        + repr(s).replace(" ", "") for t, s, c in terms[:MAX_DEFECT_TERMS])
+    rest = len(terms) - MAX_DEFECT_TERMS
+    return dict(_witness(tag, slots), degree=homological_degree(tag),
+                defect_terms=len(terms),
+                defect=shown + f" +{rest} more" if rest > 0 else shown)
 
 
-@_check
-def pi_graded(alg, budgets, rng):
-    """π keeps the S-degree of barskew generators."""
-    degrees = range(budgets["max_bar_degree"] + 1)
-    for tag, slots, x in _generators(alg, budgets, "barskew", degrees):
-        yield _graded(tag, slots, pi(x)), tag, slots
+def _holds(kind, tag, slots, fx, gx) -> bool:
+    """Whether a row holds on (tag, slots), given its two chains' images."""
+    if kind == "zero":
+        return fx.is_zero()
+    if kind == "graded":  # every term of f x has the S-degree of x
+        want = term_s_degree(fx.alg, tag, slots)
+        return all(term_s_degree(fx.alg, otag, s) == want
+                   for otag, part in fx.parts.items() for s in part)
+    return fx == gx
+
+
+def check_family(alg, family, rows, max_poly_deg, samples=0,
+                 sample_degree=4, seed=0) -> dict:
+    """Run the rows (name -> :class:`Row`) of one family in one pass.
+
+    The inputs are the family's free generators in the rows' degrees, each
+    with every pair (a, b) of outer coefficients for an ``outer`` row (the
+    unit pair is the generator), then ``samples`` random terms of
+    ``sample_degree`` from an rng seeded by ``seed`` for ``commutes`` rows.
+    Per input, each chain of stages, and so each prefix of one, is applied
+    once.  Returns each row's (inputs checked, witnesses of its
+    first MAX_WITNESSES failures); a ``commutes`` witness has the defect."""
+    # the two chains a row compares: f x and x, or d f x and f d x
+    reads = {name: ((row.stages + ("diff",), ("diff",) + row.stages)
+                    if row.kind == "commutes" else (row.stages, ()))
+             for name, row in rows.items()}
+    checked, failures = dict.fromkeys(rows, 0), {name: [] for name in rows}
+
+    @functools.lru_cache(maxsize=None)
+    def plan(names):
+        # (chain, prefix, last stage) of each chain the rows read and of its
+        # prefixes, shorter first; stages are looked up in this pass
+        chains = sorted(dict.fromkeys(c[:k] for name in names
+                                      for c in reads[name]
+                                      for k in range(1, len(c) + 1)), key=len)
+        return [(c, c[:-1], getattr(complexes if c[-1] == "diff"
+                                    else chainmaps, c[-1])) for c in chains]
+
+    def run(tag, slots, names):
+        images = {(): ChainElement.basis(alg, tag, slots)}
+        for chain, prefix, stage in plan(names):
+            images[chain] = stage(images[prefix])
+        for name in names:
+            row, (f, g), kept = rows[name], reads[name], failures[name]
+            checked[name] += 1
+            if not _holds(row.kind, tag, slots, images[f], images[g]) \
+                    and len(kept) < MAX_WITNESSES:
+                kept.append(
+                    row.witness(tag, slots) if row.kind != "commutes"
+                    else _defect_witness(tag, slots, images[f], images[g]))
+
+    pool = (range(alg.group.order) if family == "barg"
+            else alg.monomials_up_to(max_poly_deg))
+    for n in sorted(set().union(*(row.degrees for row in rows.values()))):
+        here = tuple(name for name, row in rows.items() if n in row.degrees)
+        outer = tuple(name for name in here if rows[name].outer)
+        for tag, free in free_basis(alg, family, n, max_poly_deg):
+            for slots in ([(a,) + free[1:-1] + (b,) for a in pool
+                           for b in pool] if outer else [free]):
+                run(tag, slots, here if slots == free else outer)
+    sampled = tuple(k for k, row in rows.items() if row.kind == "commutes")
+    rng = random.Random(seed)
+    for _ in range(samples if sampled else 0):
+        run(*random_term(alg, family, sample_degree, max_poly_deg, rng),
+            sampled)
+    return {name: (checked[name], failures[name]) for name in rows}
+
+
+def verify_chainmap(alg: SkewAlgebra, name: str, degrees=(0, 1, 2, 3),
+                    max_poly_deg: int = 2, samples: int = 0,
+                    sample_degree: int = 4, seed: int = 0):
+    """Check d ∘ f = f ∘ d for the named map of :data:`MAPS` on enumerated
+    free bases plus random samples.  Returns a report dict with the number
+    of inputs checked and up to MAX_WITNESSES counterexamples."""
+    if name not in MAPS:
+        raise ValueError(f"unknown map {name!r}")
+    checked, failures = check_family(
+        alg, MAPS[name][0], {name: Row(None, MAPS[name][1], "commutes",
+                                       degrees)},
+        max_poly_deg, samples, sample_degree, seed)[name]
+    return {"map": name, "degrees": list(degrees), "checked": checked,
+            "failures": failures}
+
+
+def run_rows(alg: SkewAlgebra, budgets: dict, names) -> dict:
+    """name -> record of each named row, from one :func:`check_family` pass
+    per family; each family draws its samples from its own stream."""
+    families, results = {}, {}
+    for name in names:
+        row = ROWS[name]
+        families.setdefault(row.family, {})[name] = row._replace(
+            degrees=row.degrees(budgets["max_bar_degree"]))
+    for family, rows in families.items():
+        results.update(check_family(
+            alg, family, rows, budgets["max_poly_degree"],
+            budgets["degree4_samples"], 4, budgets["seed"]))
+    return {name: _record(name, *results[name]) for name in names}
 
 
 # -- suites ----------------------------------------------------------------
 
-def _checks(*checks):
-    """A suite that runs ``checks`` in order, one record each."""
-    return lambda alg, budgets, rng: [check(alg, budgets, rng)
-                                      for check in checks]
-
-
-#: suite name -> the function giving its records, in report order.
+#: suite name -> its checks in report order: names of rows, and bodies.
 SUITES = {
-    "complexes": _checks(*D2_CHECKS, d2_random_degree4, bimodule_axioms,
-                         diff_commutes_with_action, group_scalar_compat),
-    "chainmaps": chainmap_records,
-    "splitting": _checks(awg_ezg_identity, splitting_worked_degree2,
-                         pi_iota_identity, pi_s_iota_s_identity, iota_graded,
-                         pi_graded),
+    "complexes": (*(name for name, row in ROWS.items() if row.kind == "zero"),
+                  d2_random_degree4, bimodule_axioms,
+                  diff_commutes_with_action, group_scalar_compat),
+    "chainmaps": tuple(f"chainmap_{name}" for name in MAPS),
+    "splitting": ("awg_ezg_identity", splitting_worked_degree2,
+                  "pi_iota_identity", "pi_s_iota_s_identity", "iota_graded",
+                  "pi_graded"),
 }
 
 
+def input_count(alg: SkewAlgebra, budgets: dict, check) -> int:
+    """How many inputs a check of :data:`SUITES` runs on, by formula: a bar
+    run of length k has pool**k letters and a wedge slot C(N, j).  No pool
+    is built, and a row's count stops once it, or the number of tags the
+    row visits, is past MAX_CHECK_INPUTS."""
+    if check not in ROWS:
+        return budgets[check.draws] if check.draws else 1
+    row, dmax, order = ROWS[check], budgets["max_poly_degree"], alg.group.order
+    monomials = comb(alg.nvars + dmax, dmax)  # of degree <= dmax
+    pools = {"pair": monomials * order - 1, "group": order - 1,
+             "exp": monomials - 1}
+    pairs = ({"barg": order, "koszul": monomials}[row.family] ** 2
+             if row.outer else 1)  # of outer coefficients
+    count = budgets["degree4_samples"] if row.kind == "commutes" else 0
+    tags = (tag for n in row.degrees(budgets["max_bar_degree"])
+            for tag in _tags(row.family, n))
+    for visited, tag in enumerate(tags):
+        if max(count, visited) > MAX_CHECK_INPUTS:
+            return max(count, visited)
+        count += pairs * prod(
+            comb(alg.nvars, wedge_degree(tag)) if kind == "wedge"
+            else pools[kind] ** k if bar else 1
+            for kind, bar, k in layout(tag).runs)
+    return count
+
+
 def run_suites(alg: SkewAlgebra, budgets: dict, suite: str) -> list:
-    """The records of one suite, or of all three for ``"all"``."""
-    records = []
-    for name in SUITES if suite == "all" else (suite,):
-        records += SUITES[name](alg, budgets, random.Random(budgets["seed"]))
-    return records
+    """The records of one suite, or of all three for ``"all"``: the rows of
+    all of them in one pass per family, then each suite's bodies on one rng
+    seeded by ``budgets["seed"]``.  Refuses an oversized run up front."""
+    suites = tuple(SUITES) if suite == "all" else (suite,)
+    checks = [check for name in suites for check in SUITES[name]]
+    for check in checks:
+        if input_count(alg, budgets, check) > MAX_CHECK_INPUTS:
+            raise DegreeOutOfRange(
+                f"{getattr(check, '__name__', check)} would check more than "
+                f"{MAX_CHECK_INPUTS} inputs; lower the degree budgets")
+    rows = run_rows(alg, budgets, [c for c in checks if c in ROWS])
+    rngs = {name: random.Random(budgets["seed"]) for name in suites}
+    return [rows[c] if c in ROWS else c(alg, budgets, rngs[name])
+            for name in suites for c in SUITES[name]]

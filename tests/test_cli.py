@@ -9,6 +9,7 @@ input, or budget problems), 3 = the three PBW deciders disagree.
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,9 @@ from helpers import (
     neg_id_q_config_doc,
     swap_q_config_doc,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_json(path, doc):
@@ -117,10 +121,10 @@ class TestVerify:
                                           monkeypatch):
         # Fault injection: make the chain-map verifier report a failure so
         # the exit-1 path is exercised without breaking any real map.
-        def broken(alg, family, maps, *args, **kw):
-            return {name: (1, [{"injected": True}]) for name in maps}
+        def broken(alg, family, rows, *args, **kw):
+            return {name: (1, [{"injected": True}]) for name in rows}
 
-        monkeypatch.setattr("skewchain.verify.check_maps", broken)
+        monkeypatch.setattr("skewchain.verify.check_family", broken)
         cfg = write_json(tmp_path / "c.json",
                          swap_q_config_doc(budgets=SMALL_BUDGETS))
         code, rep, _ = run_cli(capsys, ["verify", "chainmaps",
@@ -143,6 +147,37 @@ class TestVerify:
                                               "--config", cfg])
         assert code_split == code_all == 0
         assert split["checks"] == every["checks"][-len(SPLITTING_CHECKS):]
+
+    def test_bar_degree_past_the_input_cap_is_a_fast_setup_error(
+            self, capsys, monkeypatch):
+        # a barskew row on s3_perm_q at bar degree 4 has 59**4 = 12,117,361
+        # degree-4 generators alone, past the cap of 10**6 inputs a check;
+        # d2_barskew is the first in report order
+        forbid_slot_lists(monkeypatch)
+        cfg = str(ROOT / "perfbench" / "configs" / "s3_perm_q.json")
+        start = time.monotonic()
+        code, rep, _ = run_cli(capsys, ["verify", "all", "--config", cfg,
+                                        "--max-degree", "4"])
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert rep["error"] == {
+            "type": "DegreeOutOfRange",
+            "detail": "d2_barskew would check more than 1000000 inputs; "
+                      "lower the degree budgets"}
+
+    @pytest.mark.parametrize("suite", ["complexes", "chainmaps", "splitting",
+                                       "all"])
+    def test_a_huge_poly_degree_is_a_fast_setup_error(self, suite, tmp_path,
+                                                     capsys, monkeypatch):
+        # C(10**6 + 2, 2) monomials per letter are counted, never listed
+        forbid_slot_lists(monkeypatch)
+        cfg = write_json(tmp_path / "c.json", swap_q_config_doc(
+            budgets={"max_poly_degree": 10 ** 6}))
+        start = time.monotonic()
+        code, rep, _ = run_cli(capsys, ["verify", suite, "--config", cfg])
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert rep["error"]["type"] == "DegreeOutOfRange"
 
 
     @pytest.mark.parametrize("order,action", [

@@ -2,8 +2,9 @@
 
 ``scripts/oracle_replay.py`` hashes the canonical reports of each kind
 over the benchmark's inputs.  The ``verify`` kind runs every chain map,
-``diff`` and the bimodule action through ``cli.run_verify``; the ``apply``
-kind runs every map on the ``splitting`` inputs through the JSON codec.
+``diff`` and the bimodule action through ``cli.run_verify``, and the
+``verify_suites`` kind runs each suite alone; the ``apply`` kind runs
+every map on the ``splitting`` inputs through the JSON codec.
 Their recorded hashes pin those reports byte for byte.
 """
 
@@ -23,6 +24,8 @@ PINNED = {
                   "759e6a3a4b6e"),
     "apply": (3000, "0fc765473c5b014b096b78db2365c9868e622d50e68abb6c07"
                     "9dfae325a9c31d"),
+    "verify_suites": (18, "e0e8f81c84fb35b323210e0543e1aa6c8d6eb05c5b9cdc"
+                          "7b50273ea0303b3936"),
 }
 
 

@@ -1,19 +1,38 @@
-"""skewchain.verify: its sampled inputs, its failure witnesses and the
-one-pass check of the chain maps."""
+"""skewchain.verify: its sampled inputs, its failure witnesses, the one
+pass per input family that runs every row of its table, and the input
+count that bounds a run before it starts."""
 
+import collections
+import functools
 import hashlib
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from skewchain import chainmaps, verify
+from skewchain import chainmaps, complexes, verify
 from skewchain.chainmaps import awg
 from skewchain.complexes import ChainElement
-from skewchain.serialize import canonical_json
+from skewchain.serialize import DEFAULT_BUDGETS, RunConfig, canonical_json
 
-from helpers import s3_perm_q, swap_q, v4_gf2
+from helpers import (
+    CHAINMAP_CONFIGS,
+    PBW_CONFIGS,
+    neg_id_q,
+    s3_perm_q,
+    s3_refl_q,
+    swap_gf2,
+    swap_q,
+    trivial_group_q,
+    v4_gf2,
+    z3_diag_gf3,
+    z3_trivial_gf3_n3,
+    z3_unipotent_gf3,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BUDGETS = {"max_bar_degree": 2, "max_poly_degree": 2, "j_max": 4,
            "samples": 20, "degree4_samples": 20, "seed": 0}
@@ -49,7 +68,7 @@ def test_random_checks_draw_outer_slots(check, monkeypatch):
     assert any(has_non_unit_outer(alg, tag, slots) for tag, slots in drawn)
 
 
-def test_chainmap_witnesses_are_capped_and_name_the_defect():
+def test_chainmap_witnesses_are_capped_and_name_the_defect(monkeypatch):
     def mutant(x):
         v = awg(x)
         for tag, terms in v.parts.items():
@@ -57,8 +76,8 @@ def test_chainmap_witnesses_are_capped_and_name_the_defect():
                 v.parts[tag] = {s: -c for s, c in terms.items()}
         return v
 
-    rep = verify.verify_chainmap(swap_q(), "awg", degrees=(1, 2),
-                                 map_fn=mutant)
+    monkeypatch.setattr(chainmaps, "awg", mutant)
+    rep = verify.verify_chainmap(swap_q(), "awg", degrees=(1, 2))
     assert rep["checked"] > verify.MAX_WITNESSES
     assert len(rep["failures"]) == verify.MAX_WITNESSES
     for w in rep["failures"]:
@@ -67,7 +86,7 @@ def test_chainmap_witnesses_are_capped_and_name_the_defect():
         assert w["defect_terms"] > 0
 
 
-def test_chainmap_witness_renders_the_defect():
+def test_chainmap_witness_renders_the_defect(monkeypatch):
     """A witness shows the first terms of d f(x) - f(d x) in tag, then
     term_sort_key, order, and counts the terms it leaves out."""
     def mutant(x):  # awg with its X_{i,j} part scaled by i + 1
@@ -76,15 +95,15 @@ def test_chainmap_witness_renders_the_defect():
             v.parts[tag] = {s: (tag[1] + 1) * c for s, c in terms.items()}
         return v
 
+    monkeypatch.setattr(chainmaps, "awg", mutant)
     alg = swap_q()
-    rep = verify.verify_chainmap(alg, "awg", degrees=(1,), map_fn=mutant)
+    rep = verify.verify_chainmap(alg, "awg", degrees=(1,))
     first = rep["failures"][0]
     assert first["input"] == [[[0, 0], 0], [[0, 0], 1], [[0, 0], 0]]
     # d awg(1⊗g⊗1) = g⊗1 - 1⊗g in X_{0,0}; the mutant doubles it
     assert first["defect"] == ("(-1)*twisted(0,0,bar)(0,1,(0,0),(0,0)) + "
                                "(1)*twisted(0,0,bar)(1,0,(0,0),(0,0))")
-    rep = verify.verify_chainmap(alg, "awg", degrees=(), samples=5,
-                                 map_fn=mutant)
+    rep = verify.verify_chainmap(alg, "awg", degrees=(), samples=5)
     long = [w for w in rep["failures"]
             if w["defect_terms"] > verify.MAX_DEFECT_TERMS]
     assert long, "no sampled degree-4 input has a long defect"
@@ -214,3 +233,135 @@ def test_each_family_draws_the_samples_of_its_maps_own_stream(monkeypatch):
         want += [(family, original(alg, family, 4, 1, rng))
                  for _ in range(SMALL["degree4_samples"])]
     assert drawn == want
+
+
+# -- one table, one pass per family ----------------------------------------
+
+def _count_stage_calls(monkeypatch, names):
+    """Calls of each stage of MAPS while the named rows run at SMALL."""
+    calls = collections.Counter()
+    for stage in {s for _domain, stages in chainmaps.MAPS.values()
+                  for s in stages}:
+        def counted(x, real=getattr(chainmaps, stage), stage=stage):
+            calls[stage] += 1
+            return real(x)
+        monkeypatch.setattr(chainmaps, stage, counted)
+    verify.run_rows(swap_q(), SMALL, names)
+    monkeypatch.undo()
+    return calls
+
+
+def test_verify_all_applies_each_stage_chain_to_an_input_once(monkeypatch):
+    """Across the rows of all three suites, no stage chain is applied twice
+    to the same free generator.  Samples are drawn with replacement, so a
+    sample may repeat an input; this run draws none."""
+    applied, made, keep = collections.Counter(), {}, []
+
+    def traced(module, name, real):
+        def stage(x):
+            root, chain = made.get(id(x), (x, ()))
+            out = real(x)
+            if chain == ():  # a generator, keyed by its one term
+                root = next((tag, s) for tag, part in x.parts.items()
+                            for s in part)
+            made[id(out)] = (root, chain + (name,))
+            keep.append(out)  # keeps ids unique while the run lasts
+            applied[made[id(out)]] += 1
+            return out
+        monkeypatch.setattr(module, name, stage)
+
+    traced(complexes, "diff", complexes.diff)
+    for stage in {s for _domain, stages in chainmaps.MAPS.values()
+                  for s in stages}:
+        traced(chainmaps, stage, getattr(chainmaps, stage))
+    records = verify.run_suites(swap_q(), dict(SMALL, degree4_samples=0),
+                                "all")
+    assert all(r["passed"] for r in records)
+    assert applied and max(applied.values()) == 1, [
+        key for key, n in applied.items() if n > 1][:3]
+
+
+def test_graded_and_identity_rows_reuse_the_chainmap_images(monkeypatch):
+    chainmap_rows = [f"chainmap_{name}" for name in chainmaps.MAPS]
+    alone = _count_stage_calls(monkeypatch, chainmap_rows)
+    assert alone["awg"] and alone["id_tensor_pi_s"] and alone["ezg"]
+    graded = _count_stage_calls(monkeypatch,
+                                chainmap_rows + ["pi_graded", "iota_graded"])
+    assert graded == alone
+    identity = _count_stage_calls(monkeypatch,
+                                  chainmap_rows + ["pi_iota_identity"])
+    for stage in ("id_tensor_iota_s", "ezg"):
+        assert identity[stage] == alone[stage]
+
+
+@pytest.mark.parametrize("config", [swap_q, v4_gf2, s3_perm_q],
+                         ids=lambda c: c.__name__)
+def test_all_is_the_three_suites_run_alone(config):
+    alg = config()
+    alone = [r for suite in verify.SUITES
+             for r in verify.run_suites(alg, SMALL, suite)]
+    assert verify.run_suites(alg, SMALL, "all") == alone
+
+
+# -- the up-front input count ------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _enumerated(config, family, n, dmax):
+    return sum(1 for _ in verify.free_basis(config(), family, n, dmax))
+
+
+@pytest.mark.parametrize("config", sorted(
+    set(CHAINMAP_CONFIGS.values()) | set(PBW_CONFIGS.values()),
+    key=lambda c: c.__name__), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("dmax", [1, 2])
+def test_input_count_is_the_number_of_inputs(config, dmax):
+    """Through bar degree 3, each row's count by formula is its free
+    generators, times its pairs of outer coefficients, plus its samples."""
+    alg = config()
+    budgets = dict(SMALL, max_bar_degree=3, max_poly_degree=dmax)
+    for name, row in verify.ROWS.items():
+        pairs = len(range(alg.group.order) if row.family == "barg"
+                    else alg.monomials_up_to(dmax)) ** 2 if row.outer else 1
+        want = sum(pairs * _enumerated(config, row.family, n, dmax)
+                   for n in row.degrees(3))
+        if row.kind == "commutes":
+            want += budgets["degree4_samples"]
+        assert verify.input_count(alg, budgets, name) == want, name
+    for check in verify.SUITES["complexes"][6:]:
+        assert verify.input_count(alg, budgets, check) == (
+            budgets["degree4_samples"] if check is verify.d2_random_degree4
+            else budgets["samples"])
+    assert verify.input_count(
+        alg, budgets, verify.splitting_worked_degree2) == 1
+
+
+def _helper_configs():
+    algebras = [(f.__name__, f) for f in (
+        swap_q, swap_gf2, neg_id_q, z3_diag_gf3, z3_unipotent_gf3,
+        z3_trivial_gf3_n3, s3_perm_q, s3_refl_q, v4_gf2, trivial_group_q)]
+    for path in sorted((ROOT / "perfbench" / "configs").glob("*.json")):
+        algebras.append((f"perfbench:{path.stem}",
+                         lambda path=path: RunConfig.from_file(
+                             str(path)).algebra))
+    return algebras
+
+
+@pytest.mark.parametrize("name, make", _helper_configs(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_every_config_is_under_the_cap_at_default_budgets(name, make):
+    alg = make()
+    for check in (c for suite in verify.SUITES.values() for c in suite):
+        assert verify.input_count(alg, DEFAULT_BUDGETS, check) <= \
+            verify.MAX_CHECK_INPUTS, (name, check)
+
+
+def test_the_largest_default_check_is_chainmap_awg_on_s3_perm_q():
+    counts = {check: verify.input_count(s3_perm_q(), DEFAULT_BUDGETS, check)
+              for check in verify.ROWS}
+    assert max(counts, key=counts.get) in ("chainmap_awg", "chainmap_pi")
+    # 59 letters (m, g) with deg m <= 2 and (m, g) != (1, 1), through
+    # degree 3, plus the 200 degree-4 samples
+    assert counts["chainmap_awg"] == 1 + 59 + 59 ** 2 + 59 ** 3 + 200
+    top = dict(DEFAULT_BUDGETS, max_bar_degree=4)
+    assert verify.input_count(s3_perm_q(), top, "chainmap_awg") > \
+        verify.MAX_CHECK_INPUTS
