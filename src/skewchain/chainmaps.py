@@ -53,10 +53,12 @@ from .complexes import (
     ShapeMismatch,
     act_barskew_left,
     act_barskew_right,
-    add_moved,
+    act_skew_left,
+    act_skew_right,
     free_decompose,
     tensor_expand,
 )
+from .fields import scaled_pairs
 from .polynomials import monomial_mul, poly_mul, var_exp
 from .skew import SkewAlgebra
 
@@ -75,6 +77,7 @@ def awg(x) -> ChainElement:
     """
     alg = x.alg
     memo = alg._awg_memo
+    unit = alg.unit_pair
     out = ChainElement(alg)
     for tag, terms in x.parts.items():
         if tag[0] != "barskew":
@@ -89,7 +92,14 @@ def awg(x) -> ChainElement:
                 if len(inner) <= 2:
                     image = memo[inner] = tuple(
                         (ptag, tuple(pairs)) for ptag, pairs in image)
-            add_moved(out, c, slots[0], image, slots[-1])
+            a = None if slots[0] == unit else {slots[0]: 1}
+            b = None if slots[-1] == unit else {slots[-1]: 1}
+            for ptag, pairs in image:
+                if a is not None:
+                    pairs = act_skew_left(alg, ptag, pairs, a)
+                if b is not None:
+                    pairs = act_skew_right(alg, ptag, pairs, b)
+                out.add_terms(ptag, scaled_pairs(alg.field, c, pairs))
     return out
 
 

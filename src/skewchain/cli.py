@@ -37,6 +37,7 @@ from .pbw import (
     oracle_pbw,
 )
 from .serialize import (
+    MAX_BAR_DEGREE,
     ConfigParseError,
     RunConfig,
     _ga_from_wire,
@@ -297,6 +298,9 @@ def main(argv=None) -> int:
         if args.max_degree is not None:
             if args.max_degree <= 0:
                 raise ConfigParseError("max degree must be positive")
+            if args.max_degree > MAX_BAR_DEGREE:
+                raise ConfigParseError(
+                    f"max degree must be at most {MAX_BAR_DEGREE}")
             cfg.budgets["max_bar_degree"] = args.max_degree
         if args.command == "verify":
             report, code = run_verify(cfg, args.suite)

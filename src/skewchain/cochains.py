@@ -19,34 +19,25 @@ The operations implemented on bar-resolution cochains:
   maps pi and iota, moving cochains between the twisted-product complex
   and the bar resolution.
 
-A cochain evaluated on a chain reads only the chain's part on its own
-domain tag (cochains are extended by zero to other degrees and
-bidegrees), which is what makes evaluation against the mixed-degree
-outputs of pi well defined.
-
-The ``free_decompose`` split of a twisted term depends on the algebra
-alone, not on any cochain.  It is memoized on the algebra
-(``_free_decompose_memo``), so the fresh cochains that
-``pbw.check_cohomological`` builds for every parameter table share it.
-``coboundary`` is not on that path (the decider evaluates d*(mu) on the
-twisted side, see :func:`skewchain.pbw.check_cohomological`) and computes
-each bar differential afresh.
-
-A twisted chain X is evaluated through an :class:`Expansion`, and one
-that many cochains are evaluated on is read into it once.  Evaluation is
-linear in the cochain's values:
-on a term c·t of X with split t = sum of c2·(a·E(key)·b), a cochain has
-the value c·c2·a·alpha(key)·b, so
+A cochain reads a chain through an :class:`Expansion` of the chain's
+part on its own tag (it is zero on other degrees and bidegrees, which
+makes evaluation on the mixed-degree outputs of pi well defined).  The
+expansion splits each term as c·(a·E(key)·b), E(key) free: a bar term at
+its outer slots, a twisted term by ``free_decompose``.  A cochain has the
+value c·a·alpha(key)·b on it, so
 
     alpha(X) = sum over keys and basis pairs p of alpha(key)[p]·E_X[key, p],
-    E_X[key, p] = sum of c·c2·a·p·b over the splits with that key.
+    E_X[key, p] = sum of c·a·p·b over the splits with that key.
 
-This is exact in any field: it regroups the term-by-term sum of the
-values c·c2·a·alpha(key)·b and multiplies nothing differently.  Each
-column E_X[key, p] is built on first use from the memoized split, so a
-cochain with values in kG (the PBW parameters lambda and kappa) reads at
-most |G| columns per key, and its value on X is a scalar times a stored
-column per nonzero coordinate, with no product in the algebra.
+This is exact in any field: it regroups the term-by-term sum and
+multiplies nothing differently.  Each column is built on first use and
+kept, so a chain expanded once serves many cochains: one with values in
+kG (the PBW parameters lambda and kappa) reads at most |G| columns per
+key, a scalar times a stored column per nonzero coordinate.
+
+Expansions compose: the splits of c·a·X·b, a and b basis pairs, are
+(c·s, a·a', b'·b) over the splits (s, a', b') of X, by module
+associativity (a·a')·E·(b'·b) = a·(a'·E·b')·b.
 """
 
 from __future__ import annotations
@@ -85,30 +76,11 @@ class Cochain:
         return hit
 
     def eval_element(self, x) -> dict:
-        """Value on a chain or :class:`Expansion`, extended by zero off-tag;
-        a twisted chain is read through an Expansion."""
-        if isinstance(x, Expansion):
-            return x.contract(self)
-        terms = x.parts.get(self.tag)
-        if terms is None:
-            return {}
-        if self.tag[0] == "twisted":
-            part = ChainElement(x.alg, {self.tag: terms})
-            return Expansion(part).contract(self)
-        if self.tag[0] != "barskew":
-            raise ShapeMismatch(f"cannot evaluate cochains on {self.tag}")
-        alg = self.alg
-        f = alg.field
-        out: dict = {}
-        for slots, c in terms.items():
-            # a * f(E) * b on the basis term a . E . b
-            v = self.value(slots[1:-1])
-            if v and slots[0] != alg.unit_pair:
-                v = alg.mul({slots[0]: 1}, v)
-            if v and slots[-1] != alg.unit_pair:
-                v = alg.mul(v, {slots[-1]: 1})
-            f.accumulate(out, scaled_pairs(f, c, v.items()))
-        return out
+        """Value on a chain or :class:`Expansion`, extended by zero off the
+        cochain's tag; a chain is expanded on that tag first."""
+        if not isinstance(x, Expansion):
+            x = Expansion.of(x, self.tag)
+        return x.contract(self)
 
     # pointwise vector-space structure (same domain required)
     def __add__(self, other: "Cochain") -> "Cochain":
@@ -135,36 +107,59 @@ class Cochain:
                        lambda key: vec_scale(f, c, self.value(key)))
 
 
-class Expansion:
-    """A twisted chain, read once for evaluation by many cochains.
+#: The split a·E·b of a term of each complex that cochains read, as
+#: ``free_decompose`` gives it: a bar term splits at its outer slots.
+_SPLITS = {"barskew": lambda alg, tag, slots: (
+               {slots[0]: 1}, ((1, slots[1:-1]),), {slots[-1]: 1}),
+           "twisted": free_decompose}
 
-    Per tag and free key, the splits (c·c2, a, b) of the chain's terms,
-    and the columns E_X[key, p] of the module docstring, filled on first
-    use as tuples of (pair, scalar).
+
+class Expansion:
+    """A chain, read once for evaluation by many cochains.
+
+    Per tag and free key, the splits (s, a, b) of the chain's terms, each
+    standing for s·(a·E(key)·b), and the columns E_X[key, p] of the module
+    docstring, filled on first use as tuples of (pair, scalar).
     """
 
     __slots__ = ("alg", "parts")
 
-    def __init__(self, x):
-        alg = self.alg = x.alg
-        f = alg.field
-        memo = alg._free_decompose_memo
+    def __init__(self, alg: SkewAlgebra):
+        self.alg = alg
         self.parts: dict = {}
-        for tag, terms in x.parts.items():
-            if tag[0] != "twisted":
-                raise ShapeMismatch(f"cannot expand a chain on {tag}")
-            part = self.parts[tag] = {}
-            for slots, c in terms.items():
-                split = memo.get((tag, slots))
-                if split is None:
-                    split = memo[(tag, slots)] = free_decompose(alg, tag,
-                                                                slots)
-                a, items, b = split
-                for c2, key in items:
-                    hit = part.get(key)
-                    if hit is None:
-                        hit = part[key] = ([], {})
-                    hit[0].append((f.mul(c, c2), a, b))
+
+    @classmethod
+    def of(cls, x, tag=None) -> "Expansion":
+        """The splits of the chain x's terms, on ``tag`` alone if given."""
+        out = cls(x.alg)
+        mul = x.alg.field.mul
+        for t in x.parts if tag is None else (tag,):
+            split = _SPLITS.get(t[0])
+            if split is None:
+                raise ShapeMismatch(f"cannot evaluate cochains on {t}")
+            for slots, c in x.parts.get(t, {}).items():
+                a, items, b = split(x.alg, t, slots)
+                out._add(t, ((key, (mul(c, c2), a, b)) for c2, key in items))
+        return out
+
+    def compose(self, c, a, x: "Expansion", b) -> None:
+        """Add the splits of c·a·X·b, for X expanded as x and a, b basis
+        pairs: (c·s, a·a', b'·b) per split (s, a', b') of X."""
+        alg = self.alg
+        mul = alg.field.mul
+        a, b = {a: 1}, {b: 1}
+        for tag, part in x.parts.items():
+            self._add(tag, ((key, (mul(c, s), alg.mul(a, a2), alg.mul(b2, b)))
+                            for key, (splits, _) in part.items()
+                            for s, a2, b2 in splits))
+
+    def _add(self, tag, splits) -> None:
+        part = self.parts.setdefault(tag, {})
+        for key, split in splits:
+            hit = part.get(key)
+            if hit is None:
+                hit = part[key] = ([], {})
+            hit[0].append(split)
 
     def contract(self, alpha: Cochain) -> dict:
         """alpha on the chain: alpha(key)[p]·E_X[key, p], summed."""

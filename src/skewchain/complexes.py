@@ -431,21 +431,6 @@ def bimodule_act(a, x, b) -> ChainElement:
     return out
 
 
-def add_moved(out: ChainElement, c, a, image, b):
-    """Accumulate c · a·E·b into ``out``, for E a twisted chain given by its
-    ``(tag, pairs)`` parts and a, b the outer slot pairs of a term."""
-    alg = out.alg
-    unit = alg.unit_pair
-    a = None if a == unit else {a: 1}
-    b = None if b == unit else {b: 1}
-    for tag, pairs in image:
-        if a is not None:
-            pairs = act_skew_left(alg, tag, pairs, a)
-        if b is not None:
-            pairs = act_skew_right(alg, tag, pairs, b)
-        out.add_terms(tag, scaled_pairs(alg.field, c, pairs))
-
-
 # -- free-basis bookkeeping ------------------------------------------------
 
 def free_slots(alg: SkewAlgebra, tag, letters) -> tuple:

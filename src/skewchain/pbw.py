@@ -36,6 +36,7 @@ elements are table indices with 0 the identity; variables are 0-based.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
@@ -43,7 +44,6 @@ from .chainmaps import DegreeOutOfRange, iota, pi
 from .cochains import Cochain, Expansion, circle, transport_up
 from .complexes import (
     ChainElement,
-    add_moved,
     diff,
     free_slots,
     free_terms,
@@ -358,35 +358,23 @@ def check_five(alg: SkewAlgebra, params: PBWParams) -> PBWReport:
 
 # -- method 2: cohomological conditions on the twisted complex --------------
 
-def _cached_pi(alg):
-    """pi on free bar generators, by inner slots, memoized on the algebra,
-    and its :class:`~skewchain.cochains.Expansion`, the ``pi_fn`` of mu1
-    and mu2, memoized beside it.
-
-    The splitting maps do not depend on the deformation parameters, so
-    their values are shared across parameter tables.
+def _pi_expansion(alg, inner):
+    """The :class:`~skewchain.cochains.Expansion` of pi on the free bar
+    generator with letters ``inner``, memoized on the algebra: the
+    splitting maps do not depend on the deformation parameters, so it is
+    shared across parameter tables.  It is the ``pi_fn`` of mu1 and mu2.
     """
-    images, expansions = alg._pi_image_cache, alg._pi_expansion_cache
-
-    def pif(inner):
-        hit = images.get(inner)
-        if hit is None:
-            tag = ("barskew", len(inner))
-            hit = images[inner] = pi(ChainElement.basis(
-                alg, tag, free_slots(alg, tag, inner)))
-        return hit
-
-    def expanded(inner):
-        hit = expansions.get(inner)
-        if hit is None:
-            hit = expansions[inner] = Expansion(pif(inner))
-        return hit
-
-    return pif, expanded
+    cache = alg._pi_image_cache
+    hit = cache.get(inner)
+    if hit is None:
+        tag = ("barskew", len(inner))
+        hit = cache[inner] = Expansion.of(pi(ChainElement.basis(
+            alg, tag, free_slots(alg, tag, inner))))
+    return hit
 
 
 def _iota_images(alg, i, j):
-    """(free key, iota image) pairs over the X_{i,j} free basis, cached.
+    """(free key, iota image, its Expansion) per X_{i,j} free generator.
 
     The free key is the C-part's group slots followed by the wedge's
     variables, the witness values of the condition scans.
@@ -398,36 +386,34 @@ def _iota_images(alg, i, j):
         hit = []
         tag = ("twisted", i, j, "koszul")
         for slots in free_terms(alg, tag, 1):
-            x = ChainElement.basis(alg, tag, slots)
-            cbars = slots[1: i + 1]
-            wedge = slots[i + 3]
-            hit.append((cbars + wedge, iota(x)))
+            y = iota(ChainElement.basis(alg, tag, slots))
+            hit.append((slots[1: i + 1] + slots[i + 3], y, Expansion.of(y)))
         cache[key] = hit
     return hit
 
 
-def _pi_of_boundary(alg, pif, i, j, index, image):
+def _pi_of_boundary(alg, i, j, index, image):
     """The :class:`~skewchain.cochains.Expansion` of Π(d y), y the iota
     image of the X_{i,j} free basis element at ``index``, memoized on the
     algebra.
 
     Π applies pi to the free part of each term and keeps the outer slots:
     Π(c · a·E·b) = c · a·pi(E)·b, the bimodule extension through which a
-    transported cochain is evaluated.  No parameter table enters it, and
-    lambda and kappa, with values in kG, are then evaluated on it by one
-    contraction each: a scalar times a stored column per coordinate.
+    transported cochain is evaluated.  It is composed from the pi images'
+    expansions, and never built as a chain.  No parameter table enters it,
+    and lambda and kappa, with values in kG, are then evaluated on it by
+    one contraction each: a scalar times a stored column per coordinate.
     """
     cache = alg._pi_boundary_cache
     key = (i, j, index)
     hit = cache.get(key)
     if hit is None:
-        chain = ChainElement(alg)
+        hit = Expansion(alg)
         for terms in diff(image).parts.values():
             for slots, c in terms.items():
-                add_moved(chain, c, slots[0],
-                          [(tag, part.items()) for tag, part
-                           in pif(slots[1:-1]).parts.items()], slots[-1])
-        hit = cache[key] = Expansion(chain)
+                hit.compose(c, slots[0], _pi_expansion(alg, slots[1:-1]),
+                            slots[-1])
+        cache[key] = hit
     return hit
 
 
@@ -435,10 +421,9 @@ def _defects(alg: SkewAlgebra, params: PBWParams):
     """The defect maps of :func:`check_cohomological` for one table.
 
     Returns ``(d*mu1, mu1∘mu1 - d*mu2, mu1∘mu2 + mu2∘mu1)``, each a
-    function of ``(i, j, index, image)`` for the iota image at ``index``
-    of the X_{i,j} free basis, with values in the skew algebra.
+    function of ``(i, j, index, image, expansion)`` for the iota image at
+    ``index`` of the X_{i,j} free basis, with values in the skew algebra.
     """
-    pif, expanded = _cached_pi(alg)
     f = alg.field
 
     def lam_fn(key):
@@ -451,17 +436,18 @@ def _defects(alg: SkewAlgebra, params: PBWParams):
 
     lam_x = Cochain(alg, ("twisted", 1, 1, "koszul"), lam_fn)
     kap_x = Cochain(alg, ("twisted", 0, 2, "koszul"), kap_fn)
-    mu1 = transport_up(lam_x, expanded)
-    mu2 = transport_up(kap_x, expanded)
+    pif = functools.partial(_pi_expansion, alg)
+    mu1 = transport_up(lam_x, pif)
+    mu2 = transport_up(kap_x, pif)
     mu1_mu1 = circle(mu1, mu1)
     mu12 = circle(mu1, mu2) + circle(mu2, mu1)
 
     def d_mu1(*at):
-        return lam_x.eval_element(_pi_of_boundary(alg, pif, *at))
+        return lam_x.eval_element(_pi_of_boundary(alg, *at[:-1]))
 
     def phi2(*at):
         return vec_sub(f, mu1_mu1.eval_element(at[-1]),
-                       kap_x.eval_element(_pi_of_boundary(alg, pif, *at)))
+                       kap_x.eval_element(_pi_of_boundary(alg, *at[:-1])))
 
     def phi3(*at):
         return mu12.eval_element(at[-1])
@@ -497,21 +483,20 @@ def check_cohomological(alg: SkewAlgebra, params: PBWParams,
     factors a and b through alpha (whose values on a twisted term are
     a'·alpha(E')·b' by ``free_decompose``), and asks nothing of pi but its
     values on free generators; pi itself is not a bimodule map.  Π(d y)
-    does not depend on the table, so it is built once per algebra and
-    image, the first time a scan reaches that image; d*(mu1)(y) is then
-    lambda's cochain on it and d*(mu2)(y) kappa's.
+    does not depend on the table, so its expansion is composed from those
+    of the pi images once per algebra and image, the first time a scan
+    reaches that image; d*(mu1)(y) is then lambda's cochain on it and
+    d*(mu2)(y) kappa's.
 
-    Only the table's coordinates are per table.  lambda and kappa take
-    values in kG, and a cochain's value on a chain is linear in its values
-    on free keys, so Π(d y) and every pi image that mu1 and mu2 read are
-    expanded once per algebra (:class:`~skewchain.cochains.Expansion`,
-    from the memoized free_decompose splits).  A table then evaluates
-    d*(mu1), kappa's Π(d y) term and every value of mu1 and mu2 as one
-    contraction: per nonzero coordinate lambda(g, x_i)[h] or
-    kappa(x_i ∧ x_j)[h], a scalar times a stored column.  This is exact:
-    it sums the same field products as the term-by-term evaluation, in
-    another order.  The circle products keep their formula and are formed
-    per table on the bar side, from those values.
+    Only the table's coordinates are per table.  Every pi image that mu1
+    and mu2 read, Π(d y) and every iota image y are expanded once per
+    algebra (:class:`~skewchain.cochains.Expansion`).  lambda and kappa
+    take values in kG, so a table evaluates d*(mu1), kappa's Π(d y) term
+    and every value of mu1 and mu2 as one contraction: per nonzero
+    coordinate lambda(g, x_i)[h] or kappa(x_i ∧ x_j)[h], a scalar times a
+    stored column.  The circle products keep their formula on the bar
+    side and contract on y's expansion.  This is exact: it sums the same
+    field products as the term-by-term evaluation, in another order.
 
     A nonzero lambda(1, -) row cannot come from a bidegree-(1,1) cochain
     on the twisted complex; it is reported as a failure of condition (1)
@@ -530,8 +515,8 @@ def check_cohomological(alg: SkewAlgebra, params: PBWParams,
     fmt = alg.format_element
 
     def cases(phi, i, j):
-        for index, (key, image) in enumerate(_iota_images(alg, i, j)):
-            yield phi(i, j, index, image), key
+        for index, (key, *images) in enumerate(_iota_images(alg, i, j)):
+            yield phi(i, j, index, *images), key
 
     # d*(mu1) on X_{2,1} and X_{1,2}, mu1∘mu1 - d*(mu2) on X_{1,2} and
     # X_{0,3}, mu1∘mu2 + mu2∘mu1 on X_{0,3}.  Each scan stops at its first

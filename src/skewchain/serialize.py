@@ -67,6 +67,11 @@ from .pbw import PBWParams
 #: with the products of the exponents, so a larger input would not finish.
 MAX_TERM_DEGREE = 100
 
+#: The largest ``max_bar_degree``: a term of bar degree n has n + 2 slots,
+#: so on an algebra without variables, whose degrees have one input or
+#: none, the work of ``verify`` grows with the square of n.
+MAX_BAR_DEGREE = 100
+
 #: The largest bound on the monomials of the action images of one input
 #: term.  A group element g sends x^a to the product of (g·x_i)^(a_i); with
 #: c_i nonzeros in column i of g, (g·x_i)^(a_i) has at most
@@ -163,6 +168,9 @@ class RunConfig:
         if any(budgets[k] <= 0 for k in
                ("max_bar_degree", "max_poly_degree", "j_max")):
             raise ConfigParseError("degree budgets must be positive")
+        if budgets["max_bar_degree"] > MAX_BAR_DEGREE:
+            raise ConfigParseError(
+                f"max_bar_degree must be at most {MAX_BAR_DEGREE}")
         if budgets["samples"] < 0 or budgets["degree4_samples"] < 0:
             raise ConfigParseError("sample counts must be nonnegative")
 

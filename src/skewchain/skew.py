@@ -55,16 +55,12 @@ class SkewAlgebra:
         #: awg images of free generators with at most 2 bar letters, by
         #: inner tuple, as (tag, pairs) tuples (see chainmaps.awg)
         self._awg_memo: dict = {}
-        #: pi and iota images shared by all parameter tables, and the
-        #: cochains.Expansion of each pi image (see pbw.py)
+        #: shared by all parameter tables (see pbw.py): the Expansion of
+        #: each pi image, the iota images with their Expansions, and the
+        #: Expansion of Π(d y) per iota image y, by (i, j, index)
         self._pi_image_cache: dict = {}
-        self._pi_expansion_cache: dict = {}
         self._iota_image_cache: dict = {}
-        #: the cochains.Expansion of Π(d y) per iota image y, by
-        #: (i, j, index) (see pbw.py)
         self._pi_boundary_cache: dict = {}
-        #: parameter-free results shared by all cochains (see cochains.py)
-        self._free_decompose_memo: dict = {}
         #: the PBW oracle's table-free data (see pbw._OracleFrame)
         self._oracle_frame = None
 

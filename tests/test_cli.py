@@ -180,6 +180,42 @@ class TestVerify:
         assert rep["error"]["type"] == "DegreeOutOfRange"
 
 
+    @pytest.mark.parametrize("degree", [101, 10 ** 5])
+    @pytest.mark.parametrize("where", ["budget", "flag"])
+    def test_bar_degree_past_its_cap_is_a_fast_setup_error(
+            self, degree, where, tmp_path, capsys, monkeypatch):
+        # With the trivial group and no variables every bar degree has one
+        # input or none, so the input cap does not bound the work, which
+        # grows with the square of the degree: 10**5 ran for minutes
+        forbid_slot_lists(monkeypatch)
+        budgets = {"max_bar_degree": degree} if where == "budget" else {}
+        cfg = write_json(tmp_path / "c.json", swap_q_config_doc(
+            group={"family": "cyclic", "n": 1}, action={"dim": 0},
+            budgets=budgets))
+        flag = ["--max-degree", str(degree)] if where == "flag" else []
+        start = time.monotonic()
+        code, rep, _ = run_cli(capsys, ["verify", "all", "--config", cfg,
+                                        *flag])
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        name = "max_bar_degree" if where == "budget" else "max degree"
+        assert rep["error"] == {"type": "ConfigParseError",
+                                "detail": f"{name} must be at most 100"}
+
+    @pytest.mark.parametrize("order,action", [
+        (1, {"dim": 0}), (2, {"dim": 0, "matrices": {"1": []}}),
+    ], ids=["trivial_group_no_variables", "no_variables"])
+    def test_degenerate_algebras_pass_at_the_bar_degree_cap(
+            self, order, action, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", swap_q_config_doc(
+            group={"family": "cyclic", "n": order}, action=action,
+            budgets={"max_bar_degree": 100}))
+        start = time.monotonic()
+        code, rep, _ = run_cli(capsys, ["verify", "all", "--config", cfg])
+        assert time.monotonic() - start < 10.0
+        assert code == 0 and rep["passed"]
+        assert rep["budgets"]["max_bar_degree"] == 100
+
     @pytest.mark.parametrize("order,action", [
         (1, {"dim": 2}), (1, {"dim": 0}),
         (2, {"dim": 0, "matrices": {"1": []}}),

@@ -24,8 +24,19 @@ from math import comb
 import pytest
 
 from skewchain.chainmaps import iota
-from skewchain.cochains import Cochain, circle, coboundary, transport_up
-from skewchain.complexes import ChainElement, random_twisted_slots
+from skewchain.cochains import (
+    Cochain,
+    Expansion,
+    circle,
+    coboundary,
+    transport_up,
+)
+from skewchain.complexes import (
+    ChainElement,
+    bimodule_act,
+    diff,
+    random_twisted_slots,
+)
 from skewchain.pbw import (
     ORACLE_DEGREE,
     PBWParams,
@@ -35,6 +46,7 @@ from skewchain.pbw import (
     _frame,
     _iota_images,
     _normal_words,
+    _pi_of_boundary,
     check_all,
     check_cohomological,
     check_five,
@@ -393,9 +405,10 @@ class TestSharedMemos:
     @pytest.mark.parametrize("name", ["v4_gf2", "z3_unipotent_gf3"])
     def test_cohomological_report_does_not_depend_on_earlier_tables(
             self, name):
-        """The algebra memoizes what no table changes (pi and iota images,
-        their Π(d y) chains, free_decompose splits), so a table decided
-        after others must get the report of a fresh algebra."""
+        """The algebra memoizes what no table changes (the expansions of
+        the pi and iota images and of Π(d y), with their columns), so a
+        table decided after others must get the report of a fresh
+        algebra."""
         warm = PBW_CONFIGS[name]()
         rng = random.Random(7)
         for _ in range(6):
@@ -564,19 +577,22 @@ class TestOracleFrame:
 
 def all_defects(A, p):
     """Every defect of check_cohomological for the table p, image by image
-    over the X_{2,1}, X_{1,2} and X_{0,3} bases."""
+    over the X_{2,1}, X_{1,2} and X_{0,3} bases, each read with its
+    cached expansion."""
     phis = _defects(A, p)
-    return [tuple(phi(i, j, index, y) for phi in phis)
+    return [tuple(phi(i, j, index, y, expansion) for phi in phis)
             for i, j in ((2, 1), (1, 2), (0, 3))
-            for index, (_key, y) in enumerate(_iota_images(A, i, j))]
+            for index, (_key, y, expansion)
+            in enumerate(_iota_images(A, i, j))]
 
 
 class TestTwistedSideCoboundary:
     """check_cohomological evaluates d*(mu) on an image y as alpha(Π(d y)),
-    and lambda and kappa on the algebra's expansions of Π(d y) and of the
-    pi images.  Every defect must equal the one the cochain code computes
+    lambda and kappa on the algebra's expansions of Π(d y), composed from
+    those of the pi images, and the circle products on y's cached
+    expansion.  Every defect must equal the one the cochain code computes
     on the bar side: coboundary and circle of the transported cochains,
-    evaluated term by term on pi's chains.
+    evaluated on pi's chains and on y as a chain.
 
     The tables: random ones, full-support ones with and without kappa,
     and on s3_refl_q the Drinfeld Hecke table kappa(x0 ∧ x1) = r - r²,
@@ -619,11 +635,62 @@ class TestTwistedSideCoboundary:
                 (ref1.eval_element(y), ref2.eval_element(y),
                  ref3.eval_element(y))
                 for i, j in ((2, 1), (1, 2), (0, 3))
-                for _key, y in _iota_images(A, i, j)], (p.kappa, p.lam)
+                for _key, y, _expansion in _iota_images(A, i, j)], \
+                (p.kappa, p.lam)
             cold = PBW_CONFIGS[name]()
             assert all_defects(cold, PBWParams(cold, p.kappa, p.lam)) == got
             if p.kappa == {(0, 1): {3: 1, 4: -1}} and not p.lam:
                 assert not any(map(any, got))
+
+
+def pi_of_boundary_chain(A, y):
+    """Π(d y) built as a chain: pi on the free part of each term of d y,
+    moved by the term's outer slots through the bimodule action."""
+    pif = pi_of_free(A)
+    out = ChainElement(A)
+    for terms in diff(y).parts.values():
+        for slots, c in terms.items():
+            a, b = (None if s == A.unit_pair else {s: 1}
+                    for s in (slots[0], slots[-1]))
+            out.add_scaled(bimodule_act(a, pif(slots[1:-1]), b), c)
+    return out
+
+
+def unit_coordinate_cochains(A):
+    """The lambda and kappa cochains of the tables with one coordinate 1,
+    lambda(g, x_i) = h or kappa(x_i ∧ x_j) = h, and every other 0."""
+    order, nv = A.group.order, A.nvars
+    keys = [(("twisted", 1, 1, "koszul"), ((g,), ((i,),)))
+            for g in range(1, order) for i in range(nv)]
+    keys += [(("twisted", 0, 2, "koszul"), ((), ((i, j),)))
+             for i in range(nv) for j in range(i + 1, nv)]
+    return [Cochain(A, tag, lambda k, key=key, h=h:
+                    A.of_group_algebra({h: 1}) if k == key else {})
+            for tag, key in keys for h in range(order)]
+
+
+class TestComposedBoundary:
+    """The expansion of Π(d y) is composed from the cached expansions of
+    the pi images, (c·s, a·a', key, b'·b) per split (s, a', key, b'),
+    and Π(d y) is never built as a chain.  On every unit lambda and kappa
+    coordinate it must read what the expansion of Π(d y), built as a
+    chain, reads, for every X_{2,1} and X_{1,2} image y."""
+
+    @pytest.mark.parametrize("name", sorted(PBW_CONFIGS))
+    def test_composed_expansion_reads_as_the_built_chain(self, name):
+        A = PBW_CONFIGS[name]()
+        cochains = unit_coordinate_cochains(A)
+        nonzero = 0
+        for i, j in ((2, 1), (1, 2)):
+            for index, (_key, y, _expansion) in enumerate(
+                    _iota_images(A, i, j)):
+                composed = _pi_of_boundary(A, i, j, index, y)
+                built = Expansion.of(pi_of_boundary_chain(A, y))
+                for alpha in cochains:
+                    got = alpha.eval_element(composed)
+                    assert got == alpha.eval_element(built), (i, j, index)
+                    nonzero += bool(got)
+        assert nonzero
 
 
 class TestEnumerate:

@@ -130,6 +130,13 @@ class TestRunConfig:
             RunConfig.from_dict(
                 swap_q_config_doc(budgets={"max_bar_degree": 0})
             )
+        with pytest.raises(ConfigParseError, match="at most 100"):
+            RunConfig.from_dict(
+                swap_q_config_doc(budgets={"max_bar_degree": 101})
+            )
+        cfg = RunConfig.from_dict(
+            swap_q_config_doc(budgets={"max_bar_degree": 100}))
+        assert cfg.budgets["max_bar_degree"] == 100
         with pytest.raises(ConfigParseError, match="nonnegative"):
             RunConfig.from_dict(swap_q_config_doc(budgets={"samples": -1}))
         cfg = RunConfig.from_dict(swap_q_config_doc(budgets={"samples": 0}))
