@@ -217,12 +217,6 @@ class PBWReport:
         return f"PBWReport({self.method}, verdict={self.verdict})"
 
 
-def _basis_image(alg: SkewAlgebra, g: int, i: int) -> dict:
-    """^g x_i as a linear form {variable index: scalar} (a matrix column)."""
-    mat = alg.action.matrices[g]
-    return {k: mat[k][i] for k in range(alg.nvars) if mat[k][i] != 0}
-
-
 def _condition(number: int, names: tuple, fmt, cases) -> dict:
     """The report entry of one condition: its first failing case, if any.
 
@@ -247,9 +241,9 @@ def check_five(alg: SkewAlgebra, params: PBWParams) -> PBWReport:
     Every condition is multilinear in its V-arguments, so basis vectors
     (and, for the alternating conditions, strictly increasing index
     tuples) are sufficient.  The first failing tuple per condition is
-    reported as a witness.  The action columns ^g x_i are read once per
-    call, and a product in kG by a group element g is the relabelling
-    h -> gh or h -> hg of a table row.
+    reported as a witness.  The action's columns ^g x_i are read as
+    linear forms once per call, and a product in kG by a group element g
+    is the relabelling h -> gh or h -> hg of a table row.
     """
     f = alg.field
     group = alg.group
@@ -258,8 +252,7 @@ def check_five(alg: SkewAlgebra, params: PBWParams) -> PBWReport:
     order = group.order
     pairs = list(itertools.combinations(range(nv), 2))
     triples = list(itertools.combinations(range(nv), 3))
-    columns = [[_basis_image(alg, g, i) for i in range(nv)]
-               for g in range(order)]
+    columns = [[dict(col) for col in row] for row in alg.action.columns]
 
     def act(g, i):
         return columns[g][i]
@@ -472,20 +465,31 @@ def check_cohomological(alg: SkewAlgebra, params: PBWParams,
     correspondence; only the verdicts of the two methods are claimed to
     coincide.
 
-    The coboundaries are evaluated on the twisted side.  A transport
-    mu = transport_up(alpha, pi) is extended bimodule-wise, mu(a·E·b) =
-    a·alpha(pi(E))·b, and alpha is itself an A-bimodule map of the twisted
-    complex, so on every image y
+    The coboundaries are evaluated on the twisted side.  A transport mu =
+    transport_up(alpha, pi) is extended bimodule-wise, mu(a·E·b) =
+    a·alpha(pi(E))·b, and alpha is an A-bimodule map of the twisted
+    complex, so mu(z) = alpha(Π(z)) with Π(c·a·E·b) = c·a·pi(E)·b.  pi is
+    left A-linear and right S-linear, but not right kG-linear, because the
+    closed-form Ψ is not G-equivariant; so Π is not pi, and not a chain
+    map.  The conditions rest on a lemma: for every X_{2,1}, X_{1,2} and
+    X_{0,3} free generator E and y = iota(E), Π(d y) and pi(d y) agree on
+    the X_{1,1} and X_{0,2} parts, the only parts lambda and kappa read.
+    Then, with pi a chain map and pi∘iota = id,
 
-        (d*mu)(y) = mu(d y) = alpha(Π(d y)),   Π(c·a·E·b) = c·a·pi(E)·b.
+        (d*mu)(y) = mu(d y) = alpha(Π(d y))
+                  = alpha(pi(d y)) = alpha(d pi(y))      (the lemma)
+                  = alpha(d E) = (d*alpha)(E),
 
-    The identity is exact, not one up to homotopy: it moves only the outer
-    factors a and b through alpha (whose values on a twisted term are
-    a'·alpha(E')·b' by ``free_decompose``), and asks nothing of pi but its
-    values on free generators; pi itself is not a bimodule map.  Π(d y)
-    does not depend on the table, so its expansion is composed from those
-    of the pi images once per algebra and image, the first time a scan
-    reaches that image; d*(mu1)(y) is then lambda's cochain on it and
+    so d*(mu1) and the d*(mu2) term are the twisted coboundaries of lambda
+    and kappa.  The lemma is not derived: the test suite checks it on
+    every image of each PBW test algebra.  It does not cover the circle
+    products mu1∘mu1, mu1∘mu2 and mu2∘mu1, which read mu on the bar
+    letters of y's terms, where Π and pi differ; their agreement with the
+    other deciders rests on the tables checked.
+
+    Π(d y) does not depend on the table, so its expansion is composed from
+    those of the pi images once per algebra and image, the first time a
+    scan reaches that image; d*(mu1)(y) is then lambda's cochain on it and
     d*(mu2)(y) kappa's.
 
     Only the table's coordinates are per table.  Every pi image that mu1
@@ -545,7 +549,7 @@ class _OracleFrame:
 
     Built once per algebra, on the first :func:`oracle_pbw` call, and kept
     as ``SkewAlgebra._oracle_frame``: the normal words with their column
-    index, the action columns ``^g x_i`` as (variable, scalar) pairs, the
+    index, the action's columns ``^g x_i`` (``LinearAction.columns``), the
     relabelling R_g of the columns by each right group letter, and the
     defining relations.  A relation is named by the table coordinate it
     carries, kappa(x_i ∧ x_j) for the commutator of i < j and lambda(g, x_i)
@@ -568,10 +572,7 @@ class _OracleFrame:
         self.nwords = _normal_words(alg, ORACLE_DEGREE)
         self.index = {w: c for c, w in enumerate(self.nwords)}
         self.degree = [sum(1 for x in w if x < nv) for w in self.nwords]
-        self.act_rows = {
-            g: [tuple(_basis_image(alg, g, i).items()) for i in range(nv)]
-            for g in range(order)
-        }
+        self.columns = alg.action.columns
         #: R_g on columns, g != 1: a relabelling of the normal words.
         #: By the layout of :func:`_normal_words`, column c is monomial
         #: c // |G| then group letter h = c % |G|, and R_g makes h hg.
@@ -587,7 +588,7 @@ class _OracleFrame:
             gw = (nv + g,) if g else ()
             for i in range(nv):
                 free = f.accumulate({gw + (i,): 1}, (
-                    ((k,) + gw, f.neg(c)) for k, c in self.act_rows[g][i]))
+                    ((k,) + gw, f.neg(c)) for k, c in self.columns[g][i]))
                 relations.append((("lambda", g, i), 1, tuple(free.items())))
         #: (coordinate, r0, budget, overlap columns); columns are laid
         #: out by degree, so column order is scan order
@@ -694,7 +695,7 @@ class _Rows:
             # m·h·x -> sum_k (^h x)_k m·x_k·h + lambda(h, x) at (h, x)
             perm = frame.perms[h - 1]
             out = {m + g: d for g, d in self.params.lam_of(h, x).items()}
-            for k, s in frame.act_rows[h][x]:
+            for k, s in frame.columns[h][x]:
                 f.accumulate(out, ((perm[z], f.mul(s, d))
                                    for z, d in self.row(k, m)))
         elif not mono or x >= mono[-1]:

@@ -7,10 +7,12 @@ functions of :mod:`skewchain.fields`; this module adds the product
 :func:`poly_mul`.  Iteration-sensitive code orders monomials by the graded
 lexicographic key :func:`grlex_key` so runs are deterministic.
 
-A :class:`LinearAction` stores one invertible matrix per group element,
-columnwise (column j is the image of the basis vector e_j), and extends the
-action to polynomials as algebra automorphisms and to wedge words of
-distinct variables with the usual alternating signs.
+A :class:`LinearAction` is built from matrices on any generating set of
+the group, checked and closed under the group once, and keeps one
+invertible matrix per element together with its columns (column j is the
+image of the basis vector e_j).  It extends the action to polynomials as
+algebra automorphisms and to wedge words of distinct variables with the
+usual alternating signs.
 """
 
 from __future__ import annotations
@@ -30,17 +32,12 @@ class ActionTooLarge(ValueError):
     """Raised when an action's dimension exceeds :data:`MAX_ACTION_DIM`."""
 
 
-#: The largest dimension N of V accepted.  An action stores and multiplies
-#: N x N matrices for every pair of group elements, and the complexes grow
+#: The largest dimension N of V accepted.  An action stores an N x N
+#: matrix per group element and multiplies one per element and given
+#: generator, and the complexes grow
 #: with powers of N, so a larger N would not finish; the bound is checked
 #: before any matrix is built.
 MAX_ACTION_DIM = 16
-
-
-def _check_dim(dim: int) -> None:
-    if dim > MAX_ACTION_DIM:
-        raise ActionTooLarge(f"action dim {dim} exceeds the cap of "
-                             f"{MAX_ACTION_DIM}")
 
 
 # -- polynomial arithmetic -------------------------------------------------
@@ -142,20 +139,39 @@ class LinearAction:
     """An action of a finite group on V = k^N by invertible matrices.
 
     ``matrices`` maps group-element indices to N x N row-major matrices over
-    the field; column j of the matrix of g is the image of e_j.  The identity
-    element may be omitted (it gets the identity matrix).  Construction
-    verifies that the assignment is a group homomorphism, which for a finite
-    group also forces every matrix to be invertible (the matrix of g^-1 is a
-    two-sided inverse); the inverse identity is still checked explicitly.
-    N is at most :data:`MAX_ACTION_DIM`.
+    the field; column j of the matrix of g is the image of e_j.  Any table
+    is read as matrices on a generating set: a full table, a partial one,
+    or none for the trivial group.  Every given entry is checked first: its
+    index is a group element, its matrix is N x N, and element 0, if given,
+    has the identity matrix.  Then the table is closed under right
+    multiplication by the given elements, from rho(1) = I: each edge
+    a -> a·g, a in G and g given, is one product rho(a)·rho(g), which
+    assigns rho(a·g) the first time and must equal it every other time.
+    An element never reached has no matrix, and the table is refused.
+
+    This makes rho a homomorphism.  Every edge holds, so by induction on
+    the length of a word w in the given elements, rho(a·w) = rho(a)·rho(w)
+    for every a in G.  In a finite group every element of the subgroup
+    the given elements generate is such a word (g^-1 = g^(|g| - 1)), and
+    that subgroup is all of G, since the closure reached every element.
+    Each given g keeps its matrix, the edge 1 -> g.  Invertibility
+    follows: rho(g)·rho(g^-1) = rho(1) = I.
+
+    ``columns[g][i]`` holds ^g x_i, column i of the matrix of g, as its
+    (variable, scalar) pairs in variable order; every reader of the action
+    reads them.  N is at most :data:`MAX_ACTION_DIM`.
     """
 
     def __init__(self, field: Field, group: FiniteGroup, dim: int, matrices):
-        _check_dim(dim)
+        if dim < 0:
+            raise ValueError(f"action dim must be nonnegative, got {dim}")
+        if dim > MAX_ACTION_DIM:
+            raise ActionTooLarge(f"action dim {dim} exceeds the cap of "
+                                 f"{MAX_ACTION_DIM}")
         self.field = field
         self.group = group
         self.dim = dim
-        mats = {}
+        given = {}
         for g, rows in matrices.items():
             g = int(g)
             if not (0 <= g < group.order):
@@ -164,90 +180,67 @@ class LinearAction:
                 raise DimensionMismatch(
                     f"matrix for element {g} is not {dim}x{dim}"
                 )
-            mats[g] = tuple(tuple(r) for r in rows)
+            given[g] = tuple(tuple(r) for r in rows)
         ident = _identity_mat(dim)
-        mats.setdefault(0, ident)
-        if mats[0] != ident:
-            raise ValueError("identity element must act as the identity matrix")
-        missing = [g for g in group.elements if g not in mats]
-        if missing:
-            raise ValueError(f"no matrix supplied for group elements {missing}")
-        for g in group.elements:
-            for h in group.elements:
-                if _mat_mul(field, mats[g], mats[h]) != mats[group.mul(g, h)]:
-                    raise ValueError(
-                        f"matrices are not a homomorphism at ({g},{h})"
-                    )
-        for g in group.elements:
-            if _mat_mul(field, mats[g], mats[group.inv(g)]) != ident:
-                raise ValueError(f"matrix for {g} is not invertible")
-        self.matrices = tuple(mats[g] for g in group.elements)
-        self._monomial_memo: dict = {}
-        self._wedge_memo: dict = {}
-
-    @classmethod
-    def from_generators(cls, field, group, dim, generator_matrices):
-        """Extend matrices given on a generating set to the whole group."""
-        _check_dim(dim)
-        known = {0: _identity_mat(dim)}
-        gens = {
-            int(g): tuple(tuple(r) for r in rows)
-            for g, rows in generator_matrices.items()
-        }
+        if given.pop(0, ident) != ident:
+            raise ValueError(
+                "identity element must act as the identity matrix")
+        mats = {0: ident}
         frontier = [0]
         while frontier:
-            nxt = []
+            reached = []
             for a in frontier:
-                for g, mg in gens.items():
+                for g, mg in given.items():
                     b = group.mul(a, g)
-                    mb = _mat_mul(field, known[a], mg)
-                    if b in known:
-                        if known[b] != mb:
-                            raise ValueError(
-                                "generator matrices are inconsistent"
-                            )
-                    else:
-                        known[b] = mb
-                        nxt.append(b)
-            frontier = nxt
-        if len(known) != group.order:
-            raise ValueError("generators do not generate the group")
-        return cls(field, group, dim, known)
+                    mb = _mat_mul(field, mats[a], mg)
+                    if b not in mats:
+                        mats[b] = mb
+                        reached.append(b)
+                    elif mats[b] != mb:
+                        raise ValueError(
+                            f"matrices are not a homomorphism at ({a},{g})"
+                        )
+            frontier = reached
+        missing = [g for g in group.elements if g not in mats]
+        if missing:
+            raise ValueError(f"the given matrices generate no matrix for "
+                             f"group elements {missing}")
+        self.matrices = tuple(mats[g] for g in group.elements)
+        self.columns = tuple(
+            tuple(tuple((k, M[k][i]) for k in range(dim) if M[k][i] != 0)
+                  for i in range(dim))
+            for M in self.matrices)
+        self._monomial_memo: dict = {}
+        self._wedge_memo: dict = {}
 
     @classmethod
     def from_config(cls, field, group, cfg: dict):
         """Build from a config block ``{dim, matrices: {g: [[entries]]}}``.
 
-        Matrix entries are field strings.  If a matrix is supplied for every
-        non-identity group element the assignment is used directly; a partial
-        table is treated as matrices on a generating set and extended.
+        Keys are integers written plainly ("1", not "01" or " 1"), each
+        matrix a list of rows, each row a list of field strings; the table
+        is read as matrices on a generating set, as by the constructor.
         """
         dim = cfg["dim"]
         if not is_json_int(dim):
             raise TypeError(f"action dim must be an integer, got {dim!r}")
-        _check_dim(dim)
         given = cfg.get("matrices", {})
         if not isinstance(given, dict):
             raise TypeError(f"action matrices must be an object, got "
                             f"{given!r}")
-        mats = {
-            int(g): [[field.parse(v) for v in row] for row in rows]
-            for g, rows in given.items()
-        }
-        if all(g in mats or g == 0 for g in group.elements):
-            return cls(field, group, dim, mats)
-        return cls.from_generators(field, group, dim, mats)
+        mats = {}
+        for key, rows in given.items():
+            if str(int(key)) != str(key):
+                raise ValueError(f"action matrix key {key!r} is not a plain "
+                                 f"integer")
+            if not isinstance(rows, list) or \
+                    any(not isinstance(row, list) for row in rows):
+                raise TypeError(f"action matrix {key!r} is not a list of "
+                                f"rows")
+            mats[key] = [[field.parse(v) for v in row] for row in rows]
+        return cls(field, group, dim, mats)
 
     # -- the action -------------------------------------------------------
-
-    def column_poly(self, g: int, j: int) -> dict:
-        """The image of the variable x_j as a linear polynomial."""
-        M = self.matrices[g]
-        out = {}
-        for i in range(self.dim):
-            if M[i][j] != 0:
-                out[var_exp(self.dim, i)] = M[i][j]
-        return out
 
     def act_monomial(self, g: int, m: tuple) -> dict:
         """Image of the monomial x^m, as a polynomial (memoized)."""
@@ -265,7 +258,7 @@ class LinearAction:
             out = poly_mul(
                 self.field,
                 self.act_monomial(g, tuple(prev)),
-                self.column_poly(g, i),
+                {var_exp(self.dim, k): s for k, s in self.columns[g][i]},
             )
         memo[key] = out
         return out
@@ -282,14 +275,13 @@ class LinearAction:
         if hit is not None:
             return hit
         f = self.field
-        M = self.matrices[g]
+        columns = self.columns[g]
 
         def wedged(acc, idx):
-            # w ^ e_k for each word w of acc and each k in column idx of M
+            # w ^ e_k for each word w of acc and each e_k in ^g e_idx
             for w, c in acc.items():
-                for k in range(self.dim):
-                    ck = M[k][idx]
-                    if ck == 0 or k in w:
+                for k, ck in columns[idx]:
+                    if k in w:
                         continue
                     pos = 0
                     while pos < len(w) and w[pos] < k:

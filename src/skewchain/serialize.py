@@ -16,9 +16,11 @@ A run is described by a single JSON document::
 
 All scalar entries are field strings understood by ``Field.parse``
 ("-2/3" over Q, "2" over GF(p)); group elements and variables are 0-based
-indices; matrices are row-major with column j the image of e_j.  A partial
-``matrices`` table is read as matrices on a generating set.  ``params`` and
-``enumerate`` are optional; omitted budgets take the defaults above.
+indices; matrices are row-major with column j the image of e_j.  Every
+``matrices`` table, full or partial, is read as matrices on a generating
+set and closed under the group (:class:`~skewchain.polynomials.LinearAction`).
+``params`` and ``enumerate`` are optional; omitted budgets take the
+defaults above.
 
 Chain elements travel as ``{"complex": ..., degree keys ..., "terms":
 [{"slots": [...], "coeff": "..."}]}``.  The degree keys of each complex
@@ -338,8 +340,7 @@ def element_from_json(alg: SkewAlgebra, doc: dict) -> tuple:
     lay = layout(tag)
     n_slots = len(lay)
     out = ChainElement(alg)
-    widths = [max(sum(1 for row in mat if row[i] != 0)
-                  for mat in alg.action.matrices)
+    widths = [max(len(columns[i]) for columns in alg.action.columns)
               for i in range(alg.nvars)]
     for entry in terms:
         if not isinstance(entry, dict) or "slots" not in entry:

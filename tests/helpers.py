@@ -59,9 +59,7 @@ def z3_diag_gf3() -> SkewAlgebra:
 
 def z3_unipotent_gf3() -> SkewAlgebra:
     field, group = GF(3), cyclic_group(3)
-    action = LinearAction.from_generators(
-        field, group, 2, {1: [[1, 1], [0, 1]]}
-    )
+    action = LinearAction(field, group, 2, {1: [[1, 1], [0, 1]]})
     return SkewAlgebra(field, group, action)
 
 
@@ -76,7 +74,7 @@ def s3_perm_q() -> SkewAlgebra:
     field, group = QQ, symmetric_group(3)
     swap01 = group.labels.index("102")
     cycle = group.labels.index("120")
-    action = LinearAction.from_generators(
+    action = LinearAction(
         field, group, 3,
         {
             swap01: [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
@@ -90,7 +88,7 @@ def s3_refl_q() -> SkewAlgebra:
     field, group = QQ, symmetric_group(3)
     swap01 = group.labels.index("102")
     cycle = group.labels.index("120")
-    action = LinearAction.from_generators(
+    action = LinearAction(
         field, group, 2,
         {cycle: [[0, -1], [1, -1]], swap01: [[0, 1], [1, 0]]},
     )
@@ -101,7 +99,7 @@ def v4_gf2() -> SkewAlgebra:
     field, group = GF(2), product_of_cyclic_groups([2, 2])
     g10 = group.labels.index("1,0")
     g01 = group.labels.index("0,1")
-    action = LinearAction.from_generators(
+    action = LinearAction(
         field, group, 3,
         {
             g10: [[0, 1, 0], [1, 0, 0], [0, 0, 1]],

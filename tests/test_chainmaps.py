@@ -50,6 +50,7 @@ from skewchain.serialize import DEFAULT_BUDGETS, RunConfig, canonical_json
 from skewchain.verify import random_term, verify_chainmap
 
 from helpers import (
+    CHAINMAP_CONFIGS,
     classical_aw,
     classical_ez,
     s3_perm_q,
@@ -346,6 +347,71 @@ class TestBimoduleProperty:
             b = {rng.choice(pool): 1}
             assert ezg(bimodule_act(a, x, b)) == \
                 bimodule_act(a, ezg(x), b)
+
+
+#: The free generators of the module-structure pins: bar degree 1 and 2,
+#: and the X_{i,j} with 1 <= i + j <= 2, at polynomial degree <= 1.
+BAR_TAGS = [("barskew", 1), ("barskew", 2)]
+TWISTED_TAGS = [("twisted", i, j, "koszul")
+                for i in range(3) for j in range(3 - i) if i + j]
+
+
+def free_generators(A, tags):
+    for tag in tags:
+        for slots in free_terms(A, tag, 1):
+            yield ChainElement.basis(A, tag, slots)
+
+
+def moved(x, a=None, b=None):
+    """a·x·b for basis pairs a, b of the skew algebra (None: no move)."""
+    return bimodule_act(a and {a: 1}, x, b and {b: 1})
+
+
+class TestModuleStructure:
+    """pi and iota as module maps, moved by every non-unit basis pair of
+    polynomial degree <= 1.  pi = (id ⊗ Ψ)∘awg is left A-linear and right
+    S-linear, but not right kG-linear, because the closed-form Ψ is not
+    G-equivariant; iota is an A-bimodule map."""
+
+    @pytest.mark.parametrize("name", sorted(CHAINMAP_CONFIGS))
+    def test_pi_is_left_a_linear_and_right_s_linear(self, name):
+        A = CHAINMAP_CONFIGS[name]()
+        moves = A.pairs_up_to(1)
+        checked = 0
+        for x in free_generators(A, BAR_TAGS):
+            image = pi(x)
+            for p in moves:
+                assert pi(moved(x, a=p)) == moved(image, a=p), (x.parts, p)
+                if p[1] == 0:
+                    assert pi(moved(x, b=p)) == moved(image, b=p), \
+                        (x.parts, p)
+                checked += 1
+        assert checked
+
+    def test_pi_is_not_right_kg_linear(self):
+        # E = 1 ⊗ x1 ⊗ x0 ⊗ 1 on the swap: pi(E) = -(1 ⊗ x0∧x1 ⊗ 1), and
+        # pi(E)·g moves the wedge to x1∧x0, but pi(E·g) = 0
+        A = swap_q()
+        g = (Z, 1)
+        x = ChainElement.basis(A, ("barskew", 2), (UNIT, (X1, 0), (X0, 0),
+                                                   UNIT))
+        tag = ("twisted", 0, 2, "koszul")
+        assert pi(x).parts == {tag: {(0, 0, Z, (0, 1), Z): -1}}
+        assert moved(pi(x), b=g).parts == {tag: {(0, 1, Z, (0, 1), Z): 1}}
+        assert pi(moved(x, b=g)).is_zero()
+
+    @pytest.mark.parametrize("name", sorted(CHAINMAP_CONFIGS))
+    def test_iota_is_an_a_bimodule_map(self, name):
+        A = CHAINMAP_CONFIGS[name]()
+        moves = A.pairs_up_to(1)
+        checked = 0
+        for x in free_generators(A, TWISTED_TAGS):
+            image = iota(x)
+            for p in moves:
+                assert iota(moved(x, a=p)) == moved(image, a=p), (x.parts, p)
+                assert iota(moved(x, b=p)) == moved(image, b=p), (x.parts, p)
+                checked += 1
+        assert checked
 
 
 class TestSplittingIdentities:

@@ -754,6 +754,9 @@ HOSTILE_CONFIGS = {
     # above polynomials.MAX_ACTION_DIM: rejected before any matrix is built
     "action_dim_huge": {"params": {}, "action": {
         "dim": 10 ** 5, "matrices": {"1": [["0", "1"], ["1", "0"]]}}},
+    # exited 4 (an IndexError, or a ValueError in verify)
+    "action_dim_negative": {"params": {}, "group": {
+        "family": "cyclic", "n": 1}, "action": {"dim": -1}},
     # found by tests/test_fuzz_cli.py; each exited 4 (internal error)
     "group_block_list": {"params": {}, "group": [1, "a"]},
     "group_block_string": {"params": {}, "group": "x"},
@@ -761,6 +764,15 @@ HOSTILE_CONFIGS = {
         "dim": 2, "matrices": True}},
     "kappa_not_a_list": {"params": {"kappa": 1.5}},
     "lambda_null": {"params": {"lambda": None}},
+    # each was silently read as another table, with exit 0: the rows "01"
+    # and "10" as lists of one-character scalars, the keys "01" and " 1"
+    # as element 1
+    "matrix_rows_strings": {"params": {}, "action": {
+        "dim": 2, "matrices": {"1": ["01", "10"]}}},
+    "matrix_key_leading_zero": {"params": {}, "action": {
+        "dim": 2, "matrices": {"01": [["0", "1"], ["1", "0"]]}}},
+    "matrix_key_padded": {"params": {}, "action": {
+        "dim": 2, "matrices": {" 1": [["0", "1"], ["1", "0"]]}}},
 }
 
 
@@ -771,6 +783,37 @@ def test_hostile_config_value_is_a_setup_error(name, tmp_path, capsys):
     code, rep, _ = run_cli(capsys, ["pbw", "five", "--config", cfg])
     assert code == 2
     assert rep["error"]["type"] == "ConfigParseError"
+
+
+#: Action tables whose entries were read before they were checked: a
+#: partial table went straight to the closure under the group.  The first
+#: two exited 4 (an IndexError); the index -1 was read as element 2 and the
+#: 2 x 3 matrix cut to 2 x 2, both with exit 0.
+ROTATION = [["0", "-1"], ["1", "-1"]]
+MALFORMED_ACTIONS = {
+    "index_5_on_z2": (2, {"5": [["0", "1"], ["1", "0"]]},
+                      "group index 5 out of range"),
+    "short_matrix_on_z3": (3, {"1": [["0", "1"]]},
+                           "matrix for element 1 is not 2x2"),
+    "index_-1_on_z3": (3, {"-1": ROTATION}, "group index -1 out of range"),
+    "wide_matrix_on_z3": (3, {"1": [["0", "-1", "0"], ["1", "-1", "0"]]},
+                          "matrix for element 1 is not 2x2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_ACTIONS))
+def test_malformed_action_table_is_a_fast_setup_error(name, tmp_path,
+                                                      capsys):
+    order, matrices, detail = MALFORMED_ACTIONS[name]
+    cfg = write_json(tmp_path / "c.json", swap_q_config_doc(
+        params={}, group={"family": "cyclic", "n": order},
+        action={"dim": 2, "matrices": matrices}))
+    start = time.monotonic()
+    code, rep, _ = run_cli(capsys, ["pbw", "five", "--config", cfg])
+    assert time.monotonic() - start < 0.5
+    assert code == 2
+    assert rep["error"] == {"type": "ConfigParseError",
+                            "detail": f"bad action block: {detail}"}
 
 
 #: Chain elements with a negative degree in their tag.  The first three

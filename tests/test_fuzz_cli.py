@@ -24,12 +24,20 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck,
+    example,
+    given,
+    settings,
+    strategies as st,
+)
 
 from skewchain.chainmaps import MAPS
 from skewchain.cli import MAP_NAMES, main
 from skewchain.polynomials import MAX_ACTION_DIM
 from skewchain.serialize import MAX_TERM_DEGREE, canonical_json
+
+from test_cli import MALFORMED_ACTIONS
 
 #: Values of the wrong shape, put in place of any block or entry.
 JUNK = st.one_of(
@@ -159,9 +167,23 @@ def run_main(argv):
     return code, out.getvalue()
 
 
+#: The malformed action tables of ``test_cli``, which the strategy can
+#: draw but never did: the first two exited 4, and the last two were read
+#: as other tables, with exit 0.
+MALFORMED_ACTION_DOCS = [
+    {"field": "Q", "group": {"family": "cyclic", "n": order},
+     "action": {"dim": 2, "matrices": matrices}, "params": {}}
+    for order, matrices, _detail in MALFORMED_ACTIONS.values()
+]
+
+
 @pytest.mark.parametrize("method", ["oracle", "all"])
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
+@example(doc=MALFORMED_ACTION_DOCS[0])
+@example(doc=MALFORMED_ACTION_DOCS[1])
+@example(doc=MALFORMED_ACTION_DOCS[2])
+@example(doc=MALFORMED_ACTION_DOCS[3])
 @given(doc=config_docs())
 def test_pbw_exit_code_contract(method, doc):
     with tempfile.TemporaryDirectory() as tmp:

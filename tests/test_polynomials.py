@@ -8,6 +8,7 @@ monomial-basis section minus the constant monomial.
 import pytest
 from hypothesis import given, strategies as st
 
+from skewchain import polynomials
 from skewchain.fields import GF, QQ, vec_add, vec_scale
 from skewchain.groups import cyclic_group, symmetric_group
 from skewchain.polynomials import (
@@ -133,7 +134,7 @@ class TestLinearAction:
     def test_from_generators(self):
         G = symmetric_group(3)
         s, r = G.labels.index("102"), G.labels.index("120")
-        A = LinearAction.from_generators(
+        A = LinearAction(
             QQ, G, 2, {r: [[0, -1], [1, -1]], s: [[0, 1], [1, 0]]}
         )
         for g in G.elements:
@@ -142,12 +143,14 @@ class TestLinearAction:
                 f = {var_exp(2, 0): 1, (1, 1): 2}
                 assert act_poly(A, g, act_poly(A, h, f)) == \
                     act_poly(A, gh, f)
+        # the closed table read back as a full table is the same action
+        full = LinearAction(QQ, G, 2, dict(enumerate(A.matrices)))
+        assert full.matrices == A.matrices
 
     @pytest.mark.parametrize("build", [
         lambda G, n: LinearAction(QQ, G, n, {}),
-        lambda G, n: LinearAction.from_generators(QQ, G, n, {}),
         lambda G, n: LinearAction.from_config(QQ, G, {"dim": n}),
-    ], ids=["init", "from_generators", "from_config"])
+    ], ids=["init", "from_config"])
     def test_dim_cap(self, build):
         G = cyclic_group(1)
         assert build(G, MAX_ACTION_DIM).dim == MAX_ACTION_DIM
@@ -157,8 +160,63 @@ class TestLinearAction:
     def test_from_generators_insufficient(self):
         G = symmetric_group(3)
         r = G.labels.index("120")
-        with pytest.raises(ValueError):
-            LinearAction.from_generators(QQ, G, 2, {r: [[0, -1], [1, -1]]})
+        with pytest.raises(ValueError, match="generate no matrix"):
+            LinearAction(QQ, G, 2, {r: [[0, -1], [1, -1]]})
+
+    def test_inconsistent_generators(self):
+        # s acts trivially, so s·r·s = r^-1 would force r² = 1
+        G = symmetric_group(3)
+        s, r = G.labels.index("102"), G.labels.index("120")
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            LinearAction(QQ, G, 2,
+                         {r: [[0, -1], [1, -1]], s: [[1, 0], [0, 1]]})
+
+    @pytest.mark.parametrize("matrices,error,match", [
+        ({5: [[0, 1], [1, 0]]}, ValueError, "group index 5 out of range"),
+        ({-1: [[0, 1], [1, 0]]}, ValueError, "group index -1 out of range"),
+        ({1: [[0, 1]]}, DimensionMismatch, "element 1 is not 2x2"),
+        ({1: [[0, 1, 0], [1, 0, 0]]}, DimensionMismatch,
+         "element 1 is not 2x2"),
+        ({0: [[0, 1], [1, 0]]}, ValueError, "identity element"),
+    ], ids=["index_5", "index_-1", "short", "wide", "identity"])
+    def test_entries_checked_before_any_product(
+            self, matrices, error, match, monkeypatch):
+        def no_product(*_args):
+            raise AssertionError("a matrix product was taken")
+
+        monkeypatch.setattr(polynomials, "_mat_mul", no_product)
+        with pytest.raises(error, match=match):
+            LinearAction(QQ, cyclic_group(3), 2,
+                         {1: [[0, -1], [1, -1]], **matrices})
+
+    @pytest.mark.parametrize("group,matrices", [
+        (symmetric_group(3),
+         {symmetric_group(3).labels.index("102"): [[0, 1], [1, 0]],
+          symmetric_group(3).labels.index("120"): [[0, -1], [1, -1]]}),
+        (cyclic_group(3), {1: [[0, -1], [1, -1]], 2: [[-1, 1], [-1, 0]]}),
+        (cyclic_group(1), {}),
+    ], ids=["two_generators", "full_table", "trivial"])
+    def test_each_edge_is_one_product(self, group, matrices, monkeypatch):
+        products = []
+
+        def counted(*args):
+            products.append(args)
+            return mat_mul(*args)
+
+        mat_mul = polynomials._mat_mul
+        monkeypatch.setattr(polynomials, "_mat_mul", counted)
+        LinearAction(QQ, group, 2, matrices)
+        assert len(products) == group.order * len(matrices)
+
+    def test_columns_are_the_matrix_columns(self):
+        A = LinearAction(GF(3), cyclic_group(3), 2, {1: [[1, 1], [0, 1]]})
+        assert A.columns == (((((0, 1),), ((1, 1),)),
+                              (((0, 1),), ((0, 1), (1, 1))),
+                              (((0, 1),), ((0, 2), (1, 1)))))
+        for M, columns in zip(A.matrices, A.columns):
+            for i, col in enumerate(columns):
+                assert dict(col) == {k: M[k][i] for k in range(2)
+                                     if M[k][i]}
 
     @pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
     def test_automorphism_property(self, field):

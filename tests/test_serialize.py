@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -15,7 +16,12 @@ from skewchain.complexes import (
     random_twisted_slots,
 )
 from skewchain.fields import NonPrimeModulus, QQ
-from skewchain.groups import NoIdentity, NotAssociative, NotLatinSquare
+from skewchain.groups import (
+    NoIdentity,
+    NotAssociative,
+    NotLatinSquare,
+    symmetric_group,
+)
 from skewchain.pbw import PBWParams
 from skewchain.serialize import (
     DEFAULT_BUDGETS,
@@ -118,6 +124,28 @@ class TestRunConfig:
         )
         with pytest.raises(ConfigParseError, match="bad action block"):
             RunConfig.from_dict(doc)
+
+    def test_action_at_the_caps_is_closed_in_one_pass(self):
+        # S_5 (the group order cap, 120) permuting 5 of the 16 coordinates
+        # (the dimension cap), given by a transposition and a 5-cycle: one
+        # product per element and generator, 240 in all
+        def perm(label):
+            images = [int(c) for c in label] + list(range(5, 16))
+            return [["1" if images[j] == i else "0" for j in range(16)]
+                    for i in range(16)]
+
+        labels = symmetric_group(5).labels
+        start = time.monotonic()
+        cfg = RunConfig.from_dict(swap_q_config_doc(
+            group={"family": "symmetric", "n": 5},
+            action={"dim": 16, "matrices": {
+                str(labels.index(label)): perm(label)
+                for label in ("10234", "12340")}}))
+        assert time.monotonic() - start < 2.0
+        action = cfg.algebra.action
+        assert len(action.matrices) == 120
+        assert all(len(col) == 1 for columns in action.columns
+                   for col in columns)
 
     def test_budget_validation(self):
         with pytest.raises(ConfigParseError, match="unknown budget keys"):
