@@ -294,9 +294,12 @@ def check_family(alg, family, rows, max_poly_deg, samples=0,
     with every pair (a, b) of outer coefficients for an ``outer`` row (the
     unit pair is the generator), then ``samples`` random terms of
     ``sample_degree`` from an rng seeded by ``seed`` for ``commutes`` rows.
-    Per input, each chain of stages, and so each prefix of one, is applied
-    once.  Returns each row's (inputs checked, witnesses of its
-    first MAX_WITNESSES failures); a ``commutes`` witness has the defect."""
+    Each stage chain, and so each prefix of one, is applied once per
+    distinct input: a sample that is also an enumerated input is run with
+    it, and a sample drawn again repeats its first outcome, which is held
+    until the pass ends.  A draw counts as an input however often it
+    repeats.  Returns each row's (inputs checked, witnesses of its first
+    MAX_WITNESSES failures); a ``commutes`` witness has the defect."""
     # the two chains a row compares: f x and x, or d f x and f d x
     reads = {name: ((row.stages + ("diff",), ("diff",) + row.stages)
                     if row.kind == "commutes" else (row.stages, ()))
@@ -314,18 +317,35 @@ def check_family(alg, family, rows, max_poly_deg, samples=0,
                                     else chainmaps, c[-1])) for c in chains]
 
     def run(tag, slots, names):
+        # each row's outcome on (tag, slots): the witness of its failure, or
+        # None if it holds or already keeps MAX_WITNESSES
         images = {(): ChainElement.basis(alg, tag, slots)}
         for chain, prefix, stage in plan(names):
             images[chain] = stage(images[prefix])
+        outcome = []
         for name in names:
-            row, (f, g), kept = rows[name], reads[name], failures[name]
-            checked[name] += 1
-            if not _holds(row.kind, tag, slots, images[f], images[g]) \
-                    and len(kept) < MAX_WITNESSES:
-                kept.append(
-                    row.witness(tag, slots) if row.kind != "commutes"
-                    else _defect_witness(tag, slots, images[f], images[g]))
+            row, (f, g) = rows[name], reads[name]
+            fx, gx = images[f], images[g]
+            outcome.append(
+                None if len(failures[name]) >= MAX_WITNESSES
+                or _holds(row.kind, tag, slots, fx, gx)
+                else row.witness(tag, slots) if row.kind != "commutes"
+                else _defect_witness(tag, slots, fx, gx))
+        return outcome
 
+    def count(names, outcome):
+        for name, witness in zip(names, outcome):
+            checked[name] += 1
+            if witness is not None and len(failures[name]) < MAX_WITNESSES:
+                failures[name].append(witness)
+
+    sampled = tuple(k for k, row in rows.items() if row.kind == "commutes")
+    rng = random.Random(seed)
+    distinct = {}  # each sample (tag, slots), as first drawn
+    draws = [distinct.setdefault(term, term) for term in (
+        random_term(alg, family, sample_degree, max_poly_deg, rng)
+        for _ in range(samples if sampled else 0))]
+    outcomes = dict.fromkeys(distinct)  # of the sampled rows, once run
     pool = (range(alg.group.order) if family == "barg"
             else alg.monomials_up_to(max_poly_deg))
     for n in sorted(set().union(*(row.degrees for row in rows.values()))):
@@ -334,12 +354,18 @@ def check_family(alg, family, rows, max_poly_deg, samples=0,
         for tag, free in free_basis(alg, family, n, max_poly_deg):
             for slots in ([(a,) + free[1:-1] + (b,) for a in pool
                            for b in pool] if outer else [free]):
-                run(tag, slots, here if slots == free else outer)
-    sampled = tuple(k for k, row in rows.items() if row.kind == "commutes")
-    rng = random.Random(seed)
-    for _ in range(samples if sampled else 0):
-        run(*random_term(alg, family, sample_degree, max_poly_deg, rng),
-            sampled)
+                names = here if slots == free else outer
+                if not (outcomes and (tag, slots) in outcomes):
+                    count(names, run(tag, slots, names))
+                    continue
+                both = tuple(dict.fromkeys(names + sampled))
+                outcome = dict(zip(both, run(tag, slots, both)))
+                count(names, [outcome[name] for name in names])
+                outcomes[tag, slots] = [outcome[name] for name in sampled]
+    for term in draws:
+        if outcomes[term] is None:
+            outcomes[term] = run(*term, sampled)
+        count(sampled, outcomes[term])
     return {name: (checked[name], failures[name]) for name in rows}
 
 

@@ -252,9 +252,9 @@ def _count_stage_calls(monkeypatch, names):
 
 
 def test_verify_all_applies_each_stage_chain_to_an_input_once(monkeypatch):
-    """Across the rows of all three suites, no stage chain is applied twice
-    to the same free generator.  Samples are drawn with replacement, so a
-    sample may repeat an input; this run draws none."""
+    """Across the rows of all three suites, samples included, no stage
+    chain is applied twice to the same input: a sample drawn again, or
+    drawn among the enumerated inputs, is not run again."""
     applied, made, keep = collections.Counter(), {}, []
 
     def traced(module, name, real):
@@ -274,11 +274,83 @@ def test_verify_all_applies_each_stage_chain_to_an_input_once(monkeypatch):
     for stage in {s for _domain, stages in chainmaps.MAPS.values()
                   for s in stages}:
         traced(chainmaps, stage, getattr(chainmaps, stage))
-    records = verify.run_suites(swap_q(), dict(SMALL, degree4_samples=0),
-                                "all")
+    records = verify.run_suites(swap_q(), SMALL, "all")
     assert all(r["passed"] for r in records)
     assert applied and max(applied.values()) == 1, [
         key for key, n in applied.items() if n > 1][:3]
+
+
+def _dropping_a_term(real):
+    """real with the least term of its first part with two terms dropped."""
+    def mutant(x):
+        v = real(x)
+        for tag in sorted(v.parts):
+            terms = v.parts[tag]
+            if len(terms) > 1:
+                least = min(terms, key=complexes.term_sort_key)
+                v.parts[tag] = {s: c for s, c in terms.items() if s != least}
+                break
+        return v
+    return mutant
+
+
+def _chainmap_per_draw(alg, name, degrees, samples, seed):
+    """verify_chainmap at max_poly_deg 2 run one input at a time, each
+    enumerated generator and then each draw through its stages afresh,
+    with the draws whose repeat appended a witness and those whose repeat
+    of a failing input found the witnesses full."""
+    family, stages = chainmaps.MAPS[name]
+
+    def through(chain, x):
+        for stage in chain:
+            x = (complexes.diff if stage == "diff"
+                 else getattr(chainmaps, stage))(x)
+        return x
+
+    rng = random.Random(seed)
+    inputs = [t for n in degrees
+              for t in verify.free_basis(alg, family, n, 2)]
+    draws = [verify.random_term(alg, family, 4, 2, rng)
+             for _ in range(samples)]
+    failures, seen, replayed, dropped = [], set(), [], []
+    for k, (tag, slots) in enumerate(inputs + draws):
+        x = ChainElement.basis(alg, tag, slots)
+        lhs = through(stages + ("diff",), x)
+        rhs = through(("diff",) + stages, x)
+        if lhs == rhs:
+            continue
+        repeat = (tag, slots) in seen
+        seen.add((tag, slots))
+        if len(failures) < verify.MAX_WITNESSES:
+            failures.append(verify._defect_witness(tag, slots, lhs, rhs))
+            replayed += [k] if repeat else []
+        elif repeat:
+            dropped.append(k)
+    report = {"map": name, "degrees": list(degrees),
+              "checked": len(inputs) + samples, "failures": failures}
+    return report, replayed, dropped
+
+
+@pytest.mark.parametrize("config", [swap_q, v4_gf2], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("name", ["iota", "ezg"])
+@pytest.mark.parametrize("degrees, kept", [((0, 1, 2, 3), 5), ((), 5),
+                                           ((), 60)])
+def test_a_repeated_draw_replays_its_first_outcome(monkeypatch, config, name,
+                                                   degrees, kept):
+    """Under an ezg that drops a term, the report equals one made input by
+    input: a repeated failing draw appends its witness again while there
+    is room, and nothing once MAX_WITNESSES are kept."""
+    monkeypatch.setattr(chainmaps, "ezg", _dropping_a_term(chainmaps.ezg))
+    monkeypatch.setattr(verify, "MAX_WITNESSES", kept)
+    alg = config()
+    want, replayed, dropped = _chainmap_per_draw(alg, name, degrees, 200, 0)
+    assert verify.verify_chainmap(alg, name, degrees=degrees,
+                                  samples=200) == want
+    assert len(want["failures"]) == kept
+    if not degrees:  # a failing draw repeats once the witnesses are full
+        assert dropped
+    if kept > 5 and config is swap_q:  # and while there is room
+        assert replayed
 
 
 def test_graded_and_identity_rows_reuse_the_chainmap_images(monkeypatch):
