@@ -34,10 +34,6 @@ multiplies nothing differently.  Each column is built on first use and
 kept, so a chain expanded once serves many cochains: one with values in
 kG (the PBW parameters lambda and kappa) reads at most |G| columns per
 key, a scalar times a stored column per nonzero coordinate.
-
-Expansions compose: the splits of c·a·X·b, a and b basis pairs, are
-(c·s, a·a', b'·b) over the splits (s, a', b') of X, by module
-associativity (a·a')·E·(b'·b) = a·(a'·E·b')·b.
 """
 
 from __future__ import annotations
@@ -141,17 +137,6 @@ class Expansion:
                 a, items, b = split(x.alg, t, slots)
                 out._add(t, ((key, (mul(c, c2), a, b)) for c2, key in items))
         return out
-
-    def compose(self, c, a, x: "Expansion", b) -> None:
-        """Add the splits of c·a·X·b, for X expanded as x and a, b basis
-        pairs: (c·s, a·a', b'·b) per split (s, a', b') of X."""
-        alg = self.alg
-        mul = alg.field.mul
-        a, b = {a: 1}, {b: 1}
-        for tag, part in x.parts.items():
-            self._add(tag, ((key, (mul(c, s), alg.mul(a, a2), alg.mul(b2, b)))
-                            for key, (splits, _) in part.items()
-                            for s, a2, b2 in splits))
 
     def _add(self, tag, splits) -> None:
         part = self.parts.setdefault(tag, {})

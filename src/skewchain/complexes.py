@@ -123,24 +123,6 @@ def _d_tag(tag):
     return ("bars", tag[2]) if tag[3] == "bar" else ("koszul", tag[2])
 
 
-def term_sort_key(slots):
-    """Flatten nested int/tuple slots into one comparable tuple."""
-    out = []
-
-    def _flat(v):
-        if isinstance(v, tuple):
-            out.append(1)
-            out.append(len(v))
-            for x in v:
-                _flat(x)
-        else:
-            out.append(0)
-            out.append(v)
-
-    _flat(slots)
-    return tuple(out)
-
-
 # -- chains ----------------------------------------------------------------
 
 class ChainElement:

@@ -77,9 +77,6 @@ class Field:
     char: int
     descriptor: str
 
-    zero = 0
-    one = 1
-
     def add(self, a, b):
         raise NotImplementedError
 

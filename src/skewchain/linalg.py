@@ -65,7 +65,6 @@ class FactoredSolver:
                     _sub_scaled(field, other_row, row, coef)
                     _sub_scaled(field, other_comb, comb, coef)
             done.append((c, row, comb))
-        self.pivots = [c for c, _, _ in done]
         #: row j of M -> [(pivot column, weight of row j in its combination)]
         self._uses = [[] for _ in range(m)]
         for c, _, comb in done:

@@ -367,10 +367,14 @@ def _pi_expansion(alg, inner):
 
 
 def _iota_images(alg, i, j):
-    """(free key, iota image, its Expansion) per X_{i,j} free generator.
+    """(free key, expansion of d E, expansion of iota(E)) per X_{i,j} free
+    generator E, memoized on the algebra.
 
     The free key is the C-part's group slots followed by the wedge's
-    variables, the witness values of the condition scans.
+    variables, the witness values of the condition scans.  d*(mu1) and
+    kappa's term read d E; only the circle products read iota(E), on
+    X_{1,2} and X_{0,3}, so no X_{2,1} image is built (its third entry is
+    None).
     """
     cache = alg._iota_image_cache
     key = (i, j)
@@ -379,33 +383,10 @@ def _iota_images(alg, i, j):
         hit = []
         tag = ("twisted", i, j, "koszul")
         for slots in free_terms(alg, tag, 1):
-            y = iota(ChainElement.basis(alg, tag, slots))
-            hit.append((slots[1: i + 1] + slots[i + 3], y, Expansion.of(y)))
-        cache[key] = hit
-    return hit
-
-
-def _pi_of_boundary(alg, i, j, index, image):
-    """The :class:`~skewchain.cochains.Expansion` of Π(d y), y the iota
-    image of the X_{i,j} free basis element at ``index``, memoized on the
-    algebra.
-
-    Π applies pi to the free part of each term and keeps the outer slots:
-    Π(c · a·E·b) = c · a·pi(E)·b, the bimodule extension through which a
-    transported cochain is evaluated.  It is composed from the pi images'
-    expansions, and never built as a chain.  No parameter table enters it,
-    and lambda and kappa, with values in kG, are then evaluated on it by
-    one contraction each: a scalar times a stored column per coordinate.
-    """
-    cache = alg._pi_boundary_cache
-    key = (i, j, index)
-    hit = cache.get(key)
-    if hit is None:
-        hit = Expansion(alg)
-        for terms in diff(image).parts.values():
-            for slots, c in terms.items():
-                hit.compose(c, slots[0], _pi_expansion(alg, slots[1:-1]),
-                            slots[-1])
+            e = ChainElement.basis(alg, tag, slots)
+            image = None if (i, j) == (2, 1) else Expansion.of(iota(e))
+            hit.append((slots[1: i + 1] + slots[i + 3],
+                        Expansion.of(diff(e)), image))
         cache[key] = hit
     return hit
 
@@ -414,8 +395,9 @@ def _defects(alg: SkewAlgebra, params: PBWParams):
     """The defect maps of :func:`check_cohomological` for one table.
 
     Returns ``(d*mu1, mu1∘mu1 - d*mu2, mu1∘mu2 + mu2∘mu1)``, each a
-    function of ``(i, j, index, image, expansion)`` for the iota image at
-    ``index`` of the X_{i,j} free basis, with values in the skew algebra.
+    function of ``(boundary, image)``, the expansions of d E and iota(E)
+    for a free generator E of X_{i,j} (see :func:`_iota_images`), with
+    values in the skew algebra.
     """
     f = alg.field
 
@@ -435,15 +417,15 @@ def _defects(alg: SkewAlgebra, params: PBWParams):
     mu1_mu1 = circle(mu1, mu1)
     mu12 = circle(mu1, mu2) + circle(mu2, mu1)
 
-    def d_mu1(*at):
-        return lam_x.eval_element(_pi_of_boundary(alg, *at[:-1]))
+    def d_mu1(boundary, image):
+        return lam_x.eval_element(boundary)
 
-    def phi2(*at):
-        return vec_sub(f, mu1_mu1.eval_element(at[-1]),
-                       kap_x.eval_element(_pi_of_boundary(alg, *at[:-1])))
+    def phi2(boundary, image):
+        return vec_sub(f, mu1_mu1.eval_element(image),
+                       kap_x.eval_element(boundary))
 
-    def phi3(*at):
-        return mu12.eval_element(at[-1])
+    def phi3(boundary, image):
+        return mu12.eval_element(image)
 
     return d_mu1, phi2, phi3
 
@@ -465,42 +447,39 @@ def check_cohomological(alg: SkewAlgebra, params: PBWParams,
     correspondence; only the verdicts of the two methods are claimed to
     coincide.
 
-    The coboundaries are evaluated on the twisted side.  A transport mu =
-    transport_up(alpha, pi) is extended bimodule-wise, mu(a·E·b) =
-    a·alpha(pi(E))·b, and alpha is an A-bimodule map of the twisted
-    complex, so mu(z) = alpha(Π(z)) with Π(c·a·E·b) = c·a·pi(E)·b.  pi is
-    left A-linear and right S-linear, but not right kG-linear, because the
-    closed-form Ψ is not G-equivariant; so Π is not pi, and not a chain
-    map.  The conditions rest on a lemma: for every X_{2,1}, X_{1,2} and
-    X_{0,3} free generator E and y = iota(E), Π(d y) and pi(d y) agree on
-    the X_{1,1} and X_{0,2} parts, the only parts lambda and kappa read.
-    Then, with pi a chain map and pi∘iota = id,
+    The coboundaries are read off d E, E a free twisted generator.  A
+    transport mu = transport_up(alpha, pi) is extended bimodule-wise,
+    mu(a·F·b) = a·alpha(pi(F))·b for F a free bar generator, and then
+    mu∘iota = alpha.  Both sides are A-bimodule maps (mu by its extension,
+    iota because it is one), so they agree if they agree on every free
+    twisted generator E.  There iota(E) is a sum of free bar generators
+    (its terms have unit outer slots), on which mu = alpha∘pi, so
+    mu(iota(E)) = alpha(pi(iota(E))) = alpha(E).  With d∘iota = iota∘d,
 
-        (d*mu)(y) = mu(d y) = alpha(Π(d y))
-                  = alpha(pi(d y)) = alpha(d pi(y))      (the lemma)
-                  = alpha(d E) = (d*alpha)(E),
+        (d*mu)(iota(E)) = mu(d iota(E)) = mu(iota(d E)) = alpha(d E),
 
-    so d*(mu1) and the d*(mu2) term are the twisted coboundaries of lambda
-    and kappa.  The lemma is not derived: the test suite checks it on
-    every image of each PBW test algebra.  It does not cover the circle
-    products mu1∘mu1, mu1∘mu2 and mu2∘mu1, which read mu on the bar
-    letters of y's terms, where Π and pi differ; their agreement with the
-    other deciders rests on the tables checked.
+    the twisted coboundary of lambda or kappa (Shepler–Witherspoon,
+    Algebr. Represent. Theory 18, 2015).  The proof uses three facts that
+    the test suite checks: iota is a chain map (``verify``'s
+    ``chainmap_iota``), iota is a bimodule map (``TestModuleStructure``)
+    and pi∘iota = id (``pi_iota_identity``).  pi itself is not a bimodule
+    map: it is left A-linear and right S-linear, but the closed-form Ψ is
+    not G-equivariant.  The proof never moves pi past an outer slot.
 
-    Π(d y) does not depend on the table, so its expansion is composed from
-    those of the pi images once per algebra and image, the first time a
-    scan reaches that image; d*(mu1)(y) is then lambda's cochain on it and
-    d*(mu2)(y) kappa's.
+    The circle products mu1∘mu1, mu1∘mu2 and mu2∘mu1 still read mu on the
+    bar side, on the bar letters of iota(E)'s terms; their agreement with
+    the other deciders rests on the tables checked.
 
     Only the table's coordinates are per table.  Every pi image that mu1
-    and mu2 read, Π(d y) and every iota image y are expanded once per
-    algebra (:class:`~skewchain.cochains.Expansion`).  lambda and kappa
-    take values in kG, so a table evaluates d*(mu1), kappa's Π(d y) term
-    and every value of mu1 and mu2 as one contraction: per nonzero
-    coordinate lambda(g, x_i)[h] or kappa(x_i ∧ x_j)[h], a scalar times a
-    stored column.  The circle products keep their formula on the bar
-    side and contract on y's expansion.  This is exact: it sums the same
-    field products as the term-by-term evaluation, in another order.
+    and mu2 read, and d E and iota(E) for every free generator E, are
+    expanded once per algebra (:class:`~skewchain.cochains.Expansion`).
+    lambda and kappa take values in kG, so a table evaluates d*(mu1),
+    kappa's d*(mu2) term and every value of mu1 and mu2 as one
+    contraction: per nonzero coordinate lambda(g, x_i)[h] or kappa(x_i ∧
+    x_j)[h], a scalar times a stored column.  The circle products keep
+    their formula on the bar side and contract on iota(E)'s expansion.
+    This is exact: it sums the same field products as the term-by-term
+    evaluation, in another order.
 
     A nonzero lambda(1, -) row cannot come from a bidegree-(1,1) cochain
     on the twisted complex; it is reported as a failure of condition (1)
@@ -519,13 +498,11 @@ def check_cohomological(alg: SkewAlgebra, params: PBWParams,
     fmt = alg.format_element
 
     def cases(phi, i, j):
-        for index, (key, *images) in enumerate(_iota_images(alg, i, j)):
-            yield phi(i, j, index, *images), key
+        for key, boundary, image in _iota_images(alg, i, j):
+            yield phi(boundary, image), key
 
     # d*(mu1) on X_{2,1} and X_{1,2}, mu1∘mu1 - d*(mu2) on X_{1,2} and
-    # X_{0,3}, mu1∘mu2 + mu2∘mu1 on X_{0,3}.  Each scan stops at its first
-    # failure, so Π(d y) is built, in this order, only for the images a
-    # scan reaches.
+    # X_{0,3}, mu1∘mu2 + mu2∘mu1 on X_{0,3}.
     results = [
         _condition(1, ("g", "h", "v"), fmt,
                    itertools.chain(bad, cases(d_mu1, 2, 1))),

@@ -58,7 +58,6 @@ from .complexes import (
     expand_term,
     layout,
     term_s_degree,
-    term_sort_key,
     wedge_degree,
 )
 from .pbw import PBWParams
@@ -111,12 +110,11 @@ class RunConfig:
     """A parsed run configuration: the algebra plus optional params/budgets."""
 
     def __init__(self, algebra: SkewAlgebra, params, budgets: dict,
-                 enumerate_spec, raw: dict):
+                 enumerate_spec):
         self.algebra = algebra
         self.params = params
         self.budgets = budgets
         self.enumerate_spec = enumerate_spec
-        self.raw = raw
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -184,7 +182,7 @@ class RunConfig:
         if enumerate_spec is not None and not isinstance(enumerate_spec, dict):
             raise ConfigParseError("enumerate block must be an object")
 
-        return cls(algebra, params, budgets, enumerate_spec, doc)
+        return cls(algebra, params, budgets, enumerate_spec)
 
 
 # -- deformation parameters ------------------------------------------------
@@ -384,8 +382,7 @@ def element_to_json(tag, x: ChainElement) -> dict:
                       for (kind, _bar), v in zip(layout(tag), slots)],
             "coeff": field.format(c),
         }
-        for slots, c in sorted(x.parts.get(tag, {}).items(),
-                               key=lambda kv: term_sort_key(kv[0]))
+        for slots, c in sorted(x.parts.get(tag, {}).items())
     ]
     return doc
 

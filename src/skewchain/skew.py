@@ -56,11 +56,10 @@ class SkewAlgebra:
         #: inner tuple, as (tag, pairs) tuples (see chainmaps.awg)
         self._awg_memo: dict = {}
         #: shared by all parameter tables (see pbw.py): the Expansion of
-        #: each pi image, the iota images with their Expansions, and the
-        #: Expansion of Π(d y) per iota image y, by (i, j, index)
+        #: each pi image, and per free twisted generator E of X_{i,j} the
+        #: Expansions of d E and iota(E), by (i, j)
         self._pi_image_cache: dict = {}
         self._iota_image_cache: dict = {}
-        self._pi_boundary_cache: dict = {}
         #: the PBW oracle's table-free data (see pbw._OracleFrame)
         self._oracle_frame = None
 

@@ -28,7 +28,6 @@ from .complexes import (
     random_barskew_slots,
     random_twisted_slots,
     term_s_degree,
-    term_sort_key,
     wedge_degree,
 )
 from .chainmaps import MAPS, DegreeOutOfRange, awg, ezg
@@ -257,15 +256,14 @@ ROWS = {
 def _defect_witness(tag, slots, lhs, rhs) -> dict:
     """The witness of d f(x) = lhs != rhs = f(d x): the input, its degree,
     and the defect lhs - rhs, as its term count and its first
-    MAX_DEFECT_TERMS terms, by tag and then :func:`term_sort_key`, as
+    MAX_DEFECT_TERMS terms, by tag and then slots, as
     ``(c)*tag(args)(slots)``, with ``+N more`` when there are more."""
     defect = ChainElement(lhs.alg)
     defect.add_scaled(lhs)
     defect.add_scaled(rhs, lhs.alg.field.from_int(-1))
     fmt = lhs.alg.field.format
-    terms = sorted(((otag, s, c) for otag, part in defect.parts.items()
-                    for s, c in part.items()),
-                   key=lambda t: (t[0], term_sort_key(t[1])))
+    terms = sorted((otag, s, c) for otag, part in defect.parts.items()
+                   for s, c in part.items())
     shown = " + ".join(
         f"({fmt(c)})*{t[0]}({','.join(map(str, t[1:]))})"
         + repr(s).replace(" ", "") for t, s, c in terms[:MAX_DEFECT_TERMS])

@@ -530,7 +530,7 @@ class TestAwgMemo:
     def verify_config(make, seed):
         budgets = dict(DEFAULT_BUDGETS, max_bar_degree=2, max_poly_degree=1,
                        samples=5, degree4_samples=5, seed=seed)
-        return RunConfig(make(), None, budgets, None, {})
+        return RunConfig(make(), None, budgets, None)
 
     @pytest.mark.parametrize("inner", [((X0, 1),), ((X0, 1), (X1, 0))])
     def test_mutating_a_returned_image_leaves_the_next_call_intact(

@@ -33,9 +33,7 @@ from skewchain.cochains import (
 from skewchain.complexes import (
     ChainElement,
     ShapeMismatch,
-    bimodule_act,
     expand_term,
-    random_twisted_slots,
 )
 from skewchain.fields import vec_sub
 from skewchain.pbw import PBWParams
@@ -135,38 +133,6 @@ class TestEvaluation:
             c.eval_element(ChainElement.basis(A, tag, slots))
         with pytest.raises(ShapeMismatch):
             Expansion.of(ChainElement.basis(A, tag, slots))
-
-    @pytest.mark.parametrize("make", [swap_q, swap_gf2, z3_unipotent_gf3])
-    def test_compose_is_the_expansion_of_the_moved_chain(self, make):
-        # c·a·X·b composed from X's expansion reads, under a cochain with
-        # arbitrary values, what the expansion of the chain c·a·X·b reads;
-        # X has non-free terms, so its splits carry outer factors a', b'
-        A = make()
-        rng = random.Random(5)
-        pairs = A.pairs_up_to(1, include_unit=True)
-        tags = [("twisted", 1, 1, "koszul"), ("twisted", 0, 2, "koszul"),
-                ("twisted", 2, 0, "koszul")]
-        x = ChainElement(A)
-        for _ in range(8):
-            _kind, i, j, dkind = rng.choice(tags)
-            x.add_scaled(ChainElement.basis(
-                A, ("twisted", i, j, dkind), random_twisted_slots(
-                    A, i, j, dkind, 1, rng, free=False)), rng.choice([1, 2]))
-        values: dict = {}
-        cochains = [Cochain(A, tag, lambda key: values.setdefault(
-            key, {rng.choice(pairs): A.field.from_int(rng.choice([1, -1, 2]))
-                  for _ in range(2)})) for tag in tags]
-        composed = Expansion(A)
-        moved = ChainElement(A)
-        for _ in range(4):
-            c = A.field.from_int(rng.choice([1, -1, 2]))
-            a, b = rng.choice(pairs), rng.choice(pairs)
-            composed.compose(c, a, Expansion.of(x), b)
-            moved.add_scaled(bimodule_act({a: 1}, x, {b: 1}), c)
-        built = Expansion.of(moved)
-        for alpha in cochains:
-            assert alpha.eval_element(composed) == alpha.eval_element(built)
-        assert any(alpha.eval_element(built) for alpha in cochains)
 
     def test_vector_space_structure_requires_same_degree(self):
         A = swap_q()

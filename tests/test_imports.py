@@ -13,6 +13,12 @@ an attribute of that name outside the definition's own body, or when
 in ``UNREFERENCED_ALLOWED`` with the reason.  A reason that cites
 ``perfbench/`` must name something the benchmark's modules still use, so
 such an exception fails loudly once the benchmark stops using it.
+
+Every attribute that a class of the package sets, on ``self`` or in its
+class body, must be read somewhere in the package, the tests, ``perfbench/``
+or ``scripts/``: as an attribute load, or as the name string of a
+``getattr``.  ``__slots__`` is exempt; attributes kept unread are named in
+``UNREAD_ATTRIBUTES_ALLOWED`` with the reason.
 """
 
 import ast
@@ -42,6 +48,9 @@ UNREFERENCED_ALLOWED = {
     "as_vector": "perfbench/workloads.py compares pi(iota(x)) against "
                  "complexes.as_vector(x)",
 }
+
+#: Attributes (``Class.attr``) the package sets although nothing reads them.
+UNREAD_ATTRIBUTES_ALLOWED: dict = {}
 
 
 def unused_imports(source: str) -> list:
@@ -173,3 +182,85 @@ def test_scan_sees_an_unreferenced_method():
         "b": "from a import C\nC().n()\n",
     }
     assert unreferenced_definitions(sources) == [("a", "C.m")]
+
+
+def attributes_set(sources: dict) -> list:
+    """``(module, "Class.attr")`` for every attribute that a class in
+    ``sources`` (module name -> source text) sets: a name assigned in the
+    class body, or an attribute of ``self`` stored in any of its methods.
+    """
+    out = []
+    for module, text in sources.items():
+        for cls in ast.walk(ast.parse(text)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = set()
+            for item in cls.body:
+                if isinstance(item, ast.Assign):
+                    targets = item.targets
+                elif (isinstance(item, ast.AnnAssign)
+                      and item.value is not None):
+                    targets = [item.target]
+                else:
+                    continue
+                for target in targets:
+                    names |= {t.id for t in getattr(target, "elts", [target])
+                              if isinstance(t, ast.Name)}
+            names |= {node.attr for node in ast.walk(cls)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "self"}
+            names.discard("__slots__")
+            out += [(module, f"{cls.name}.{name}") for name in names]
+    return sorted(out)
+
+
+def attributes_read(texts) -> set:
+    """Every attribute name the sources load, or pass to ``getattr`` as a
+    string."""
+    names = set()
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                names.add(node.args[1].value)
+    return names
+
+
+def unread_attributes(package: dict, readers) -> list:
+    """The attributes set by the classes of ``package`` that no source
+    text of ``readers`` reads."""
+    read = attributes_read(readers)
+    return [(module, name) for module, name in attributes_set(package)
+            if name.partition(".")[2] not in read]
+
+
+def test_every_attribute_is_read():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    readers = [p.read_text(encoding="utf-8") for p in [
+        *PACKAGE, *(ROOT / "tests").glob("*.py"),
+        *(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]]
+    found = unread_attributes(package, readers)
+    assert [(m, n) for m, n in found
+            if n not in UNREAD_ATTRIBUTES_ALLOWED] == []
+    # an exception whose attribute is now read, or gone, is stale
+    assert sorted(n for _, n in found) == sorted(UNREAD_ATTRIBUTES_ALLOWED)
+
+
+def test_scan_sees_an_unread_attribute():
+    package = {
+        "a": "class C:\n    __slots__ = ('x', 'y', 'z')\n    k = 1\n"
+             "    j: int = 2\n    n: int\n\n"
+             "    def __init__(self, o):\n        self.x, self.y = 1, 2\n"
+             "        self.z = 3\n        o.w = 4\n"
+             "        print(self.x)\n",
+    }
+    readers = [*package.values(), "getattr(c, 'z')\nc.j += 1\n"]
+    assert unread_attributes(package, readers) == [
+        ("a", "C.j"), ("a", "C.k"), ("a", "C.y")]

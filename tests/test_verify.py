@@ -88,7 +88,7 @@ def test_chainmap_witnesses_are_capped_and_name_the_defect(monkeypatch):
 
 def test_chainmap_witness_renders_the_defect(monkeypatch):
     """A witness shows the first terms of d f(x) - f(d x) in tag, then
-    term_sort_key, order, and counts the terms it leaves out."""
+    slot, order, and counts the terms it leaves out."""
     def mutant(x):  # awg with its X_{i,j} part scaled by i + 1
         v = awg(x)
         for tag, terms in v.parts.items():
@@ -287,7 +287,7 @@ def _dropping_a_term(real):
         for tag in sorted(v.parts):
             terms = v.parts[tag]
             if len(terms) > 1:
-                least = min(terms, key=complexes.term_sort_key)
+                least = min(terms)
                 v.parts[tag] = {s: c for s, c in terms.items() if s != least}
                 break
         return v
