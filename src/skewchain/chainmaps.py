@@ -72,28 +72,40 @@ class DegreeOutOfRange(ValueError):
 def awg(x) -> ChainElement:
     """Twisted Alexander-Whitney map on bar-resolution elements.
 
-    awg is a bimodule map, so each term a . E . b is the image of its free
-    generator E moved by its outer slots a and b.
+    awg is a bimodule map, so each term a . E . (m_1 h) is the image of
+    its free generator E moved by its outer slots a and m_1 h.  The right
+    group letter folds into the twists: in A, m_1 h = h . (^{h^-1} m_1), so
+
+        awg(E . m_1 h) = awg(E . h) . (^{h^-1} m_1),
+
+    and awg(E . h) = awg(E) . h is what :func:`_awg_free` builds with its
+    tails started at h; a monomial then only multiplies into the right
+    outer D slot.
     """
     alg = x.alg
     memo = alg._awg_memo
     unit = alg.unit_pair
+    zero = alg.zero_exp
+    act = alg.action.act_monomial
+    inv = alg.group.inv
     out = ChainElement(alg)
     for tag, terms in x.parts.items():
         if tag[0] != "barskew":
             raise ShapeMismatch(f"awg expects barskew elements, got {tag}")
         for slots, c in terms.items():
             inner = slots[1:-1]
-            image = memo.get(inner)
+            m1, h = slots[-1]
+            image = memo.get((inner, h))
             if image is None:
-                image = _awg_free(alg, inner)
+                image = _awg_free(alg, inner, h)
                 # free images of at most 2 bar letters recur and are
                 # memoized, as tuples; longer ones recur little and are many
                 if len(inner) <= 2:
-                    image = memo[inner] = tuple(
+                    image = memo[inner, h] = tuple(
                         (ptag, tuple(pairs)) for ptag, pairs in image)
             a = None if slots[0] == unit else {slots[0]: 1}
-            b = None if slots[-1] == unit else {slots[-1]: 1}
+            b = None if m1 == zero else {
+                (m, 0): v for m, v in act(inv(h), m1).items()}
             for ptag, pairs in image:
                 if a is not None:
                     pairs = act_skew_left(alg, ptag, pairs, a)
@@ -103,31 +115,39 @@ def awg(x) -> ChainElement:
     return out
 
 
-def _awg_free(alg: SkewAlgebra, inner):
-    """awg of the free generator with bar letters ``inner``, as
-    ``(tag, pairs)`` per summand."""
+def _awg_free(alg: SkewAlgebra, inner, h):
+    """awg of the free generator with bar letters ``inner`` times the group
+    letter h on the right, as ``(tag, pairs)`` per summand.
+
+    Acting by h on the right puts h in the right group slot and acts h^-1
+    on every D slot; each s_k of awg(E) is twisted by tails[k]^-1, so it
+    becomes twisted by (tails[k] h)^-1: the tails start at h, not at 1.
+    """
     n = len(inner)
     field = alg.field
     zero = alg.zero_exp
     if n == 0:
-        yield ("twisted", 0, 0, "bar"), [((0, 0, zero, zero), 1)]
+        yield ("twisted", 0, 0, "bar"), [((0, h, zero, zero), 1)]
         return
     mlist = [p[0] for p in inner]
     glist = [p[1] for p in inner]
+    # the ell-th summand survives iff g_ell..g_{n-1} and s_0..s_{ell-1} are
+    # all non-units; each term of a summand is a distinct basis term
+    lo = max((k + 1 for k in range(n) if glist[k] == 0), default=0)
+    hi = next((k for k in range(n) if mlist[k] == zero), n)
+    if lo > hi:
+        return
     gmul = alg.group.mul
     mul = field.mul
     inv = alg.group.inv
-    # tails[k] = g_k g_{k+1} ... g_{n-1}; each s_k is twisted by its inverse
-    tails = [0] * (n + 1)
+    # tails[k] = g_k g_{k+1} ... g_{n-1} h; each s_k is twisted by its
+    # inverse
+    tails = [h] * (n + 1)
     for k in range(n - 1, -1, -1):
         tails[k] = gmul(glist[k], tails[k + 1])
     twisted = [
         alg.action.act_monomial(inv(tails[k]), mlist[k]) for k in range(n)
     ]
-    # the ell-th summand survives iff g_ell..g_{n-1} and s_0..s_{ell-1} are
-    # all non-units; each term of a summand is a distinct basis term
-    lo = max((k + 1 for k in range(n) if glist[k] == 0), default=0)
-    hi = next((k for k in range(n) if mlist[k] == zero), n)
     # outer_sfx[k] = product of the twisted s_k ... s_{n-1}, for k >= lo
     outer_sfx = [{zero: 1}] * (n + 1)
     for k in range(n - 1, lo - 1, -1):
@@ -142,7 +162,7 @@ def _awg_free(alg: SkewAlgebra, inner):
             outer = outer_sfx[ell].items()
             if (ell * (n - ell)) % 2:
                 outer = [(mo, field.neg(co)) for mo, co in outer]
-            cpart = (prefix,) + tuple(glist[ell:]) + (0, zero)
+            cpart = (prefix,) + tuple(glist[ell:]) + (h, zero)
             yield ("twisted", n - ell, ell, "bar"), [
                 (cpart + mids + (mo,), mul(cc, co))
                 for mids, cc in combos for mo, co in outer]
@@ -189,6 +209,7 @@ def ezg(x) -> ChainElement:
     alg = x.alg
     f = alg.field
     unit = alg.unit()
+    memo = alg._ezg_memo
     out = ChainElement(alg)
     for tag, terms in x.parts.items():
         if tag[0] != "twisted" or tag[3] != "bar":
@@ -197,8 +218,15 @@ def ezg(x) -> ChainElement:
         btag = ("barskew", tag[1] + tag[2])
         for slots, c in terms.items():
             a, items, b = free_decompose(alg, tag, slots)
-            for c2, (cbars, dmid) in items:
-                pairs = _ezg_free(alg, cbars, dmid, f.mul(c, c2))
+            for c2, key in items:
+                image = memo.get(key)
+                if image is None:
+                    image = _ezg_free(alg, *key)
+                    # free images of at most 3 letters recur and are
+                    # memoized, as tuples; longer ones barely recur
+                    if len(key[0]) + len(key[1]) <= 3:
+                        image = memo[key] = tuple(image)
+                pairs = scaled_pairs(f, f.mul(c, c2), image)
                 if a != unit:
                     pairs = act_barskew_left(alg, btag, pairs, a)
                 if b != unit:
@@ -207,8 +235,8 @@ def ezg(x) -> ChainElement:
     return out
 
 
-def _ezg_free(alg: SkewAlgebra, cbars, dmid, coeff):
-    """coeff times ezg of the free generator, as (slots, coeff) pairs."""
+def _ezg_free(alg: SkewAlgebra, cbars, dmid):
+    """ezg of the free generator, as (slots, coeff) pairs."""
     i, j = len(cbars), len(dmid)
     field = alg.field
     unit = alg.unit_pair
@@ -220,8 +248,8 @@ def _ezg_free(alg: SkewAlgebra, cbars, dmid, coeff):
                 dmid[t]).items()
             for t in range(j)
         ]
-        signed = coeff if sign == 1 else field.neg(coeff)
-        for ms, cc in tensor_expand(field, [((), signed)], acted):
+        for ms, cc in tensor_expand(field, [((), field.from_int(sign))],
+                                    acted):
             yield ((unit,)
                    + tuple((zero, cbars[r]) if kind == "g" else (ms[r], 0)
                            for kind, r in word)

@@ -467,7 +467,7 @@ def free_terms(alg: SkewAlgebra, tag, dmax: int):
                "group": range(1, alg.group.order),
                "exp": alg.monomials_up_to(dmax, include_unit=False)}
     return itertools.product(*(
-        itertools.combinations(range(alg.nvars), wedge_degree(tag))
+        alg.wedges(wedge_degree(tag))
         if kind == "wedge" else letters[kind] if bar else (units[kind],)
         for kind, bar in layout(tag)))
 
@@ -498,9 +498,8 @@ def random_twisted_slots(alg: SkewAlgebra, i: int, j: int, dkind: str,
         m0 = z if free else rng.choice(outer)
         m1 = z if free else rng.choice(outer)
         return (g0,) + cb + (gR,) + (m0,) + dm + (m1,)
-    wedges = list(itertools.combinations(range(alg.nvars), j))
     outer = alg.monomials_up_to(max_poly_deg, include_unit=True)
-    w = rng.choice(wedges)
+    w = rng.choice(alg.wedges(j))
     m0 = z if free else rng.choice(outer)
     m1 = z if free else rng.choice(outer)
     return (g0,) + cb + (gR,) + (m0, w, m1)

@@ -17,6 +17,8 @@ deterministic basis enumerations used by verification drivers.
 
 from __future__ import annotations
 
+import itertools
+
 from .fields import Field
 from .groups import FiniteGroup
 from .polynomials import (
@@ -52,9 +54,15 @@ class SkewAlgebra:
         self._pair_memo: dict = {}
         #: pi_s values on free bar tuples (see chainmaps._pi_s_terms)
         self._psi_memo: dict = {}
-        #: awg images of free generators with at most 2 bar letters, by
-        #: inner tuple, as (tag, pairs) tuples (see chainmaps.awg)
+        #: awg images of free generators with at most 2 bar letters times
+        #: a right group letter h, by (inner tuple, h), as (tag, pairs)
+        #: tuples (see chainmaps.awg)
         self._awg_memo: dict = {}
+        #: ezg images of free generators with at most 3 letters, by
+        #: (cbars, dmid), as tuples of (slots, coeff) (see chainmaps.ezg)
+        self._ezg_memo: dict = {}
+        #: the sampling and enumeration pools, each a tuple built once
+        self._pools: dict = {}
         #: shared by all parameter tables (see pbw.py): the Expansion of
         #: each pi image, and per free twisted generator E of X_{i,j} the
         #: Expansions of d E and iota(E), by (i, j)
@@ -113,18 +121,31 @@ class SkewAlgebra:
 
     # -- deterministic enumerations ---------------------------------------
 
+    def _pool(self, key, build):
+        pool = self._pools.get(key)
+        if pool is None:
+            pool = self._pools[key] = tuple(build())
+        return pool
+
     def monomials_up_to(self, dmax: int, include_unit: bool = True):
-        return monomials_up_to(self.nvars, dmax, include_unit)
+        """Exponent tuples of degree <= dmax in grlex order, as a tuple."""
+        return self._pool(("exp", dmax, include_unit), lambda: monomials_up_to(
+            self.nvars, dmax, include_unit))
 
     def pairs_up_to(self, dmax: int, include_unit: bool = False):
-        """Basis pairs (m, g), deg m <= dmax, grlex-then-group order."""
-        out = []
-        for m in monomials_up_to(self.nvars, dmax):
-            for g in self.group.elements:
-                if not include_unit and m == self.zero_exp and g == 0:
-                    continue
-                out.append((m, g))
-        return out
+        """Basis pairs (m, g), deg m <= dmax, grlex-then-group order, as a
+        tuple."""
+        def build():
+            for m in self.monomials_up_to(dmax):
+                for g in self.group.elements:
+                    if include_unit or m != self.zero_exp or g != 0:
+                        yield (m, g)
+        return self._pool(("pair", dmax, include_unit), build)
+
+    def wedges(self, j: int):
+        """The wedges of degree j, increasing variable tuples, as a tuple."""
+        return self._pool(("wedge", j), lambda: itertools.combinations(
+            range(self.nvars), j))
 
     # -- display -----------------------------------------------------------
 

@@ -12,7 +12,6 @@ bodies on random inputs.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from math import comb, prod
 from typing import NamedTuple
@@ -85,7 +84,7 @@ def random_term(alg: SkewAlgebra, family: str, n: int, dmax: int, rng,
     if family == "koszul":
         j = min(n, alg.nvars)
         m0 = rng.choice(outer)
-        w = rng.choice(list(itertools.combinations(range(alg.nvars), j)))
+        w = rng.choice(alg.wedges(j))
         return ("koszul", j), (m0, w, rng.choice(outer))
     dkind = family.split("_")[1]
     top = n if dkind == "bar" and not no_s else min(n, alg.nvars)

@@ -333,6 +333,38 @@ class TestBimoduleProperty:
             assert awg(bimodule_act(a, x, b)) == \
                 bimodule_act(a, awg(x), b)
 
+    @pytest.mark.parametrize("name", sorted(CHAINMAP_CONFIGS))
+    def test_awg_folds_the_right_group_letter(self, name):
+        # awg(a·E·b) twists by tails started at b's group letter; the
+        # bimodule action on awg(E) acts that letter's inverse on each D
+        # slot instead, so the two agree only if the fold is right
+        A = CHAINMAP_CONFIGS[name]()
+        rng = random.Random(13)
+        pool = A.pairs_up_to(1, include_unit=True)
+        unit = A.unit_pair
+        moved_by_group = 0
+        for n in range(4):
+            for _ in range(25):
+                inner = random_barskew_slots(A, n, 1, rng)[1:-1]
+                a, b = rng.choice(pool), rng.choice(pool)
+                free = ChainElement.basis(A, ("barskew", n),
+                                          (unit,) + inner + (unit,))
+                x = ChainElement.basis(A, ("barskew", n), (a,) + inner + (b,))
+                assert awg(x) == bimodule_act({a: 1}, awg(free), {b: 1}), \
+                    (a, inner, b)
+                moved_by_group += b[1] != 0
+        assert moved_by_group
+
+    def test_awg_of_a_generator_without_surviving_summand_is_zero(self):
+        # 1 ⊗ g ⊗ x0 ⊗ 1: every summand strikes the unit group letter of
+        # x0 or the unit S letter of g, so no summand survives
+        A = swap_q()
+        inner = ((Z, 1), (X0, 0))
+        for b in (UNIT, (X1, 1)):
+            x = ChainElement.basis(A, ("barskew", 2), (UNIT,) + inner + (b,))
+            assert awg(x).is_zero()
+        assert A._awg_memo[inner, 1] == ()
+
     def test_ezg(self):
         A = swap_q()
         rng = random.Random(12)
@@ -559,7 +591,14 @@ class TestAwgMemo:
                 x = ChainElement.basis(warm.algebra, ("barskew", n), slots)
                 image = awg(x)
                 image.add_scaled(awg(x))
-        assert warm.algebra._awg_memo
+        for n in (1, 2, 3):
+            for i in range(n + 1):
+                tag = ("twisted", i, n - i, "bar")
+                for slots in free_terms(warm.algebra, tag, 1):
+                    x = ChainElement.basis(warm.algebra, tag, slots)
+                    image = ezg(x)
+                    image.add_scaled(ezg(x))
+        assert warm.algebra._awg_memo and warm.algebra._ezg_memo
         warm.budgets["seed"] = 2
         fresh = self.verify_config(make, seed=2)
         assert (canonical_json(run_verify(warm, "all")[0])
@@ -570,8 +609,14 @@ class TestAwgMemo:
         cfg.budgets["max_bar_degree"] = 3
         run_verify(cfg, "all")
         memo = cfg.algebra._awg_memo
-        assert memo and max(len(inner) for inner in memo) <= 2
+        # keyed by (inner, h) with h the right group letter
+        assert memo and max(len(inner) for inner, _h in memo) <= 2
+        assert any(h for _inner, h in memo)
         # held as tuples, so no caller can change a stored image
         assert all(isinstance(image, tuple)
                    and all(isinstance(pairs, tuple) for _tag, pairs in image)
                    for image in memo.values())
+        memo = cfg.algebra._ezg_memo
+        assert memo and max(len(cbars) + len(dmid)
+                            for cbars, dmid in memo) <= 3
+        assert all(isinstance(image, tuple) for image in memo.values())

@@ -9,6 +9,7 @@ import pytest
 
 from skewchain.fields import vec_add
 from skewchain.skew import ContextMismatch
+from skewchain.verify import random_term
 
 from helpers import s3_perm_q, swap_gf2, swap_q
 
@@ -95,3 +96,34 @@ class TestAlgebraLaws:
                 assert alg.mul(alg.of_group_algebra({g: 1}),
                                alg.of_group_algebra({h: 1})) == \
                     alg.of_group_algebra({G.mul(g, h): 1})
+
+
+class TestPools:
+    """The sampling pools are built once per algebra, and a drawn term is
+    made of the pool's own objects."""
+
+    def test_repeated_calls_return_the_same_tuple(self):
+        A = s3_perm_q()
+        for pool in (lambda: A.pairs_up_to(2), lambda: A.monomials_up_to(2),
+                     lambda: A.pairs_up_to(1, include_unit=True),
+                     lambda: A.monomials_up_to(1, include_unit=False),
+                     lambda: A.wedges(2)):
+            first = pool()
+            assert type(first) is tuple and first
+            assert pool() is first
+        assert A.pairs_up_to(1) == tuple(
+            (m, g) for m in A.monomials_up_to(1) for g in A.group.elements
+            if (m, g) != A.unit_pair)
+
+    def test_a_drawn_sample_holds_the_pools_letters(self):
+        A = s3_perm_q()
+        rng = random.Random(3)
+        letters = A.pairs_up_to(2, include_unit=False)
+        outer = A.pairs_up_to(2, include_unit=True)
+        for _ in range(20):
+            tag, slots = random_term(A, "barskew", 4, 2, rng, free=False)
+            assert all(any(p is q for q in letters) for p in slots[1:-1])
+            assert all(any(p is q for q in outer)
+                       for p in (slots[0], slots[-1]))
+            tag, slots = random_term(A, "twisted_koszul", 4, 2, rng)
+            assert any(slots[-2] is w for w in A.wedges(tag[2]))
