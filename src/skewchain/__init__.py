@@ -13,6 +13,7 @@ from .fields import (
     DivisionByZero,
     Field,
     NonPrimeModulus,
+    SetupError,
     field_from_descriptor,
 )
 from .groups import (
@@ -68,7 +69,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GF", "QQ", "Field", "field_from_descriptor",
-    "DivisionByZero", "NonPrimeModulus",
+    "SetupError", "DivisionByZero", "NonPrimeModulus",
     "FiniteGroup", "cyclic_group", "symmetric_group",
     "product_of_cyclic_groups", "group_from_config",
     "GroupTooLarge", "NoIdentity", "NotAssociative",

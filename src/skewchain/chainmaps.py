@@ -58,12 +58,12 @@ from .complexes import (
     free_decompose,
     tensor_expand,
 )
-from .fields import scaled_pairs
+from .fields import SetupError, scaled_pairs
 from .polynomials import monomial_mul, poly_mul, var_exp
 from .skew import SkewAlgebra
 
 
-class DegreeOutOfRange(ValueError):
+class DegreeOutOfRange(SetupError):
     """Raised when a homological degree exceeds the configured bound."""
 
 

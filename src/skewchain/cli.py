@@ -4,7 +4,10 @@ Exit codes form the machine contract:
 
 * 0 - all requested checks passed / the deformation is PBW,
 * 1 - a check failed / the deformation is not PBW,
-* 2 - the run could not be set up (bad config, bad shapes, missing data),
+* 2 - the run could not be set up: a :class:`~skewchain.fields.SetupError`
+  (bad config, bad shapes, missing data, a document that is not JSON) or
+  an ``OSError`` (a file that cannot be read, a ``--json`` path that cannot
+  be written),
 * 3 - the three PBW deciders disagree (a bug, reported loudly),
 * 4 - an internal error: any other exception (a bug); the report carries
   an ``error`` object, as for exit 2, and the traceback goes to stderr.
@@ -20,16 +23,12 @@ import functools
 import sys
 import traceback
 
-from .fields import NonPrimeModulus
-from .groups import NoIdentity, NotAssociative, NotLatinSquare
-from .polynomials import DimensionMismatch
-from .skew import ContextMismatch
+from .fields import SetupError
 from .complexes import ShapeMismatch, diff
 from . import chainmaps
 from .chainmaps import MAPS, DegreeOutOfRange
 from .pbw import (
     MissingParams,
-    SearchSpaceTooLarge,
     check_all,
     check_cohomological,
     check_five,
@@ -46,6 +45,7 @@ from .serialize import (
     element_to_json,
     is_json_int,
     params_to_config,
+    read_json,
     vector_to_json,
 )
 from .verify import SUITES, run_suites
@@ -55,22 +55,6 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DISAGREE = 3
 EXIT_INTERNAL = 4
-
-#: Everything that means "the run could not even be set up".
-CONFIG_ERRORS = (
-    ConfigParseError,
-    NotAssociative,
-    NotLatinSquare,
-    NoIdentity,
-    NonPrimeModulus,
-    DimensionMismatch,
-    ContextMismatch,
-    ShapeMismatch,
-    MissingParams,
-    DegreeOutOfRange,
-    SearchSpaceTooLarge,
-    OSError,
-)
 
 VERIFY_SUITES = (*SUITES, "all")
 PBW_METHODS = ("five", "cohomological", "oracle", "all")
@@ -231,20 +215,6 @@ def run_enumerate(cfg: RunConfig):
 
 # -- entry point -----------------------------------------------------------
 
-def _read_input_doc(path: str) -> dict:
-    import json as _json
-
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        return _json.loads(text)
-    except ValueError as e:
-        raise ShapeMismatch(f"input element is not valid JSON: {e}") from e
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="skewchain",
@@ -289,7 +259,13 @@ def _error_report(command: str, e: Exception) -> dict:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    sink = None
     try:
+        if args.json:
+            # opened to append, which truncates nothing: an unwritable
+            # path fails here, as a setup error, before the run
+            open(args.json, "a").close()
+            sink = args.json
         cfg = RunConfig.from_file(args.config)
         if args.seed is not None:
             if args.seed < 0:
@@ -307,19 +283,19 @@ def main(argv=None) -> int:
         elif args.command == "pbw":
             report, code = run_pbw(cfg, args.method)
         elif args.command == "apply":
-            report, code = run_apply(cfg, args.map,
-                                     _read_input_doc(args.input))
+            report, code = run_apply(cfg, args.map, read_json(
+                args.input, ShapeMismatch, "input element"))
         else:
             report, code = run_enumerate(cfg)
-    except CONFIG_ERRORS as e:
+    except (SetupError, OSError) as e:
         report, code = _error_report(args.command, e), EXIT_CONFIG
     except Exception as e:  # last resort: no exception may exit as 1
         traceback.print_exc(file=sys.stderr)
         report, code = _error_report(args.command, e), EXIT_INTERNAL
     text = canonical_json(report)
     sys.stdout.write(text)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+    if sink:
+        with open(sink, "w", encoding="utf-8") as fh:
             fh.write(text)
     return code
 

@@ -39,12 +39,12 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .fields import scaled_pairs
+from .fields import SetupError, scaled_pairs
 from .polynomials import monomial_mul, total_degree, var_exp
 from .skew import SkewAlgebra
 
 
-class ShapeMismatch(ValueError):
+class ShapeMismatch(SetupError):
     """Raised when slots do not match the shape demanded by a complex tag."""
 
 

@@ -35,7 +35,13 @@ MAX_MODULUS = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-class NonPrimeModulus(ValueError):
+class SetupError(ValueError):
+    """The input cannot be set up: a document, table or value that the run
+    rejects before it starts (the CLI's exit 2).  Every such error in the
+    package is a subclass."""
+
+
+class NonPrimeModulus(SetupError):
     """Raised when a prime field is requested for a composite modulus."""
 
 

@@ -14,18 +14,18 @@ from __future__ import annotations
 
 import itertools
 
-from .fields import is_json_int
+from .fields import SetupError, is_json_int
 
 
-class NotAssociative(ValueError):
+class NotAssociative(SetupError):
     """Raised when a multiplication table fails associativity."""
 
 
-class NotLatinSquare(ValueError):
+class NotLatinSquare(SetupError):
     """Raised when a multiplication table has a repeated row or column."""
 
 
-class NoIdentity(ValueError):
+class NoIdentity(SetupError):
     """Raised when index 0 does not act as a two-sided identity."""
 
 
@@ -64,7 +64,7 @@ class FiniteGroup:
             raise ValueError("multiplication table must be square")
         for row in table:
             for v in row:
-                if not (isinstance(v, int) and 0 <= v < n):
+                if not (is_json_int(v) and 0 <= v < n):
                     raise ValueError(f"table entry {v!r} out of range")
         if any(table[0][a] != a or table[a][0] != a for a in range(n)):
             raise NoIdentity("index 0 must be a two-sided identity")

@@ -48,7 +48,14 @@ from .complexes import (
     free_slots,
     free_terms,
 )
-from .fields import scaled_pairs, vec_add, vec_neg, vec_scale, vec_sub
+from .fields import (
+    SetupError,
+    scaled_pairs,
+    vec_add,
+    vec_neg,
+    vec_scale,
+    vec_sub,
+)
 from .linalg import IncrementalRank
 from .polynomials import var_exp, var_names
 from .skew import SkewAlgebra
@@ -59,11 +66,11 @@ from .skew import SkewAlgebra
 ORACLE_DEGREE = 3
 
 
-class MissingParams(ValueError):
+class MissingParams(SetupError):
     """Raised when a PBW question is posed without parameter maps."""
 
 
-class SearchSpaceTooLarge(ValueError):
+class SearchSpaceTooLarge(SetupError):
     """Raised when an enumeration request exceeds its configured cap."""
 
 

@@ -20,11 +20,11 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .fields import Field, is_json_int
+from .fields import Field, SetupError, is_json_int
 from .groups import FiniteGroup
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(SetupError):
     """Raised when a vector/matrix has the wrong dimension for an action."""
 
 

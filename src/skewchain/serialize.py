@@ -41,15 +41,11 @@ whitespace) so identical (config, seed) runs produce byte-identical output.
 from __future__ import annotations
 
 import json
+import sys
 from math import comb, prod
 
-from .fields import field_from_descriptor, is_json_int
-from .groups import (
-    NoIdentity,
-    NotAssociative,
-    NotLatinSquare,
-    group_from_config,
-)
+from .fields import SetupError, field_from_descriptor, is_json_int
+from .groups import group_from_config
 from .polynomials import LinearAction
 from .skew import SkewAlgebra
 from .complexes import (
@@ -85,8 +81,24 @@ MAX_BAR_DEGREE = 100
 MAX_ACTION_TERMS = 10 ** 4
 
 
-class ConfigParseError(ValueError):
+class ConfigParseError(SetupError):
     """The run configuration document is structurally invalid."""
+
+
+def read_json(path: str, error: type, what: str):
+    """The JSON document in the file at ``path``, or on stdin for ``-``.
+
+    A document that is not UTF-8, nests too deep or holds an integer past
+    Python's digit limit raises ``error`` as invalid JSON does; an
+    ``OSError`` (a missing or unreadable file) passes unchanged.
+    """
+    try:
+        if path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as e:
+        raise error(f"{what} is not valid JSON: {e}") from e
 
 
 def _index(entry: dict, key: str) -> int:
@@ -118,13 +130,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigParseError(f"config is not valid JSON: {e}") from e
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path, ConfigParseError, "config"))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -135,16 +141,15 @@ class RunConfig:
                 raise ConfigParseError(f"config is missing the {key!r} block")
         try:
             field = field_from_descriptor(doc["field"])
+        except SetupError:
+            raise
         except (TypeError, AttributeError) as e:
             raise ConfigParseError(f"bad field descriptor: {e}") from e
         except ValueError as e:
-            # NonPrimeModulus carries its own meaning; re-raise unchanged.
-            if type(e) is ValueError:
-                raise ConfigParseError(str(e)) from e
-            raise
+            raise ConfigParseError(str(e)) from e
         try:
             group = group_from_config(doc["group"])
-        except (NotAssociative, NotLatinSquare, NoIdentity):
+        except SetupError:
             raise
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigParseError(f"bad group block: {e}") from e

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 
-from .fields import Field
+from .fields import Field, SetupError
 from .groups import FiniteGroup
 from .polynomials import (
     LinearAction,
@@ -30,7 +30,7 @@ from .polynomials import (
 )
 
 
-class ContextMismatch(ValueError):
+class ContextMismatch(SetupError):
     """Raised when elements of two different skew algebras are combined."""
 
 

@@ -7,12 +7,17 @@ the deformation is not PBW, 2 = the run could not even be set up (config,
 input, or budget problems), 3 = the three PBW deciders disagree.
 """
 
+import importlib
+import io
 import json
+import pkgutil
 import time
 from pathlib import Path
 
 import pytest
 
+import skewchain
+from skewchain import SetupError
 from skewchain.cli import MAX_MAP_FACTOR, main, map_factor
 from skewchain.pbw import PBWReport
 from skewchain.polynomials import MAX_ACTION_DIM
@@ -374,8 +379,6 @@ class TestApply:
 
     def test_diff_reads_stdin_by_default(self, tmp_path, capsys,
                                          monkeypatch):
-        import io
-
         cfg = write_json(tmp_path / "c.json", swap_q_config_doc())
         doc = {"complex": "bars", "j": 1,
                "terms": [{"slots": [[0, 0], [1, 1], [0, 0]], "coeff": "1"}]}
@@ -391,8 +394,6 @@ class TestApply:
         ]}
 
     def test_wrong_domain_rejected(self, tmp_path, capsys, monkeypatch):
-        import io
-
         cfg = write_json(tmp_path / "c.json", swap_q_config_doc())
         doc = {"complex": "bars", "j": 1,
                "terms": [{"slots": [[0, 0], [1, 1], [0, 0]], "coeff": "1"}]}
@@ -404,8 +405,6 @@ class TestApply:
 
     def test_fractional_tag_degree_rejected(self, tmp_path, capsys,
                                             monkeypatch):
-        import io
-
         cfg = write_json(tmp_path / "c.json", swap_q_config_doc())
         doc = {"complex": "bars", "j": 1.9,
                "terms": [{"slots": [[0, 0], [1, 1], [0, 0]], "coeff": "1"}]}
@@ -604,8 +603,6 @@ class TestApply:
         assert rep["output"]["components"]
 
     def test_unparseable_input_element(self, tmp_path, capsys, monkeypatch):
-        import io
-
         cfg = write_json(tmp_path / "c.json", swap_q_config_doc())
         monkeypatch.setattr("sys.stdin", io.StringIO("{nope"))
         code, rep, _ = run_cli(capsys, ["apply", "awg", "--config", cfg])
@@ -711,6 +708,16 @@ class TestConfigErrors:
         assert rep["error"] == {"type": "ConfigParseError",
                                 "detail": "max degree must be positive"}
 
+    def test_group_table_of_booleans(self, tmp_path, capsys):
+        # was read as Z/2, with exit 0
+        cfg = write_json(tmp_path / "c.json", swap_q_config_doc(
+            group={"table": [[0, True], [True, 0]]}, action={"dim": 1}))
+        code, rep, _ = run_cli(capsys, ["verify", "--config", cfg])
+        assert code == 2
+        assert rep["error"] == {
+            "type": "ConfigParseError",
+            "detail": "bad group block: table entry True out of range"}
+
     def test_unknown_suite_is_a_usage_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json", swap_q_config_doc())
         with pytest.raises(SystemExit) as exc:
@@ -724,6 +731,76 @@ class TestConfigErrors:
             main(["apply", "bogus", "--config", cfg])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+#: Documents that are not JSON to Python although a byte-level look might
+#: pass them; each exited 4 as a config, with a traceback.
+UNREADABLE_DOCUMENTS = {
+    "not_utf8": b'{"field": "Q\xff"}',
+    "nested_200000_deep": b"[" * 200000 + b"]" * 200000,
+    "integer_of_5000_digits": b'{"field": "Q", "group": {"family": "cyclic",'
+                              b' "n": 2}, "action": {"dim": ' + b"9" * 5000
+                              + b"}}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_DOCUMENTS))
+@pytest.mark.parametrize("role", ["config", "input"])
+def test_unreadable_document_is_a_fast_setup_error(role, name, tmp_path,
+                                                   capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNREADABLE_DOCUMENTS[name])
+    cfg = write_json(tmp_path / "c.json", swap_q_config_doc())
+    if role == "config":
+        argv = ["verify", "--config", str(bad)]
+        kind, what = "ConfigParseError", "config"
+    else:
+        argv = ["apply", "awg", "--config", cfg, "--input", str(bad)]
+        kind, what = "ShapeMismatch", "input element"
+    start = time.monotonic()
+    code, rep, _ = run_cli(capsys, argv)
+    assert time.monotonic() - start < 0.5
+    assert code == 2
+    assert rep["error"]["type"] == kind
+    assert rep["error"]["detail"].startswith(f"{what} is not valid JSON: ")
+
+
+def test_non_utf8_stdin_is_a_setup_error(tmp_path, capsys, monkeypatch):
+    # a strict UTF-8 stdin (PYTHONIOENCODING=utf-8:strict) exited 4
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(b"\xff"), encoding="utf-8", errors="strict"))
+    cfg = write_json(tmp_path / "c.json", swap_q_config_doc())
+    code, rep, _ = run_cli(capsys, ["apply", "awg", "--config", cfg])
+    assert code == 2
+    assert rep["error"]["type"] == "ShapeMismatch"
+    assert "can't decode byte 0xff" in rep["error"]["detail"]
+
+
+#: The exception classes of the package that are not a ``SetupError``, and
+#: why.  Every other one means "this input cannot be set up", exit 2.
+NOT_SETUP_ERRORS = {
+    "DivisionByZero": "an internal error (exit 4): every parsed divisor is "
+                      "checked first",
+    "InconsistentSystem": "an internal error (exit 4): the splitting "
+                          "systems are solvable by construction",
+    "GroupTooLarge": "raised inside the group block and reported as a "
+                     "ConfigParseError",
+    "ActionTooLarge": "raised inside the action block and reported as a "
+                      "ConfigParseError",
+}
+
+
+def test_every_exception_class_declares_its_exit_code():
+    found = {}
+    for info in pkgutil.iter_modules(skewchain.__path__):
+        module = importlib.import_module(f"skewchain.{info.name}")
+        for name, cls in vars(module).items():
+            if isinstance(cls, type) and issubclass(cls, Exception) \
+                    and cls.__module__ == module.__name__:
+                found[name] = cls
+    assert set(NOT_SETUP_ERRORS) <= set(found)
+    for name, cls in found.items():
+        assert issubclass(cls, SetupError) != (name in NOT_SETUP_ERRORS), name
 
 
 #: Hostile config values that once escaped as uncaught exceptions (exit 1)
@@ -948,6 +1025,22 @@ class TestReportOutput:
         assert code == 2
         assert rep["error"]["type"] == "MissingParams"
         assert dest.read_text() == out
+
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_json_path_is_a_setup_error(self, where, tmp_path,
+                                                   capsys):
+        # each raised after the report, with a traceback and exit 1
+        cfg = write_json(tmp_path / "c.json",
+                         swap_q_config_doc(params=KAPPA_ONE))
+        dest, kind = {
+            "directory": (tmp_path, "IsADirectoryError"),
+            "missing_parent": (tmp_path / "no" / "r.json",
+                               "FileNotFoundError"),
+        }[where]
+        code, rep, _ = run_cli(capsys, ["pbw", "five", "--config", cfg,
+                                        "--json", str(dest)])
+        assert code == 2
+        assert rep["error"]["type"] == kind
 
     def test_keys_sorted_and_compact(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json",

@@ -11,6 +11,11 @@ one canonical JSON report on stdout.
 not, some with exponents above the input degree cap and some with negative
 tag degrees; it may exit only 0 or 2.
 
+Byte documents, drawn or well-formed ones with a few bytes spliced in,
+are read as ``--config`` of ``pbw five`` and as ``--input`` of ``apply
+awg``: a document Python cannot read (not UTF-8, nested too deep, an
+integer past the digit limit) is a setup error like any other.
+
 ``verify`` (every suite) and ``enumerate`` run on the same drawn documents,
 with tiny budgets (bar degree at most 2, polynomial degree 1, at most 5
 samples) and candidate lists of at most two entries, so that each run
@@ -322,4 +327,58 @@ def test_enumerate_exit_code_contract(doc):
         cfg.write_text(json.dumps(doc))
         code, out = run_main(["enumerate", "--config", str(cfg)])
     assert code in (0, 1, 2), (code, out)
+    assert out == canonical_json(json.loads(out))
+
+
+def splice(doc, pos, junk):
+    """The JSON bytes of ``doc`` with ``junk`` put in at ``pos``."""
+    text = json.dumps(doc).encode()
+    pos %= len(text) + 1
+    return text[:pos] + junk + text[pos:]
+
+
+BYTE_DOCS = st.one_of(
+    st.binary(max_size=64),
+    st.builds(splice, st.sampled_from(BASES), st.integers(0, 200),
+              st.binary(min_size=1, max_size=4)),
+)
+
+#: Documents that Python's JSON reader refuses.  A BOM always exited 2;
+#: invalid UTF-8 and deep nesting exited 4 as a config and as an input,
+#: integers past the digit limit as a config.
+CRAFTED_BYTES = [
+    b"\xef\xbb\xbf" + json.dumps(BASES[0]).encode(),
+    b'{"field": "Q\xff"}',
+    b"\xc3\x28",  # a truncated two-byte sequence
+    b"[" * 10 ** 5 + b"]" * 10 ** 5,
+    b'{"a":' * 10 ** 5,
+    b"9" * 5000,
+    b'{"field": "Q", "group": {"family": "cyclic", "n": 2}, "action": '
+    b'{"dim": ' + b"1" * 5000 + b"}}",
+]
+
+
+@pytest.mark.parametrize("role", ["config", "input"])
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(data=CRAFTED_BYTES[0])
+@example(data=CRAFTED_BYTES[1])
+@example(data=CRAFTED_BYTES[2])
+@example(data=CRAFTED_BYTES[3])
+@example(data=CRAFTED_BYTES[4])
+@example(data=CRAFTED_BYTES[5])
+@example(data=CRAFTED_BYTES[6])
+@given(data=BYTE_DOCS)
+def test_byte_document_exit_code_contract(role, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.json"
+        cfg.write_text(json.dumps(BASES[0]))
+        doc = Path(tmp) / "d.json"
+        doc.write_bytes(data)
+        if role == "config":
+            argv = ["pbw", "five", "--config", str(doc)]
+        else:
+            argv = ["apply", "awg", "--config", str(cfg), "--input", str(doc)]
+        code, out = run_main(argv)
+    assert code in ((0, 1, 2, 3) if role == "config" else (0, 2)), (code, out)
     assert out == canonical_json(json.loads(out))
